@@ -15,6 +15,7 @@ central differences are expected to pass at 1e-6, not 1e-2.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -604,22 +605,38 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
 
 
 def load_tensors(path):
-    """Returns (ordered name->array dict, meta dict)."""
+    """Returns (ordered name->array dict, meta dict).
+
+    A malformed container raises one ValueError naming the path: a wrong
+    magic, a short header length field, a header that is not the JSON
+    index, or a payload whose size differs from the sum of the tensor sizes
+    (truncated, or followed by trailing bytes).
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a tensor container (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        payload = f.read()
+        raw = f.read()
+    if raw[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a tensor container (magic {raw[:4]!r})")
+    if len(raw) < 8:
+        raise ValueError(f"{path}: truncated header length field ({len(raw) - 4} of 4 bytes)")
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    try:
+        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+        meta = header["meta"]
+        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                   for e in header["tensors"]]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: header is not a tensor index ({type(e).__name__}: {e})") from None
+    payload = memoryview(raw)[8 + hlen:]
+    want = 8 * sum(math.prod(shape) for _, shape, _ in entries)
+    if len(payload) < want:
+        raise ValueError(f"{path}: truncated payload ({len(payload)} of {want} bytes)")
+    if len(payload) > want:
+        raise ValueError(f"{path}: {len(payload) - want} trailing bytes after the payload")
     out = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        off = entry["offset"]
-        end = off + 8 * n
-        if end > len(payload):
-            raise ValueError(f"{path}: truncated payload for tensor {entry['name']!r}")
-        out[entry["name"]] = np.frombuffer(
-            payload[off:end], dtype="<f8").reshape(shape).astype(np.float64)
-    return out, header["meta"]
+    end = 0
+    for name, shape, off in entries:
+        if off != end:
+            raise ValueError(f"{path}: tensor {name!r} at offset {off}, want {end}")
+        end = off + 8 * math.prod(shape)
+        out[name] = np.frombuffer(payload[off:end], dtype="<f8").reshape(shape).astype(np.float64)
+    return out, meta

@@ -9,6 +9,7 @@ one minus the mean coefficient of determination over the two channels.
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .schema import (
     SchemaError,
     WeatherSeries,
     assemble_inputs,
+    decode_unit_box,
     expand_daily,
     heat_aggregate_of,
 )
@@ -43,7 +45,6 @@ __all__ = [
     "CalibrationSpace",
     "FrozenModel",
     "cost_from_series",
-    "calibration_cost",
     "calibrate",
     "CalibrationReport",
 ]
@@ -55,6 +56,11 @@ WORST_COST = math.inf
 # CMA-ES
 
 
+def population_size(n: int) -> int:
+    """Default lambda of an n-dimensional CMA-ES: 4 + floor(3 ln n)."""
+    return 4 + int(3 * math.log(n))
+
+
 class CmaState:
     """Mean, step size, covariance, and evolution paths of one CMA-ES run.
 
@@ -63,18 +69,16 @@ class CmaState:
     the standard (mu/mu_w, lambda) formulas.
     """
 
-    def __init__(self, n: int, seed: int, sigma0: float = 0.3, mean0=None, lam: int | None = None):
+    def __init__(self, n: int, seed: int, sigma0: float = 0.3):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         if sigma0 <= 0:
             raise ValueError(f"sigma0 must be > 0, got {sigma0}")
         self.n = n
         self.sigma = float(sigma0)
-        self.m = np.full(n, 0.5) if mean0 is None else np.array(mean0, dtype=np.float64)
-        if self.m.shape != (n,):
-            raise ValueError(f"mean0 must have shape ({n},), got {self.m.shape}")
+        self.m = np.full(n, 0.5)
 
-        self.lam = int(lam) if lam is not None else 4 + int(3 * math.log(n))
+        self.lam = population_size(n)
         self.mu = self.lam // 2
         w = np.log((self.lam + 1) / 2) - np.log(np.arange(1, self.mu + 1))
         self.weights = w / w.sum()
@@ -175,24 +179,49 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses) -> None:
     state._decompose()
 
 
-def cma_minimize(fn, n: int, seed: int, max_evals: int, sigma0: float = 0.3,
-                 mean0=None, target: float | None = None):
-    """Ask/tell loop helper; fn maps a [0,1]^n vector to a scalar cost.
+class CmaResult(NamedTuple):
+    best_x: np.ndarray
+    best_f: float  # never above initial_f: the start mean competes too
+    evaluations: int
+    history: list  # best-so-far cost after each generation
+    initial_f: float  # cost of the start mean, evaluated before any sample
 
-    Returns (best_x, best_f, evals, history of per-generation bests).
+
+def cma_minimize(evaluate, n: int, seed: int, max_evals: int, sigma0: float = 0.3,
+                 target: float | None = None, log=None) -> CmaResult:
+    """The one ask/tell loop over [0,1]^n.
+
+    `evaluate` is batch-only: it maps a (k, n) candidate matrix to k costs.
+    It is called once on the start mean, then once per generation on the
+    lambda sampled candidates, until `max_evals` evaluations are spent or a
+    generation's best candidate falls below `target`. `log(generation,
+    best_f)` is called every 50 generations.
     """
-    state = CmaState(n, seed, sigma0=sigma0, mean0=mean0)
+    state = CmaState(n, seed, sigma0=sigma0)
+    initial_f = float(_costs(evaluate, state.m[None])[0])
+    best_x, best_f = state.m.copy(), initial_f
     history = []
-    evals = 0
+    evals = 1
     while evals < max_evals:
         xs = cma_ask(state)
-        fs = [fn(x) for x in xs]
+        fs = _costs(evaluate, xs)
         evals += len(xs)
         cma_tell(state, xs, fs)
-        history.append(state.best_f)
+        if state.best_f < best_f:
+            best_f, best_x = state.best_f, state.best_x.copy()
+        history.append(best_f)
+        if log is not None and len(history) % 50 == 0:
+            log(len(history), best_f)
         if target is not None and state.best_f < target:
             break
-    return state.best_x, state.best_f, evals, history
+    return CmaResult(best_x, best_f, evals, history, initial_f)
+
+
+def _costs(evaluate, xs: np.ndarray) -> np.ndarray:
+    fs = np.asarray(evaluate(xs), dtype=np.float64)
+    if fs.shape != (len(xs),):
+        raise ValueError(f"evaluator returned shape {fs.shape}, want ({len(xs)},)")
+    return fs
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +317,12 @@ class CalibrationSpace:
         self._bms = {s.name for s in schema.bms}
         self._occ = {s.name for s in schema.occupancy}
         self._dims = []  # (label, spec, kind, day)
+        seen = set()
         for fv in self.free:
             spec = schema.spec(fv.name)  # raises on unknown names
+            if fv.name in seen:  # also a lockstep and a per-day copy of one variable
+                raise SchemaError(f"duplicate free variable {fv.name}")
+            seen.add(fv.name)
             if fv.name in self._building:
                 if fv.per_day:
                     raise SchemaError(f"{fv.name} is static, per_day does not apply")
@@ -301,11 +334,7 @@ class CalibrationSpace:
                         self._dims.append((f"{fv.name}[{DAY_NAMES[d]}]", spec, "daily", d))
                 else:
                     self._dims.append((fv.name, spec, "daily", None))
-        seen = set()
-        for label, *_ in self._dims:
-            if label in seen:
-                raise SchemaError(f"duplicate free variable {label}")
-            seen.add(label)
+        self._specs = [spec for _, spec, _, _ in self._dims]
 
     @property
     def dim(self) -> int:
@@ -320,18 +349,16 @@ class CalibrationSpace:
         hi = np.array([spec.max for _, spec, _, _ in self._dims])
         return lo, hi
 
-    def decode(self, x01, quantize: bool = True):
-        """[0,1]^n vector -> (params, bms, occ); snaps to grids when asked."""
-        x01 = np.asarray(x01, dtype=np.float64)
-        if x01.shape != (self.dim,):
-            raise ValueError(f"decode: want ({self.dim},), got {x01.shape}")
+    def values(self, x01) -> np.ndarray:
+        """Grid values of the free dimensions of a [0,1]^n vector, in space order."""
+        return decode_unit_box(self._specs, x01)
+
+    def decode(self, x01):
+        """[0,1]^n vector -> (params, bms, occ) with the free values on their grids."""
         params_d = self.base_params.to_dict()
         bms_d = self.base_bms.to_dict()
         occ_d = self.base_occ.to_dict()
-        for (label, spec, kind, day), u in zip(self._dims, x01):
-            v = spec.min + float(np.clip(u, 0.0, 1.0)) * (spec.max - spec.min)
-            if quantize:
-                v = spec.quantize(v)
+        for (label, spec, kind, day), v in zip(self._dims, self.values(x01).tolist()):
             if kind == "static":
                 params_d[spec.name] = v
             elif spec.name in self._bms:
@@ -350,8 +377,8 @@ class CalibrationSpace:
             OccupancySchedule.from_dict(occ_d),
         )
 
-    def assemble(self, x01, weather: WeatherSeries, quantize: bool = True) -> np.ndarray:
-        params, bms, occ = self.decode(x01, quantize)
+    def assemble(self, x01, weather: WeatherSeries) -> np.ndarray:
+        params, bms, occ = self.decode(x01)
         return assemble_inputs(params, bms, occ, weather, self.schema)
 
     # A hand-picked informative subset: envelope and internal-gain levers
@@ -426,14 +453,6 @@ def cost_from_series(pred_t, pred_q, trace: SensorTrace) -> float:
     if not (np.all(np.isfinite(pred_t)) and np.all(np.isfinite(pred_q))):
         return WORST_COST
     return 1.0 - 0.5 * (r2_score(trace.t_int, pred_t) + r2_score(trace.q_heat, pred_q))
-
-
-def calibration_cost(x01, space: CalibrationSpace, model: FrozenModel,
-                     trace: SensorTrace, weather: WeatherSeries,
-                     quantize: bool = True) -> float:
-    inputs = space.assemble(x01, weather, quantize)
-    pred = predict(model.params, model.config, model.kind, inputs, model.norm)
-    return cost_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -516,21 +535,10 @@ def calibrate(
                 costs[i] += cost_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), trace)
         return costs / len(traces)
 
-    state = CmaState(space.dim, seed, sigma0=sigma0)
-    initial_cost = float(population_costs([state.m])[0])
-    best_x, best_f = state.m.copy(), initial_cost
-    history = []
-    evaluations = 1
-    for gen in range(budget):
-        xs = cma_ask(state)
-        fs = population_costs(xs)
-        evaluations += len(xs)
-        cma_tell(state, xs, fs)
-        if state.best_f < best_f:
-            best_f, best_x = state.best_f, state.best_x.copy()
-        history.append(best_f)
-        if log is not None and (gen + 1) % 50 == 0:
-            log(gen + 1, best_f)
+    result = cma_minimize(population_costs, space.dim, seed,
+                          max_evals=1 + budget * population_size(space.dim),
+                          sigma0=sigma0, log=log)
+    best_x = result.best_x
 
     def week_rows(ts, ws):
         rows = []
@@ -546,32 +554,14 @@ def calibrate(
 
     report = CalibrationReport(
         names=space.names,
-        values=tuple(
-            float(v)
-            for v in _decoded_vector(space, best_x)
-        ),
-        best_cost=best_f,
-        initial_cost=initial_cost,
-        history=history,
+        values=tuple(space.values(best_x).tolist()),
+        best_cost=result.best_f,
+        initial_cost=result.initial_f,
+        history=result.history,
         week_metrics=week_rows(traces, weathers),
         holdout_metrics=week_rows(list(holdout_traces), list(holdout_weathers)),
         generations=budget,
-        evaluations=evaluations,
+        evaluations=result.evaluations,
     )
     return best_x, report
 
-
-def _decoded_vector(space: CalibrationSpace, x01) -> np.ndarray:
-    """Physical (quantized) values of each free dimension, in space order."""
-    params, bms, occ = space.decode(x01)
-    values = []
-    for label, spec, kind, day in space._dims:
-        if kind == "static":
-            values.append(getattr(params, spec.name))
-        elif spec.name in space._bms:
-            arr = getattr(bms, spec.name)
-            values.append(arr[day if day is not None else 0])
-        else:
-            arr = getattr(occ, spec.name)
-            values.append(arr[day if day is not None else 0])
-    return np.array(values)

@@ -25,7 +25,7 @@ from .pareto import (
     optimize_bms,
     select_equivalent_comfort,
 )
-from .rcsim import simulate_week
+from .rcsim import NumericalError, simulate_week
 from .schema import (
     DEFAULT_SCHEMA,
     HOURS_PER_WEEK,
@@ -233,7 +233,7 @@ def cmd_train(args, section) -> int:
         manifest.add_input(path)
     try:
         ds = Dataset.load(args.dataset)
-    except TrainingError as e:
+    except (TrainingError, ValueError) as e:
         raise CliError(EXIT_INPUT, str(e)) from None
 
     overrides = {k: int(section[k]) for k in MODEL_CONFIG_FIELDS if k in section}
@@ -729,6 +729,9 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"bemopt {args.command}: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except (NumericalError, mdl.ModelError) as e:
+        print(f"bemopt {args.command}: numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def _load_json_or_exit(path):

@@ -14,7 +14,6 @@ signal keep the stack trainable; initialization is uniform at 1/sqrt(fan_in).
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 

@@ -22,6 +22,7 @@ from .schema import (
     Schema,
     WeatherSeries,
     assemble_inputs,
+    decode_unit_box,
     expand_daily,
     heat_aggregate_of,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "BmsSpace",
     "objectives_from_series",
     "evaluate_settings",
-    "evaluate",
     "optimize_bms",
     "select_equivalent_comfort",
 ]
@@ -258,15 +258,13 @@ def _truncate(F, pop: int) -> np.ndarray:
     return np.array(survivors[:pop])
 
 
-def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, batch: bool = False,
-              log=None) -> ParetoFront:
+def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> ParetoFront:
     """Generational loop over a box-bounded continuous space.
 
-    `evaluator` maps one candidate vector to an Objectives (or any pair);
-    with batch=True it receives the whole (pop, n) matrix and must return a
-    (pop, 2) array. Candidate failures and non-finite scores are penalized
-    and the run continues. The hypervolume reference corner is fixed at the
-    component-wise worst of the initial population.
+    `evaluator` is batch-only: it receives the whole (pop, n) candidate
+    matrix and must return a (pop, 2) array. Non-finite scores are
+    penalized and the run continues. The hypervolume reference corner is
+    fixed at the component-wise worst of the initial population.
     """
     lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
     if lo.shape != hi.shape or lo.ndim != 1:
@@ -279,19 +277,9 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, batch: bool = Fa
     rng = stream(seed, "nsga2")
 
     def eval_pop(X) -> np.ndarray:
-        if batch:
-            F = np.array(evaluator(X), dtype=np.float64)
-            if F.shape != (len(X), 2):
-                raise ValueError(f"batch evaluator returned {F.shape}, want ({len(X)}, 2)")
-        else:
-            rows = []
-            for x in X:
-                try:
-                    o = evaluator(x)
-                    rows.append((o.comfort, o.consumption) if isinstance(o, Objectives) else tuple(o))
-                except Exception:  # any candidate failure just ranks it last
-                    rows.append((PENALTY, PENALTY))
-            F = np.array(rows, dtype=np.float64)
+        F = np.array(evaluator(X), dtype=np.float64)
+        if F.shape != (len(X), 2):
+            raise ValueError(f"evaluator returned {F.shape}, want ({len(X)}, 2)")
         return np.where(np.isfinite(F), F, PENALTY)
 
     X = lo + rng.random((pop, n)) * (hi - lo)
@@ -337,12 +325,11 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, batch: bool = Fa
 # the control-schedule objectives
 
 
-def objectives_from_series(t_pred, q_pred, occupied, t_star: float = T_STAR,
-                           rmse: bool = False) -> Objectives:
+def objectives_from_series(t_pred, q_pred, occupied, t_star: float = T_STAR) -> Objectives:
     """Comfort gap over occupied hours and mean consumption over all hours.
 
     The comfort normalization divides by the occupied count outside the
-    square root, as specified; rmse=True moves it inside.
+    square root, as specified.
     """
     t_pred = np.asarray(t_pred, dtype=np.float64)
     q_pred = np.asarray(q_pred, dtype=np.float64)
@@ -356,7 +343,7 @@ def objectives_from_series(t_pred, q_pred, occupied, t_star: float = T_STAR,
         comfort = 0.0
     else:
         sq = float(np.sum((t_pred[occupied] - t_star) ** 2))
-        comfort = math.sqrt(sq / n_occ) if rmse else math.sqrt(sq) / n_occ
+        comfort = math.sqrt(sq) / n_occ
     consumption = max(0.0, float(np.mean(q_pred)))
     return Objectives(comfort, consumption)
 
@@ -376,6 +363,7 @@ class BmsSpace:
         self.base_occ = base_occ
         self._dims = [(f"{spec.name}[{DAY_NAMES[d]}]", spec, d)
                       for spec in schema.bms for d in range(DAYS_PER_WEEK)]
+        self._specs = [spec for _, spec, _ in self._dims]
 
     @property
     def dim(self) -> int:
@@ -385,23 +373,12 @@ class BmsSpace:
     def names(self) -> tuple:
         return tuple(label for label, _, _ in self._dims)
 
-    def decode(self, x01, quantize: bool = True) -> BmsSchedule:
-        x01 = np.asarray(x01, dtype=np.float64)
-        if x01.shape != (self.dim,):
-            raise ValueError(f"decode: want ({self.dim},), got {x01.shape}")
-        bms_d = {spec.name: [None] * DAYS_PER_WEEK for spec in self.schema.bms}
-        for (label, spec, day), u in zip(self._dims, x01):
-            v = spec.min + float(np.clip(u, 0.0, 1.0)) * (spec.max - spec.min)
-            bms_d[spec.name][day] = spec.quantize(v) if quantize else v
-        return BmsSchedule.from_dict(bms_d)
+    def values(self, x01) -> np.ndarray:
+        """Grid values of a [0,1]^84 vector, in dimension order."""
+        return decode_unit_box(self._specs, x01)
 
-    def encode(self, bms: BmsSchedule) -> np.ndarray:
-        """Unit-box coordinates of an explicit schedule (inverse of decode)."""
-        x = np.empty(self.dim)
-        for i, (label, spec, day) in enumerate(self._dims):
-            v = getattr(bms, spec.name)[day]
-            x[i] = 0.0 if spec.max == spec.min else (v - spec.min) / (spec.max - spec.min)
-        return x
+    def decode(self, x01) -> BmsSchedule:
+        return self.schedule_from_settings(self.values(x01))
 
     def settings_vector(self, bms: BmsSchedule) -> np.ndarray:
         """Physical values of a schedule flattened in dimension order."""
@@ -413,13 +390,13 @@ class BmsSpace:
         if settings.shape != (self.dim,):
             raise ValueError(f"settings: want ({self.dim},), got {settings.shape}")
         bms_d = {spec.name: [None] * DAYS_PER_WEEK for spec in self.schema.bms}
-        for (label, spec, day), v in zip(self._dims, settings):
-            bms_d[spec.name][day] = float(v)
+        for (label, spec, day), v in zip(self._dims, settings.tolist()):
+            bms_d[spec.name][day] = v
         return BmsSchedule.from_dict(bms_d)
 
-    def assemble(self, x01, weather: WeatherSeries, quantize: bool = True) -> np.ndarray:
-        return assemble_inputs(self.base_params, self.decode(x01, quantize),
-                               self.base_occ, weather, self.schema)
+    def assemble(self, x01, weather: WeatherSeries) -> np.ndarray:
+        return assemble_inputs(self.base_params, self.decode(x01), self.base_occ, weather,
+                               self.schema)
 
     def occupied_mask(self) -> np.ndarray:
         return expand_daily(self.base_occ) > 0
@@ -427,26 +404,17 @@ class BmsSpace:
 
 def evaluate_settings(model: FrozenModel, params: BuildingParams, bms: BmsSchedule,
                       occ: OccupancySchedule, weather: WeatherSeries,
-                      t_star: float = T_STAR, rmse: bool = False,
-                      schema: Schema = DEFAULT_SCHEMA) -> Objectives:
+                      t_star: float = T_STAR, schema: Schema = DEFAULT_SCHEMA) -> Objectives:
     """Objectives of one explicit configuration under the frozen surrogate."""
     inputs = assemble_inputs(params, bms, occ, weather, schema)
     pred = predict(model.params, model.config, model.kind, inputs, model.norm)
     return objectives_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred),
-                                  expand_daily(occ) > 0, t_star=t_star, rmse=rmse)
-
-
-def evaluate(x01, space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
-             t_star: float = T_STAR, rmse: bool = False) -> Objectives:
-    """Objectives of one unit-box candidate (quantized at evaluation)."""
-    return evaluate_settings(model, space.base_params, space.decode(x01),
-                             space.base_occ, weather, t_star=t_star, rmse=rmse,
-                             schema=space.schema)
+                                  expand_daily(occ) > 0, t_star=t_star)
 
 
 def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
                  config: NsgaConfig | None = None, seed: int = 0,
-                 t_star: float = T_STAR, rmse: bool = False, log=None) -> ParetoFront:
+                 t_star: float = T_STAR, log=None) -> ParetoFront:
     """NSGA-II over the control schedule; returns a front of physical settings.
 
     All candidates of a generation go through one batched forward pass.
@@ -460,15 +428,15 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
         out = np.empty((len(X), 2))
         for i, p in enumerate(preds):
             o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), mask,
-                                       t_star=t_star, rmse=rmse)
+                                       t_star=t_star)
             out[i] = (o.comfort, o.consumption)
         return out
 
     raw = nsga2_run(config, batch_evaluator, (np.zeros(space.dim), np.ones(space.dim)),
-                    seed, batch=True, log=log)
+                    seed, log=log)
     members, seen = [], set()
     for x01, obj in raw.members:
-        settings = space.settings_vector(space.decode(x01))
+        settings = space.values(x01)
         key = settings.tobytes()
         if key in seen:  # distinct unit-box points can share a snapped schedule
             continue

@@ -11,7 +11,7 @@ across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,6 +89,20 @@ class VariableSpec:
 
     def contains(self, value: float) -> bool:
         return self.min - 1e-9 <= value <= self.max + 1e-9
+
+
+def decode_unit_box(specs: Sequence[VariableSpec], x01) -> np.ndarray:
+    """Unit-box coordinates -> grid values, one spec per coordinate.
+
+    Each coordinate is clipped to [0, 1], rescaled to its spec's range and
+    snapped with ``VariableSpec.quantize``; every search space decodes
+    through this one function.
+    """
+    x01 = np.asarray(x01, dtype=np.float64)
+    if x01.shape != (len(specs),):
+        raise ValueError(f"decode: want ({len(specs)},), got {x01.shape}")
+    u = np.clip(x01, 0.0, 1.0).tolist()
+    return np.array([s.quantize(s.min + ui * (s.max - s.min)) for s, ui in zip(specs, u)])
 
 
 # Ranges from the building-parameter table.
@@ -421,10 +435,6 @@ class OccupancySchedule:
             "max_occupants": self.max_occupants,
         }
 
-    def scheduled_hours(self) -> float:
-        """Total weekday occupation hours in one week."""
-        return float(sum(e - s for s, e in zip(self.start_occupation, self.end_occupation)))
-
 
 @dataclass(frozen=True)
 class WeatherSeries:
@@ -475,11 +485,6 @@ class SimOutput:
     @property
     def t_int(self) -> np.ndarray:
         return self.data[:, T_INT_INDEX]
-
-    @property
-    def heat_aggregate(self) -> np.ndarray:
-        """The sensor-comparable heat consumption sum (kW)."""
-        return self.data[:, list(HEAT_AGGREGATE_INDICES)].sum(axis=1)
 
 
 def heat_aggregate_of(targets: np.ndarray) -> np.ndarray:
@@ -645,10 +650,6 @@ class NormStats:
         out = (np.asarray(x) - self.input_lo) / safe
         return np.where(width > 0, out, 0.5)
 
-    def denormalize_inputs(self, x01: np.ndarray) -> np.ndarray:
-        width = self.input_hi - self.input_lo
-        return np.where(width > 0, np.asarray(x01) * width + self.input_lo, self.input_lo)
-
     def normalize_targets(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y) - self.target_mean) / self.target_std
 
@@ -678,15 +679,3 @@ class NormStats:
             tuple(d.get("flagged", ())),
         )
 
-
-def building_case_to_dict(params: BuildingParams, bms: BmsSchedule, occ: OccupancySchedule) -> dict:
-    return {"building": params.to_dict(), "bms": bms.to_dict(), "occupancy": occ.to_dict()}
-
-
-def building_case_from_dict(d: Mapping) -> tuple[BuildingParams, BmsSchedule, OccupancySchedule]:
-    params = BuildingParams.from_dict(d["building"])
-    bms = BmsSchedule.from_dict(d["bms"])
-    occ_d = dict(d["occupancy"])
-    occ_d.setdefault("max_occupants", params.nb_occupants)
-    occ = OccupancySchedule.from_dict(occ_d)
-    return params, bms, occ

@@ -7,7 +7,6 @@ loss and keeps the best-validation checkpoint.
 """
 
 import csv
-import hashlib
 import json
 import math
 import multiprocessing
@@ -19,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .schema import (
-    DEFAULT_SCHEMA,
     HEAT_AGGREGATE_INDICES,
     HOURS_PER_WEEK,
     T_INT_INDEX,
@@ -28,7 +26,6 @@ from .schema import (
     NormStats,
     OccupancySchedule,
     Schema,
-    SchemaError,
     heat_aggregate_of,
     make_episode,
 )
@@ -49,8 +46,6 @@ __all__ = [
     "loss",
     "training_loss",
     "metrics",
-    "kfold_assignments",
-    "kfold_split",
     "predict",
     "train",
     "save_history_csv",
@@ -441,29 +436,6 @@ def metrics(
 
 
 # ---------------------------------------------------------------------------
-# k-fold assignment (hash of the episode index, stable under resampling)
-
-
-def kfold_assignments(n: int, k: int, seed: int) -> np.ndarray:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    folds = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        digest = hashlib.sha256(f"{seed}:fold:{i}".encode()).digest()
-        folds[i] = int.from_bytes(digest[:8], "little") % k
-    return folds
-
-
-def kfold_split(indices: np.ndarray, k: int, seed: int, fold: int):
-    """(train, val) index arrays for one fold of the given episode indices."""
-    if not 0 <= fold < k:
-        raise ValueError(f"fold {fold} outside [0, {k})")
-    indices = np.asarray(indices)
-    assignment = kfold_assignments(len(indices), k, seed)
-    return indices[assignment != fold], indices[assignment == fold]
-
-
-# ---------------------------------------------------------------------------
 # training loop
 
 
@@ -525,14 +497,11 @@ def train(
     lr: float = 1e-3,
     seed: int = 0,
     weights: LossWeights = LossWeights(),
-    indices=None,
-    out_dir=None,
     log=None,
 ) -> TrainResult:
     """Minibatch Adam on the training split; keeps the best-validation weights.
 
-    `indices` overrides the dataset's own train/val indices (for k-fold);
-    validation selection uses the reported two-term loss pooled over the
+    Validation selection uses the reported two-term loss pooled over the
     whole validation set. A non-finite training loss aborts the run and the
     last good checkpoint is returned with diverged=True.
     """
@@ -544,10 +513,7 @@ def train(
             f"dataset ({dataset.schema.d_in}, {dataset.schema.d_out})"
         )
     forward = mdl.forward_for(kind)
-    if indices is None:
-        train_idx, val_idx = dataset.splits["train"], dataset.splits["val"]
-    else:
-        train_idx, val_idx = (np.asarray(ix, dtype=np.int64) for ix in indices)
+    train_idx, val_idx = dataset.splits["train"], dataset.splits["val"]
     if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("empty train or validation split")
 
@@ -622,7 +588,7 @@ def train(
     for name, p in params.items():
         p.data = best_snapshot[name]
 
-    result = TrainResult(
+    return TrainResult(
         params=params,
         config=config,
         kind=kind,
@@ -632,9 +598,6 @@ def train(
         diverged=diverged,
         report=best_report,
     )
-    if out_dir is not None:
-        write_train_artifacts(out_dir, result, norm, seed)
-    return result
 
 
 def write_train_artifacts(out_dir, result: TrainResult, norm: NormStats, seed: int) -> list:

@@ -166,16 +166,16 @@ def test_3_surrogate_accuracy_and_ffn_margin(surrogates):
 def test_4_cma_es_benchmark_convergence():
     t0 = time.monotonic()
 
-    def sphere10(x01):
-        z = -5.0 + 10.0 * np.asarray(x01)
-        return float(np.sum(z * z))
+    def sphere10(X01):
+        z = -5.0 + 10.0 * np.asarray(X01)
+        return np.sum(z * z, axis=1)
 
-    def rosenbrock5(x01):
-        z = -2.048 + 4.096 * np.asarray(x01)
-        return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2))
+    def rosenbrock5(X01):
+        z = -2.048 + 4.096 * np.asarray(X01)
+        return np.sum(100.0 * (z[:, 1:] - z[:, :-1] ** 2) ** 2 + (1.0 - z[:, :-1]) ** 2, axis=1)
 
-    _, f_s, ev_s, hist_s = cma_minimize(sphere10, 10, seed=1, max_evals=5000, target=1e-10)
-    _, f_r, ev_r, hist_r = cma_minimize(rosenbrock5, 5, seed=1, max_evals=50_000, target=1e-6)
+    _, f_s, ev_s, hist_s, _ = cma_minimize(sphere10, 10, seed=1, max_evals=5000, target=1e-10)
+    _, f_r, ev_r, hist_r, _ = cma_minimize(rosenbrock5, 5, seed=1, max_evals=50_000, target=1e-6)
     monotone = all(b <= a + 1e-15 for h in (hist_s, hist_r) for a, b in zip(h, h[1:]))
     elapsed = time.monotonic() - t0
     ok = f_s < 1e-10 and ev_s <= 5000 and f_r < 1e-6 and ev_r <= 50_000 and monotone and elapsed < 120
@@ -193,7 +193,7 @@ def test_5_genetic_front_recovers_zdt1():
         return np.stack([f1, g * (1 - np.sqrt(f1 / g))], axis=1)
 
     front = nsga2_run(NsgaConfig(population=100, generations=250), zdt1,
-                      (np.zeros(30), np.ones(30)), seed=0, batch=True)
+                      (np.zeros(30), np.ones(30)), seed=0)
     F = front.objectives()
     le = (F[:, None, :] <= F[None, :, :]).all(-1)
     lt = (F[:, None, :] < F[None, :, :]).any(-1)

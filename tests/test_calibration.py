@@ -11,11 +11,9 @@ from bemopt.schema import (
     DEFAULT_SCHEMA,
     HEAT_AGGREGATE_INDICES,
     T_INT_INDEX,
-    BmsSchedule,
     BuildingParams,
-    NormStats,
-    OccupancySchedule,
     SchemaError,
+    heat_aggregate_of,
 )
 from bemopt.seeding import stream, substream
 from bemopt.training import predict, sample_dataset, sample_episode_config
@@ -34,6 +32,17 @@ def sphere10(x01):
 def rosenbrock5(x01):
     x = -2.048 + 4.096 * x01
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def rowwise(f):
+    """Row-wise batch evaluator over a scalar cost."""
+    return lambda xs: [f(x) for x in xs]
+
+
+def model_cost(x01, space, model, trace, weather):
+    """One candidate's cost on one week, along the path calibrate takes."""
+    pred = predict(model.params, model.config, model.kind, space.assemble(x01, weather), model.norm)
+    return cal.cost_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred), trace)
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +83,10 @@ def test_state_validation():
         cal.CmaState(0, seed=0)
     with pytest.raises(ValueError):
         cal.CmaState(3, seed=0, sigma0=0.0)
-    with pytest.raises(ValueError):
-        cal.CmaState(3, seed=0, mean0=[0.5, 0.5])
 
 
 def test_sigma_zero_limit():
-    st = cal.CmaState(4, seed=1, sigma0=1e-12, mean0=[0.2, 0.4, 0.6, 0.8])
+    st = cal.CmaState(4, seed=1, sigma0=1e-12)
     xs = cal.cma_ask(st)
     np.testing.assert_allclose(xs, np.tile(st.m, (st.lam, 1)), atol=1e-10)
 
@@ -132,8 +139,25 @@ def test_tell_moves_mean_toward_optimum():
 
 
 def test_best_so_far_monotone():
-    _, _, _, history = cal.cma_minimize(sphere10, 10, seed=4, max_evals=600)
-    assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
+    res = cal.cma_minimize(rowwise(sphere10), 10, seed=4, max_evals=600)
+    assert all(b <= a + 1e-15 for a, b in zip(res.history, res.history[1:]))
+    assert res.best_f == res.history[-1] <= res.initial_f
+
+
+def test_minimize_evaluates_the_mean_first_then_whole_generations():
+    calls = []
+
+    def evaluate(xs):
+        calls.append(np.array(xs, copy=True))
+        return [rosenbrock5(x) for x in xs]
+
+    res = cal.cma_minimize(evaluate, 5, seed=2, max_evals=1 + 3 * 8)
+    assert [c.shape for c in calls] == [(1, 5)] + [(8, 5)] * 3
+    np.testing.assert_array_equal(calls[0][0], np.full(5, 0.5))
+    assert res.initial_f == rosenbrock5(np.full(5, 0.5))
+    assert res.evaluations == 25 and len(res.history) == 3
+    with pytest.raises(ValueError, match="evaluator"):
+        cal.cma_minimize(lambda xs: [0.0], 5, seed=2, max_evals=20)
 
 
 def test_covariance_symmetric_spd_after_tells():
@@ -164,12 +188,14 @@ def test_tell_shape_validation():
 
 
 def test_sphere_convergence():
-    _, best, evals, _ = cal.cma_minimize(sphere10, 10, seed=1, max_evals=5000, target=1e-10)
+    _, best, evals, _, _ = cal.cma_minimize(rowwise(sphere10), 10, seed=1, max_evals=5000,
+                                            target=1e-10)
     assert best < 1e-10 and evals <= 5000
 
 
 def test_rosenbrock_convergence():
-    _, best, evals, _ = cal.cma_minimize(rosenbrock5, 5, seed=1, max_evals=50_000, target=1e-6)
+    _, best, evals, _, _ = cal.cma_minimize(rowwise(rosenbrock5), 5, seed=1, max_evals=50_000,
+                                            target=1e-6)
     assert best < 1e-6 and evals <= 50_000
 
 
@@ -269,8 +295,7 @@ def test_decode_endpoints_and_grid(base_pieces):
     pm, bm, _ = space.decode(np.array([0.503, 0.27]))
     cap_steps = (pm.capacitance_kJ_perdegreK_perm3 - spec.min) / spec.step
     assert cap_steps == round(cap_steps)
-    raw, _, _ = space.decode(np.array([0.503, 0.27]), quantize=False)
-    assert raw.capacitance_kJ_perdegreK_perm3 == pytest.approx(spec.min + 0.503 * (spec.max - spec.min))
+    assert pm.capacitance_kJ_perdegreK_perm3 == spec.quantize(spec.min + 0.503 * (spec.max - spec.min))
 
 
 def test_space_validation(base_pieces):
@@ -283,6 +308,8 @@ def test_space_validation(base_pieces):
         cal.CalibrationSpace([cal.FreeVariable("nb_occupants", per_day=True)], params, bms, occ)
     with pytest.raises(SchemaError, match="duplicate"):
         cal.CalibrationSpace(["nb_occupants", "nb_occupants"], params, bms, occ)
+    with pytest.raises(SchemaError, match="duplicate"):  # lockstep and per-day copies
+        cal.CalibrationSpace(["t_heat_conf_day", ("t_heat_conf_day", True)], params, bms, occ)
     space = cal.CalibrationSpace(["nb_occupants"], params, bms, occ)
     with pytest.raises(ValueError):
         space.decode(np.zeros(2))
@@ -310,6 +337,29 @@ def test_assemble_changes_only_freed_columns(base_pieces, pool):
     col = DEFAULT_SCHEMA.input_channel_names.index("nb_occupants")
     diff = np.nonzero(np.any(base != moved, axis=0))[0]
     np.testing.assert_array_equal(diff, [col])
+
+
+def test_decode_is_bitwise_the_scalar_rescale_clip_quantize(base_pieces):
+    _, params, bms, occ = base_pieces
+    space = cal.CalibrationSpace(
+        ["capacitance_kJ_perdegreK_perm3", "nb_occupants", ("t_heat_conf_day", True),
+         "vol_ventilation_day", ("start_occupation", True), "end_occupation"],
+        params, bms, occ,
+    )
+    specs = [DEFAULT_SCHEMA.spec(n.split("[")[0]) for n in space.names]
+    rng = stream(17, "decode-reference")
+    for _ in range(1000):
+        x = rng.uniform(-0.25, 1.25, space.dim)  # the clip is part of the contract
+        want = [s.quantize(s.min + float(np.clip(u, 0.0, 1.0)) * (s.max - s.min))
+                for s, u in zip(specs, x)]
+        np.testing.assert_array_equal(space.values(x), want)
+        p, b, o = space.decode(x)
+        got = ([p.capacitance_kJ_perdegreK_perm3, p.nb_occupants]
+               + list(b.t_heat_conf_day) + [b.vol_ventilation_day[0]]
+               + list(o.start_occupation) + [o.end_occupation[0]])
+        assert got == want
+        assert b.vol_ventilation_day == (want[9],) * 7
+        assert o.end_occupation == (want[-1],) * 5
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +390,7 @@ def test_self_consistent_trace_costs_zero(base_pieces, tiny_model, pool):
     pred = predict(tiny_model.params, tiny_model.config, tiny_model.kind,
                    space.assemble(x, pool[0]), tiny_model.norm)
     trace = cal.SensorTrace.from_output(pred)
-    assert cal.calibration_cost(x, space, tiny_model, trace, pool[0]) < 1e-12
+    assert model_cost(x, space, tiny_model, trace, pool[0]) < 1e-12
 
 
 def test_constant_predictions_cost_one(base_pieces, tiny_model, pool):
@@ -358,7 +408,7 @@ def test_constant_predictions_cost_one(base_pieces, tiny_model, pool):
     wiggle = np.tile([1.0, -1.0], 84)  # exactly zero-mean
     trace = cal.SensorTrace(pred[:, T_INT_INDEX] + wiggle,
                             pred[:, list(HEAT_AGGREGATE_INDICES)].sum(axis=1) + 2 * wiggle)
-    assert cal.calibration_cost(x, space, frozen, trace, pool[0]) == pytest.approx(1.0, abs=1e-12)
+    assert model_cost(x, space, frozen, trace, pool[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cost_invariant_under_fixed_input_reordering(base_pieces, tiny_model, pool):
@@ -369,8 +419,7 @@ def test_cost_invariant_under_fixed_input_reordering(base_pieces, tiny_model, po
     b = cal.CalibrationSpace(["nb_occupants"], BuildingParams.from_dict(reversed_dict), bms, occ)
     trace = cal.SensorTrace(np.full(168, 21.0) + np.sin(np.arange(168)), np.full(168, 90.0))
     x = np.array([0.4])
-    assert cal.calibration_cost(x, a, tiny_model, trace, pool[0]) == \
-        cal.calibration_cost(x, b, tiny_model, trace, pool[0])
+    assert model_cost(x, a, tiny_model, trace, pool[0]) == model_cost(x, b, tiny_model, trace, pool[0])
 
 
 def test_frozen_model_roundtrip(tiny_model, tmp_path):
@@ -455,3 +504,59 @@ def test_calibrate_input_validation(toy_problem, tiny_model):
     with pytest.raises(ValueError):
         cal.calibrate(space, tiny_model, traces, weathers, budget=1, seed=0,
                       holdout_traces=traces, holdout_weathers=[])
+
+
+def reference_calibration_loop(space, model, traces, weathers, budget, seed, sigma0=0.3):
+    """calibrate's former private ask/tell loop, kept verbatim as a reference."""
+    def population_costs(xs):
+        costs = np.zeros(len(xs))
+        for trace, weather in zip(traces, weathers):
+            batch = np.stack([space.assemble(x, weather) for x in xs])
+            preds = predict(model.params, model.config, model.kind, batch, model.norm)
+            for i, p in enumerate(preds):
+                costs[i] += cal.cost_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), trace)
+        return costs / len(traces)
+
+    state = cal.CmaState(space.dim, seed, sigma0=sigma0)
+    initial_cost = float(population_costs([state.m])[0])
+    best_x, best_f = state.m.copy(), initial_cost
+    history = []
+    evaluations = 1
+    for _ in range(budget):
+        xs = cal.cma_ask(state)
+        fs = population_costs(xs)
+        evaluations += len(xs)
+        cal.cma_tell(state, xs, fs)
+        if state.best_f < best_f:
+            best_f, best_x = state.best_f, state.best_x.copy()
+        history.append(best_f)
+    return best_x, best_f, initial_cost, history, evaluations
+
+
+@pytest.mark.parametrize("budget, seed, sigma0, planted", [
+    (0, 1, 0.3, None),
+    (7, 3, 0.3, None),
+    (60, 5, 0.6, None),
+    (9, 2, 0.3, 0.5),  # traces made at the start mean: no sample beats it at first
+])
+def test_calibrate_equals_the_former_ask_tell_loop(toy_problem, tiny_model, pool, budget, seed,
+                                                   sigma0, planted):
+    space, _, traces, weathers = toy_problem
+    if planted is not None:
+        traces = [cal.SensorTrace.from_output(
+            predict(tiny_model.params, tiny_model.config, tiny_model.kind,
+                    space.assemble(np.full(space.dim, planted), w), tiny_model.norm))
+            for w in weathers]
+    logged = []
+    best_x, report = cal.calibrate(space, tiny_model, traces, weathers, budget=budget,
+                                   seed=seed, sigma0=sigma0,
+                                   log=lambda gen, best: logged.append((gen, best)))
+    ref_x, ref_f, ref_initial, ref_history, ref_evals = reference_calibration_loop(
+        space, tiny_model, traces, weathers, budget, seed, sigma0)
+    np.testing.assert_array_equal(best_x, ref_x)
+    assert report.best_cost == ref_f and report.initial_cost == ref_initial
+    assert report.history == ref_history
+    assert report.evaluations == ref_evals == 1 + budget * cal.population_size(space.dim)
+    assert logged == [(g, ref_history[g - 1]) for g in range(50, budget + 1, 50)]
+    if planted is not None:
+        assert report.history[0] == report.initial_cost < 1e-12

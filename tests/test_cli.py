@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import bemopt.model as mdl
 from bemopt.calibration import FrozenModel, SensorTrace
 from bemopt.cli import main
 from bemopt.rcsim import simulate_week
@@ -283,3 +284,63 @@ def test_usage_and_config_errors(tmp_path):
     bad.write_text("{not json")
     assert main(["sample", "--out", str(tmp_path / "d"), "--weather", str(tmp_path / "w"),
                  "--episodes", "2", "--config", str(bad)]) == 3
+
+
+# ---------------------------------------------------------------------------
+# corrupt inputs and numerical failures: exit code plus one stderr line
+
+
+def _truncated_model(pipeline, path):
+    path.write_bytes((pipeline["model"] / "model.bin").read_bytes()[:5])
+    return "optimize", path
+
+
+def _short_payload_model(pipeline, path):
+    path.write_bytes((pipeline["model"] / "model.bin").read_bytes()[:-8])
+    return "optimize", path
+
+
+def _trailing_bytes_model(pipeline, path):
+    path.write_bytes((pipeline["model"] / "model.bin").read_bytes() + b"\0" * 8)
+    return "optimize", path
+
+
+def _nan_weights_model(pipeline, path):
+    params, cfg, kind, meta = mdl.load_model(pipeline["model"] / "model.bin")
+    params["out.W"].data[:] = np.nan
+    extra = {k: v for k, v in meta.items() if k not in ("kind", "config")}
+    mdl.save_model(path, params, cfg, kind, extra_meta=extra)
+    return "optimize", path
+
+
+def _corrupt_dataset(pipeline, path):
+    path.mkdir()
+    for name in ("arrays.bin", "manifest.json"):
+        (path / name).write_bytes((pipeline["dataset"] / name).read_bytes())
+    raw = bytearray((path / "arrays.bin").read_bytes())
+    raw[8:12] = b"\xff{[,"  # the JSON index no longer parses
+    (path / "arrays.bin").write_bytes(bytes(raw))
+    return "train", path
+
+
+@pytest.mark.parametrize("make, code", [
+    (_truncated_model, 3),
+    (_short_payload_model, 3),
+    (_trailing_bytes_model, 3),
+    (_corrupt_dataset, 3),
+    (_nan_weights_model, 4),
+])
+def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
+    command, path = make(pipeline, tmp_path / "input")
+    if command == "train":
+        argv = ["train", "--dataset", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["optimize", "--model", str(path),
+                "--calibrated", str(pipeline["cal"] / "calibration.json"),
+                "--weather", str(pipeline["weather"]), "--week", "2",
+                "--generations", "1", "--pop", "8", "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bemopt {command}: "), err
+    assert not (tmp_path / "out").exists()

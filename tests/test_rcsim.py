@@ -1,13 +1,13 @@
 """Thermal simulator: control law, AHU load, energy accounting, dynamics."""
 
-import math
-
 import numpy as np
 import pytest
 
 from bemopt import rcsim
 from bemopt import schema as sc
-from bemopt.seeding import stream
+from bemopt.seeding import stream, substream
+from bemopt.training import sample_episode_config
+from bemopt.weather import generate_pool
 from tests.test_schema import default_bms, default_building, synthetic_weather
 
 
@@ -145,7 +145,7 @@ class TestEquilibrium:
     def test_no_drivers_means_constant_state(self):
         t = 15.0
         # lighting runs off the fixed config, so a truly driver-free case
-        # zeroes it there; the config is deliberately not validated here
+        # zeroes it there
         cfg = rcsim.RcModelConfig(ground_temp_c=t, light_w_m2=0.0)
         params = quiet_building()
         bms = default_bms(t_ventilation_day=t)
@@ -306,25 +306,76 @@ class TestSimulationContracts:
         assert f"hour {err.value.hour}" in str(err.value)
 
 
-class TestConfigIO:
-    def test_round_trip(self, tmp_path):
-        cfg = rcsim.RcModelConfig(shgc=0.55, substeps=8)
-        p = tmp_path / "rc.json"
-        cfg.save(p)
-        assert rcsim.RcModelConfig.load(p) == cfg
+def reference_hour0_heat(params, bms, occ, weather, t0, cfg=rcsim.DEFAULT_RC_CONFIG,
+                         steps=1000):
+    """Hour-0 mean heating power (kW) by classical RK4 at dt = 1/steps hours.
 
-    def test_wall_area_total_enforced(self):
-        bad = rcsim.RcModelConfig(wall5_area_m2=10000.0)
-        with pytest.raises(ValueError, match="wall area"):
-            bad.validate()
+    Integrates the two-node balance with the heating law latched at the hour
+    start, q = clip(gain * (sp - T_air), 0, cap), independently of the
+    simulator's exact exponential segments and event handling. Hour 0 must
+    be unventilated and unoccupied, so the forcing reduces to ambient, solar
+    and the night share of the internal gains.
+    """
+    assert bms.start_ventilation_day[0] > 0 and occ.start_occupation[0] > 0
+    g_win, g_inf, g_om, g_gnd, g_ma = hand_conductances(params, cfg)
+    c_air = cfg.air_heat_capacity_kj_m3k * cfg.volume_m3 / 3600.0
+    c_mass = params.capacitance_kJ_perdegreK_perm3 * cfg.volume_m3 / 3600.0
+    window_area = sum(a * w for a, w in zip(cfg.facade_areas_m2, params.window_fractions))
+    q_sol = cfg.solar_projection * cfg.shgc * window_area / 1000.0 * weather.channel("IGLOB_H")[0]
+    q_int = (params.nb_PCs * cfg.pc_gain_w / 1000.0 * params.percent_PCs_night / 100.0
+             + cfg.light_w_m2 * cfg.floor_area_m2 / 1000.0 * params.percent_light_night / 100.0)
+    tamb, tg, f_air = weather.tamb[0], cfg.ground_temp_c, cfg.solar_air_fraction
+    gain, cap = cfg.hvac_gain_kw_k, params.power_VCV_kW_heat
+    sp = bms.t_heat_red_day[0] if bms.start_heat_day[0] > 0 else bms.t_heat_conf_day[0]
+    assert gain * (sp - t0) > 0  # the hour latches the heating branch
 
-    def test_positive_fields_enforced(self):
-        with pytest.raises(ValueError, match="volume_m3"):
-            rcsim.RcModelConfig(volume_m3=-5.0).validate()
+    def rhs(y):
+        ta, tm, _ = y
+        q = min(max(gain * (sp - ta), 0.0), cap)
+        return np.array([
+            ((g_win + g_inf) * (tamb - ta) + g_ma * (tm - ta) + q_int + f_air * q_sol + q) / c_air,
+            (g_ma * (ta - tm) + g_om * (tamb - tm) + g_gnd * (tg - tm) + (1 - f_air) * q_sol) / c_mass,
+            q,
+        ])
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            rcsim.RcModelConfig.from_dict({"not_a_field": 1.0})
+    dt = 1.0 / steps
+    y = np.array([t0, t0, 0.0])
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y[2]  # kWh over one hour = mean kW
 
-    def test_defaults_are_valid(self):
-        rcsim.DEFAULT_RC_CONFIG.validate()
+
+class TestFineStepReference:
+    """Hour-0 heating against an independent RK4 integration of the same law.
+
+    The case is episode 1 of the seed-11 corpus: a 100 kW heater, a 22 °C
+    reduced Monday setpoint and t0 = 20 °C, so the first hour starts with the
+    heater exactly on its saturation level (50 kW/K × 2 K = 100 kW).
+    """
+
+    def _case(self):
+        params, bms, occ, week = sample_episode_config(
+            sc.DEFAULT_SCHEMA, 30, substream(11, "episode", 1))
+        assert params.power_VCV_kW_heat == 100.0 and bms.t_heat_red_day[0] == 22.0
+        return params, bms, occ, generate_pool(0, 30)[week]
+
+    def test_reference_agrees_when_hour_starts_off_the_saturation_level(self):
+        params, bms, occ, weather = self._case()
+        for t0 in (19.0, 19.5, 20.5, 21.0):
+            sim = rcsim.simulate_week(params, bms, occ, weather, t0=t0).channel("Q_HEAT_OFFICE")[0]
+            ref = reference_hour0_heat(params, bms, occ, weather, t0)
+            assert sim == pytest.approx(ref, rel=1e-4), t0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a segment that starts exactly on the saturation level stays saturated until "
+        "the next sub-step boundary: 100 / 78.57 / 76.40 kW with 1 / 6 / 200 sub-steps"))
+    def test_hour_starting_on_the_saturation_level_matches_reference(self):
+        params, bms, occ, weather = self._case()
+        sim = rcsim.simulate_week(params, bms, occ, weather, t0=20.0).channel("Q_HEAT_OFFICE")[0]
+        ref = reference_hour0_heat(params, bms, occ, weather, 20.0)
+        assert ref == pytest.approx(76.40, abs=0.01)
+        assert sim == pytest.approx(ref, rel=1e-4)

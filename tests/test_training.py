@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,33 +331,6 @@ def test_metrics_scaling_behavior(small_dataset):
 
 
 # ---------------------------------------------------------------------------
-# k-fold assignment
-
-
-def test_kfold_assignments_deterministic():
-    a = tr.kfold_assignments(50, 5, seed=3)
-    b = tr.kfold_assignments(50, 5, seed=3)
-    np.testing.assert_array_equal(a, b)
-    assert a.min() >= 0 and a.max() < 5
-    assert not np.array_equal(a, tr.kfold_assignments(50, 5, seed=4))
-    np.testing.assert_array_equal(tr.kfold_assignments(10, 1, seed=0), np.zeros(10, dtype=np.int64))
-
-
-def test_kfold_split_partitions():
-    indices = np.arange(100, 140)
-    seen = []
-    for fold in range(4):
-        train, val = tr.kfold_split(indices, 4, seed=11, fold=fold)
-        assert len(val) > 0
-        assert np.intersect1d(train, val).size == 0
-        np.testing.assert_array_equal(np.sort(np.concatenate([train, val])), indices)
-        seen.append(val)
-    np.testing.assert_array_equal(np.sort(np.concatenate(seen)), indices)
-    with pytest.raises(ValueError):
-        tr.kfold_split(indices, 4, seed=11, fold=4)
-
-
-# ---------------------------------------------------------------------------
 # prediction and the fit loop
 
 
@@ -376,13 +350,11 @@ def overfit_run(pool):
     """One 500-epoch memorization run on 10 episodes, shared by tests below."""
     ds = tr.sample_dataset(DEFAULT_SCHEMA, pool, 12, seed=5, counts=(10, 1, 1))
     idx = ds.splits["train"]
+    memorize = replace(ds, splits={**ds.splits, "val": idx})  # validate on the train set
     cfg = mdl.MetamodelConfig(
         d_in=ds.schema.d_in, d_emb=32, r=4, v_width=4, h=4, n_layers=2, delta=12
     )
-    res = tr.train(
-        ds, "transformer", cfg, epochs=500, batch_size=16, lr=1e-2, seed=3,
-        indices=(idx, idx),
-    )
+    res = tr.train(memorize, "transformer", cfg, epochs=500, batch_size=16, lr=1e-2, seed=3)
     return ds, idx, cfg, res
 
 
@@ -409,8 +381,8 @@ def test_train_determinism(pool, tmp_path):
     runs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        runs.append(tr.train(ds, "transformer", TINY, epochs=2, batch_size=4,
-                             seed=21, out_dir=out))
+        runs.append(tr.train(ds, "transformer", TINY, epochs=2, batch_size=4, seed=21))
+        tr.write_train_artifacts(out, runs[-1], ds.norm, 21)
     a, b = runs
     assert a.best_epoch == b.best_epoch
     for ra, rb in zip(a.history, b.history):
@@ -476,8 +448,8 @@ def test_train_validates_model_widths(small_dataset):
 
 def test_out_dir_artifacts_roundtrip(pool, tmp_path):
     ds = tr.sample_dataset(DEFAULT_SCHEMA, pool, 8, seed=4, counts=(6, 1, 1))
-    res = tr.train(ds, "transformer", TINY, epochs=2, batch_size=4, seed=21,
-                   out_dir=tmp_path / "run")
+    res = tr.train(ds, "transformer", TINY, epochs=2, batch_size=4, seed=21)
+    tr.write_train_artifacts(tmp_path / "run", res, ds.norm, 21)
     params, cfg, kind, meta = mdl.load_model(tmp_path / "run" / "model.bin")
     assert kind == "transformer" and cfg == TINY
     assert meta["best_epoch"] == res.best_epoch
