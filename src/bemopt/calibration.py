@@ -26,7 +26,6 @@ from .schema import (
     OccupancySchedule,
     Schema,
     SchemaError,
-    WeatherSeries,
     assemble_inputs,
     decode_unit_box,
     expand_daily,
@@ -315,7 +314,6 @@ class CalibrationSpace:
 
         self._building = {s.name for s in schema.building}
         self._bms = {s.name for s in schema.bms}
-        self._occ = {s.name for s in schema.occupancy}
         self._dims = []  # (label, spec, kind, day)
         seen = set()
         for fv in self.free:
@@ -343,11 +341,6 @@ class CalibrationSpace:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(label for label, *_ in self._dims)
-
-    def bounds(self):
-        lo = np.array([spec.min for _, spec, _, _ in self._dims])
-        hi = np.array([spec.max for _, spec, _, _ in self._dims])
-        return lo, hi
 
     def values(self, x01) -> np.ndarray:
         """Grid values of the free dimensions of a [0,1]^n vector, in space order."""
@@ -377,9 +370,14 @@ class CalibrationSpace:
             OccupancySchedule.from_dict(occ_d),
         )
 
-    def assemble(self, x01, weather: WeatherSeries) -> np.ndarray:
+    def assemble(self, x01, weathers) -> np.ndarray:
+        """One candidate's model inputs for each weather week: (weeks, 168, d_in).
+
+        The candidate is decoded once; only the weather columns differ
+        between weeks.
+        """
         params, bms, occ = self.decode(x01)
-        return assemble_inputs(params, bms, occ, weather, self.schema)
+        return np.stack([assemble_inputs(params, bms, occ, w, self.schema) for w in weathers])
 
     # A hand-picked informative subset: envelope and internal-gain levers
     # that shape both channels without the full 100+ dim schedule space.
@@ -516,8 +514,8 @@ def calibrate(
     """CMA-ES over the space for `budget` generations; the model stays frozen.
 
     Returns (best_x01, report). Candidate fitness is the mean cost over the
-    calibration weeks; every candidate of a generation is evaluated in one
-    batched forward pass per week.
+    calibration weeks, summed in week order. Each generation runs one
+    batched `predict` over every (candidate, week) pair.
     """
     traces = list(traces)
     weathers = list(weathers)
@@ -527,11 +525,12 @@ def calibrate(
         raise ValueError("held-out traces and weathers differ in length")
 
     def population_costs(xs) -> np.ndarray:
+        batch = np.concatenate([space.assemble(x, weathers) for x in xs])
+        preds = predict(model.params, model.config, model.kind, batch, model.norm)
+        preds = preds.reshape(len(xs), len(weathers), *preds.shape[1:])
         costs = np.zeros(len(xs))
-        for trace, weather in zip(traces, weathers):
-            batch = np.stack([space.assemble(x, weather) for x in xs])
-            preds = predict(model.params, model.config, model.kind, batch, model.norm)
-            for i, p in enumerate(preds):
+        for w, trace in enumerate(traces):
+            for i, p in enumerate(preds[:, w]):
                 costs[i] += cost_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), trace)
         return costs / len(traces)
 
@@ -540,13 +539,16 @@ def calibrate(
                           sigma0=sigma0, log=log)
     best_x = result.best_x
 
+    _, _, best_occ = space.decode(best_x)
+    mask = expand_daily(best_occ) > 0
+
     def week_rows(ts, ws):
+        if not ws:
+            return []
+        preds = predict(model.params, model.config, model.kind, space.assemble(best_x, ws),
+                        model.norm)
         rows = []
-        _, _, occ = space.decode(best_x)
-        mask = expand_daily(occ) > 0
-        for k, (trace, weather) in enumerate(zip(ts, ws)):
-            inputs = space.assemble(best_x, weather)
-            pred = predict(model.params, model.config, model.kind, inputs, model.norm)
+        for k, (trace, pred) in enumerate(zip(ts, preds)):
             row = _trace_metrics(pred[:, T_INT_INDEX], heat_aggregate_of(pred), trace, mask)
             row["week"] = k
             rows.append(row)

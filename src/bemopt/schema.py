@@ -81,12 +81,6 @@ class VariableSpec:
         """Uniform draw over the quantized grid."""
         return float(self.min + self.step * rng.integers(0, self.n_levels))
 
-    def quantize(self, value: float) -> float:
-        """Snap to the nearest grid point, clipped to the range."""
-        k = round((value - self.min) / self.step)
-        k = min(max(k, 0), self.n_levels - 1)
-        return float(self.min + self.step * k)
-
     def contains(self, value: float) -> bool:
         return self.min - 1e-9 <= value <= self.max + 1e-9
 
@@ -95,14 +89,20 @@ def decode_unit_box(specs: Sequence[VariableSpec], x01) -> np.ndarray:
     """Unit-box coordinates -> grid values, one spec per coordinate.
 
     Each coordinate is clipped to [0, 1], rescaled to its spec's range and
-    snapped with ``VariableSpec.quantize``; every search space decodes
+    snapped to the nearest grid point (ties to even, like Python's
+    ``round``), clipped to the grid's ends; every search space decodes
     through this one function.
     """
     x01 = np.asarray(x01, dtype=np.float64)
     if x01.shape != (len(specs),):
         raise ValueError(f"decode: want ({len(specs)},), got {x01.shape}")
-    u = np.clip(x01, 0.0, 1.0).tolist()
-    return np.array([s.quantize(s.min + ui * (s.max - s.min)) for s, ui in zip(specs, u)])
+    lo = np.array([s.min for s in specs], dtype=np.float64)
+    hi = np.array([s.max for s in specs], dtype=np.float64)
+    step = np.array([s.step for s in specs], dtype=np.float64)
+    top = np.rint((hi - lo) / step)  # n_levels - 1
+    value = lo + np.clip(x01, 0.0, 1.0) * (hi - lo)
+    k = np.clip(np.rint((value - lo) / step), 0.0, top)
+    return lo + step * k
 
 
 # Ranges from the building-parameter table.
@@ -501,7 +501,6 @@ def expand_daily(schedule, horizon: int = HOURS_PER_WEEK) -> np.ndarray:
     """
     if horizon % HOURS_PER_DAY != 0:
         raise SchemaError(f"horizon {horizon} is not a multiple of {HOURS_PER_DAY}")
-    n_days = horizon // HOURS_PER_DAY
     day_of_hour = np.arange(horizon) // HOURS_PER_DAY % DAYS_PER_WEEK
     hour_of_day = np.arange(horizon) % HOURS_PER_DAY
 
@@ -509,12 +508,13 @@ def expand_daily(schedule, horizon: int = HOURS_PER_WEEK) -> np.ndarray:
         per_day = schedule.as_matrix()  # (7, 12)
         return per_day[day_of_hour]
     if isinstance(schedule, OccupancySchedule):
-        frac = np.zeros(horizon)
-        for h in range(horizon):
-            d = day_of_hour[h]
-            if d < WEEKDAYS:
-                frac[h] = 1.0 if schedule.start_occupation[d] <= hour_of_day[h] < schedule.end_occupation[d] else 0.0
-        return frac
+        # weekends get the empty window [0, 0)
+        start = np.zeros(DAYS_PER_WEEK)
+        end = np.zeros(DAYS_PER_WEEK)
+        start[:WEEKDAYS] = schedule.start_occupation
+        end[:WEEKDAYS] = schedule.end_occupation
+        inside = (start[day_of_hour] <= hour_of_day) & (hour_of_day < end[day_of_hour])
+        return inside.astype(np.float64)
     raise TypeError(f"cannot expand {type(schedule).__name__}")
 
 

@@ -440,8 +440,15 @@ def metrics(
 
 
 def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) -> np.ndarray:
-    """Forward raw physical inputs through a model; physical-unit outputs."""
+    """Forward raw physical inputs through a model; physical-unit outputs.
+
+    Runs without a tape: the forward sees zero-copy ``ad.constant`` views of
+    the parameter arrays, so no op keeps a backward closure or its operands
+    and no parameter's ``.grad`` is touched. Each row's result does not
+    depend on the batch it shares a forward with.
+    """
     forward = mdl.forward_for(kind)
+    frozen = {name: ad.constant(p.data) for name, p in params.items()}
     x = np.asarray(inputs, dtype=np.float64)
     squeeze = x.ndim == 2
     if squeeze:
@@ -449,7 +456,7 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
     xn = norm.normalize_inputs(x)
     outs = []
     for lo in range(0, x.shape[0], batch_size):
-        z = forward(params, cfg, ad.constant(xn[lo:lo + batch_size]))
+        z = forward(frozen, cfg, ad.constant(xn[lo:lo + batch_size]))
         outs.append(norm.denormalize_targets(z.data))
     out = np.concatenate(outs, axis=0)
     return out[0] if squeeze else out

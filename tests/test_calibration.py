@@ -13,10 +13,11 @@ from bemopt.schema import (
     T_INT_INDEX,
     BuildingParams,
     SchemaError,
+    assemble_inputs,
     heat_aggregate_of,
 )
 from bemopt.seeding import stream, substream
-from bemopt.training import predict, sample_dataset, sample_episode_config
+from bemopt.training import predict, r2_score, sample_dataset, sample_episode_config
 from bemopt.weather import generate_pool
 
 TINY = mdl.MetamodelConfig(
@@ -39,9 +40,17 @@ def rowwise(f):
     return lambda xs: [f(x) for x in xs]
 
 
+def scalar_decode(spec, u):
+    """The per-coordinate decoding rule: clip, rescale, round half-even, clip to the grid."""
+    value = spec.min + min(max(float(u), 0.0), 1.0) * (spec.max - spec.min)
+    k = min(max(round((value - spec.min) / spec.step), 0), spec.n_levels - 1)
+    return float(spec.min + spec.step * k)
+
+
 def model_cost(x01, space, model, trace, weather):
     """One candidate's cost on one week, along the path calibrate takes."""
-    pred = predict(model.params, model.config, model.kind, space.assemble(x01, weather), model.norm)
+    pred = predict(model.params, model.config, model.kind, space.assemble(x01, [weather])[0],
+                   model.norm)
     return cal.cost_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred), trace)
 
 
@@ -275,9 +284,10 @@ def test_per_day_expansion(base_pieces):
 def test_space_bounds_from_declaration(base_pieces):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace.default(params, bms, occ)
-    lo, hi = space.bounds()
-    spec = DEFAULT_SCHEMA.spec("capacitance_kJ_perdegreK_perm3")
-    assert lo[0] == spec.min and hi[0] == spec.max
+    lo, hi = space.values(np.zeros(space.dim)), space.values(np.ones(space.dim))
+    specs = [DEFAULT_SCHEMA.spec(name) for name in space.names]
+    np.testing.assert_array_equal(lo, [spec.min for spec in specs])
+    np.testing.assert_array_equal(hi, [spec.max for spec in specs])
     assert np.all(hi > lo)
 
 
@@ -295,7 +305,7 @@ def test_decode_endpoints_and_grid(base_pieces):
     pm, bm, _ = space.decode(np.array([0.503, 0.27]))
     cap_steps = (pm.capacitance_kJ_perdegreK_perm3 - spec.min) / spec.step
     assert cap_steps == round(cap_steps)
-    assert pm.capacitance_kJ_perdegreK_perm3 == spec.quantize(spec.min + 0.503 * (spec.max - spec.min))
+    assert pm.capacitance_kJ_perdegreK_perm3 == scalar_decode(spec, 0.503)
 
 
 def test_space_validation(base_pieces):
@@ -332,11 +342,24 @@ def test_space_dict_roundtrip(base_pieces):
 def test_assemble_changes_only_freed_columns(base_pieces, pool):
     ds, params, bms, occ = base_pieces
     space = cal.CalibrationSpace(["nb_occupants"], params, bms, occ)
-    base = space.assemble(np.array([0.0]), pool[0])
-    moved = space.assemble(np.array([1.0]), pool[0])
+    base = space.assemble(np.array([0.0]), pool[:2])
+    moved = space.assemble(np.array([1.0]), pool[:2])
     col = DEFAULT_SCHEMA.input_channel_names.index("nb_occupants")
-    diff = np.nonzero(np.any(base != moved, axis=0))[0]
+    diff = np.nonzero(np.any(base != moved, axis=(0, 1)))[0]
     np.testing.assert_array_equal(diff, [col])
+
+
+def test_assemble_stacks_one_decoded_candidate_over_the_weeks(base_pieces, pool):
+    _, params, bms, occ = base_pieces
+    space = cal.CalibrationSpace(
+        ["capacitance_kJ_perdegreK_perm3", ("t_heat_conf_day", True), "start_occupation"],
+        params, bms, occ,
+    )
+    x = np.linspace(0.1, 0.9, space.dim)
+    weeks = space.assemble(x, pool)
+    assert weeks.shape == (len(pool), 168, DEFAULT_SCHEMA.d_in)
+    for k, weather in enumerate(pool):
+        np.testing.assert_array_equal(weeks[k], assemble_inputs(*space.decode(x), weather))
 
 
 def test_decode_is_bitwise_the_scalar_rescale_clip_quantize(base_pieces):
@@ -350,8 +373,7 @@ def test_decode_is_bitwise_the_scalar_rescale_clip_quantize(base_pieces):
     rng = stream(17, "decode-reference")
     for _ in range(1000):
         x = rng.uniform(-0.25, 1.25, space.dim)  # the clip is part of the contract
-        want = [s.quantize(s.min + float(np.clip(u, 0.0, 1.0)) * (s.max - s.min))
-                for s, u in zip(specs, x)]
+        want = [scalar_decode(s, u) for s, u in zip(specs, x)]
         np.testing.assert_array_equal(space.values(x), want)
         p, b, o = space.decode(x)
         got = ([p.capacitance_kJ_perdegreK_perm3, p.nb_occupants]
@@ -388,7 +410,7 @@ def test_self_consistent_trace_costs_zero(base_pieces, tiny_model, pool):
     space = cal.CalibrationSpace.default(params, bms, occ)
     x = np.full(space.dim, 0.37)
     pred = predict(tiny_model.params, tiny_model.config, tiny_model.kind,
-                   space.assemble(x, pool[0]), tiny_model.norm)
+                   space.assemble(x, [pool[0]])[0], tiny_model.norm)
     trace = cal.SensorTrace.from_output(pred)
     assert model_cost(x, space, tiny_model, trace, pool[0]) < 1e-12
 
@@ -403,7 +425,7 @@ def test_constant_predictions_cost_one(base_pieces, tiny_model, pool):
     )
     x = np.full(space.dim, 0.5)
     pred = predict(frozen.params, frozen.config, frozen.kind,
-                   space.assemble(x, pool[0]), frozen.norm)
+                   space.assemble(x, [pool[0]])[0], frozen.norm)
     assert np.ptp(pred[:, T_INT_INDEX]) == 0.0  # constant in time
     wiggle = np.tile([1.0, -1.0], 84)  # exactly zero-mean
     trace = cal.SensorTrace(pred[:, T_INT_INDEX] + wiggle,
@@ -449,7 +471,7 @@ def toy_problem(base_pieces, tiny_model, pool):
     traces, weathers = [], []
     for w in pool[:2]:
         pred = predict(tiny_model.params, tiny_model.config, tiny_model.kind,
-                       space.assemble(planted, w), tiny_model.norm)
+                       space.assemble(planted, [w])[0], tiny_model.norm)
         traces.append(cal.SensorTrace.from_output(pred))
         weathers.append(w)
     return space, planted, traces, weathers
@@ -511,7 +533,7 @@ def reference_calibration_loop(space, model, traces, weathers, budget, seed, sig
     def population_costs(xs):
         costs = np.zeros(len(xs))
         for trace, weather in zip(traces, weathers):
-            batch = np.stack([space.assemble(x, weather) for x in xs])
+            batch = np.stack([space.assemble(x, [weather])[0] for x in xs])
             preds = predict(model.params, model.config, model.kind, batch, model.norm)
             for i, p in enumerate(preds):
                 costs[i] += cal.cost_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), trace)
@@ -545,7 +567,7 @@ def test_calibrate_equals_the_former_ask_tell_loop(toy_problem, tiny_model, pool
     if planted is not None:
         traces = [cal.SensorTrace.from_output(
             predict(tiny_model.params, tiny_model.config, tiny_model.kind,
-                    space.assemble(np.full(space.dim, planted), w), tiny_model.norm))
+                    space.assemble(np.full(space.dim, planted), [w])[0], tiny_model.norm))
             for w in weathers]
     logged = []
     best_x, report = cal.calibrate(space, tiny_model, traces, weathers, budget=budget,
@@ -557,6 +579,11 @@ def test_calibrate_equals_the_former_ask_tell_loop(toy_problem, tiny_model, pool
     assert report.best_cost == ref_f and report.initial_cost == ref_initial
     assert report.history == ref_history
     assert report.evaluations == ref_evals == 1 + budget * cal.population_size(space.dim)
+    for row, trace, weather in zip(report.week_metrics, traces, weathers):  # one week at a time
+        pred = predict(tiny_model.params, tiny_model.config, tiny_model.kind,
+                       space.assemble(ref_x, [weather])[0], tiny_model.norm)
+        assert row["r2_t"] == r2_score(trace.t_int, pred[:, T_INT_INDEX])
+        assert row["r2_q"] == r2_score(trace.q_heat, heat_aggregate_of(pred))
     assert logged == [(g, ref_history[g - 1]) for g in range(50, budget + 1, 50)]
     if planted is not None:
         assert report.history[0] == report.initial_cost < 1e-12

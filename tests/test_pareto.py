@@ -342,8 +342,11 @@ def test_bms_decode_is_bitwise_the_scalar_rescale_clip_quantize(pieces):
     rng = stream(19, "bms-decode-reference")
     for _ in range(1000):
         x = rng.uniform(-0.25, 1.25, space.dim)  # the clip is part of the contract
-        want = [s.quantize(s.min + float(np.clip(u, 0.0, 1.0)) * (s.max - s.min))
-                for s, u in zip(specs, x)]
+        want = []
+        for s, u in zip(specs, x):  # clip, rescale, round half-even, clip to the grid
+            value = s.min + min(max(float(u), 0.0), 1.0) * (s.max - s.min)
+            k = min(max(round((value - s.min) / s.step), 0), s.n_levels - 1)
+            want.append(float(s.min + s.step * k))
         np.testing.assert_array_equal(space.values(x), want)
         np.testing.assert_array_equal(space.settings_vector(space.decode(x)), want)
 

@@ -71,10 +71,9 @@ class TestVariableSpec:
 
     def test_quantize_snaps_and_clips(self):
         spec = sc.VariableSpec("x", 0.0, 10.0, 1.0, "static")
-        assert spec.quantize(3.4) == 3.0
-        assert spec.quantize(3.6) == 4.0
-        assert spec.quantize(-5.0) == 0.0
-        assert spec.quantize(25.0) == 10.0
+        u = [0.34, 0.36, 0.25, 0.75, -0.5, 2.5]
+        got = sc.decode_unit_box([spec] * len(u), u)
+        np.testing.assert_array_equal(got, [3.0, 4.0, 2.0, 8.0, 0.0, 10.0])  # 2.5, 7.5 to even
 
 
 class TestSchema:
@@ -156,6 +155,22 @@ class TestSchedules:
         assert f[18] == 0.0 and f[7] == 0.0
         assert np.all(f[5 * 24 :] == 0.0)  # Saturday, Sunday
         assert f.sum() == 5 * 10
+
+    def test_occupancy_expansion_equals_the_per_hour_rule(self):
+        rng = stream(23, "occupancy-expansion")
+        for i in range(200):
+            if i % 2:  # off-grid windows too
+                start, end = rng.uniform(7, 9, 5), rng.uniform(17, 20, 5)
+            else:
+                start, end = rng.integers(7, 10, 5), rng.integers(17, 21, 5)
+            occ = sc.OccupancySchedule(tuple(start), tuple(end), 1500)
+            horizon = 168 * (1 + i % 2)
+            want = np.zeros(horizon)
+            for h in range(horizon):
+                d, hod = h // 24 % 7, h % 24
+                if d < 5 and occ.start_occupation[d] <= hod < occ.end_occupation[d]:
+                    want[h] = 1.0
+            np.testing.assert_array_equal(sc.expand_daily(occ, horizon), want)
 
     def test_expand_rejects_partial_days(self):
         with pytest.raises(sc.SchemaError):

@@ -337,12 +337,25 @@ def test_metrics_scaling_behavior(small_dataset):
 def test_predict_batch_size_invariant(small_dataset):
     ds = small_dataset
     params = mdl.init_transformer(TINY, stream(2, "pred-init"))
-    a = tr.predict(params, TINY, "transformer", ds.inputs[:5], ds.norm, batch_size=2)
-    b = tr.predict(params, TINY, "transformer", ds.inputs[:5], ds.norm, batch_size=32)
-    np.testing.assert_allclose(a, b, atol=1e-13)
+    n = ds.n_episodes
+    full = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm, batch_size=n)
+    for batch_size in (1, 2, 3, 32):
+        got = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm, batch_size=batch_size)
+        assert np.array_equal(got, full), batch_size
     one = tr.predict(params, TINY, "transformer", ds.inputs[0], ds.norm)
     assert one.shape == (168, 8)
-    np.testing.assert_allclose(one, a[0], atol=1e-13)
+    assert np.array_equal(one, full[0])
+
+
+@pytest.mark.parametrize("kind", ["transformer", "ffn"])
+def test_predict_is_the_taped_forward_without_a_tape(small_dataset, kind):
+    ds = small_dataset
+    params = mdl.INITS[kind](TINY, stream(4, "tape-free"))
+    got = tr.predict(params, TINY, kind, ds.inputs[:4], ds.norm)
+    taped = mdl.FORWARDS[kind](params, TINY, ad.constant(ds.norm.normalize_inputs(ds.inputs[:4])))
+    assert taped.requires_grad  # the reference really builds a graph
+    assert np.array_equal(got, ds.norm.denormalize_targets(taped.data))
+    assert all(p.grad is None for p in params.values())
 
 
 @pytest.fixture(scope="module")
