@@ -3,7 +3,7 @@
 Small define-by-run engine: every operation returns a new Tensor holding the
 numpy result plus closures that push gradients back to its parents.  The op
 set is deliberately tiny (matmul, elementwise arithmetic, relu, softmax,
-log1p, sqrt, square, mean, concat, slice, layer_norm) but each op supports
+log1p, sqrt, square, mean, slice, layer_norm) but each op supports
 the batched 3-D layouts the sequence model needs, so a full training step
 runs as a handful of large BLAS calls instead of thousands of small ones.
 
@@ -23,7 +23,7 @@ import numpy as np
 __all__ = [
     "Tensor", "parameter", "constant", "zero_grads",
     "matmul", "add", "sub", "mul", "relu", "softmax", "log1p", "sqrt",
-    "square", "mean", "concat", "slice_last", "layer_norm",
+    "square", "mean", "slice_last", "layer_norm",
     "windowed_attention", "split_heads", "merge_heads",
     "grad_check", "AdamState", "adam_step",
     "save_tensors", "load_tensors",
@@ -59,10 +59,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -71,25 +67,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    # arithmetic sugar; scalars are treated as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph.
@@ -297,42 +274,16 @@ def square(x) -> Tensor:
     return _result(x.data * x.data, (x,), (lambda g: g * 2.0 * x.data,))
 
 
-def mean(x, axes=None) -> Tensor:
-    """Mean over the given axes (all axes when None), dimensions dropped."""
+def mean(x) -> Tensor:
+    """Mean over every element, a scalar."""
     x = _coerce(x)
-    if axes is None:
-        axes = tuple(range(x.data.ndim))
-    elif isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(a % x.data.ndim for a in axes)
-    out = np.mean(x.data, axis=axes)
-    n = 1
-    for a in axes:
-        n *= x.data.shape[a]
-    kept = tuple(1 if i in axes else s for i, s in enumerate(x.data.shape))
+    out = np.mean(x.data, axis=tuple(range(x.data.ndim)))
+    n = x.data.size
 
     def grad_x(g):
-        return np.broadcast_to(g.reshape(kept), x.data.shape) / n
+        return np.broadcast_to(g, x.data.shape) / n
 
     return _result(out, (x,), (grad_x,))
-
-
-def concat(tensors) -> Tensor:
-    """Concatenate along the last axis."""
-    ts = [_coerce(t) for t in tensors]
-    lead = ts[0].data.shape[:-1]
-    for t in ts[1:]:
-        if t.data.shape[:-1] != lead:
-            raise ValueError(f"concat: leading shapes differ, {ts[0].shape} and {t.shape}")
-    out = np.concatenate([t.data for t in ts], axis=-1)
-    vjps = []
-    off = 0
-    for t in ts:
-        w = t.data.shape[-1]
-        lo = off
-        vjps.append(lambda g, lo=lo, w=w: g[..., lo:lo + w])
-        off += w
-    return _result(out, tuple(ts), tuple(vjps))
 
 
 def slice_last(x, start: int, stop: int) -> Tensor:
@@ -539,15 +490,16 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Per-parameter first/second moments plus the step counter."""
 
-    def __init__(self, params, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step = 0
         self.skipped = 0
         self.m = [np.zeros_like(p.data) for p in params]
@@ -572,14 +524,14 @@ def adam_step(params, grads, state: AdamState) -> None:
         return
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

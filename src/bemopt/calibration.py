@@ -32,7 +32,7 @@ from .schema import (
     heat_aggregate_of,
 )
 from .seeding import stream
-from .training import T_INT_INDEX, predict, r2_score
+from .training import T_INT_INDEX, episode_errors, predict, r2_score
 
 __all__ = [
     "CmaState",
@@ -457,22 +457,6 @@ def cost_from_series(pred_t, pred_q, trace: SensorTrace) -> float:
 # the calibration loop
 
 
-def _trace_metrics(pred_t, pred_q, trace: SensorTrace, mask) -> dict:
-    out = {
-        "mse_t": float(np.mean((pred_t - trace.t_int) ** 2)),
-        "mse_q": float(np.mean((pred_q - trace.q_heat) ** 2)),
-        "r2_t": r2_score(trace.t_int, pred_t),
-        "r2_q": r2_score(trace.q_heat, pred_q),
-    }
-    if mask.any():
-        out["mse_t_occ"] = float(np.mean((pred_t[mask] - trace.t_int[mask]) ** 2))
-        out["mse_q_occ"] = float(np.mean((pred_q[mask] - trace.q_heat[mask]) ** 2))
-    else:
-        out["mse_t_occ"] = None
-        out["mse_q_occ"] = None
-    return out
-
-
 @dataclass
 class CalibrationReport:
     names: tuple
@@ -549,7 +533,8 @@ def calibrate(
                         model.norm)
         rows = []
         for k, (trace, pred) in enumerate(zip(ts, preds)):
-            row = _trace_metrics(pred[:, T_INT_INDEX], heat_aggregate_of(pred), trace, mask)
+            row = episode_errors(pred[:, T_INT_INDEX], trace.t_int,
+                                 heat_aggregate_of(pred), trace.q_heat, mask)
             row["week"] = k
             rows.append(row)
         return rows

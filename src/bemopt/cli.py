@@ -9,6 +9,7 @@ is byte-identical (the manifest's wall-clock field aside). Exit codes: 0 ok,
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -175,14 +176,13 @@ def _fmt(v) -> str:
 
 
 def cmd_sample(args, section) -> int:
-    weather_weeks = _pick(args, section, "weather_weeks", None)
-    weather_seed = _pick(args, section, "weather_seed", 0)
-    episodes = _pick(args, section, "episodes", None)
+    weather_weeks = _pick(args, section, "weather_weeks", None, int)
+    weather_seed = _pick(args, section, "weather_seed", 0, int)
+    episodes = _pick(args, section, "episodes", None, int)
     if episodes is None:
         raise CliError(EXIT_USAGE, "--episodes is required")
 
     manifest = RunManifest("sample", args.seed)
-    os.makedirs(args.out, exist_ok=True)
     generated = []
     have_weather = os.path.isdir(args.weather) and any(
         n.endswith(".csv") for n in os.listdir(args.weather)
@@ -194,12 +194,12 @@ def cmd_sample(args, section) -> int:
                 f"weather directory {args.weather} has no CSV files; "
                 "pass --weather-weeks N to generate a pool there",
             )
-        generated = save_pool(args.weather, generate_pool(weather_seed, int(weather_weeks)))
+        generated = save_pool(args.weather, generate_pool(weather_seed, weather_weeks))
     try:
         pool = load_pool(args.weather)
     except SchemaError as e:
         raise CliError(EXIT_INPUT, str(e)) from None
-    if weather_weeks is not None and len(pool) != int(weather_weeks):
+    if weather_weeks is not None and len(pool) != weather_weeks:
         raise CliError(
             EXIT_INPUT,
             f"weather directory {args.weather} holds {len(pool)} weeks, "
@@ -212,7 +212,7 @@ def cmd_sample(args, section) -> int:
             )
 
     try:
-        ds = sample_dataset(DEFAULT_SCHEMA, pool, int(episodes), seed=args.seed, jobs=args.jobs)
+        ds = sample_dataset(DEFAULT_SCHEMA, pool, episodes, seed=args.seed, jobs=args.jobs)
     except (SchemaError, ValueError) as e:
         raise CliError(EXIT_INPUT, str(e)) from None
     ds.save(args.out)
@@ -225,6 +225,15 @@ def cmd_sample(args, section) -> int:
 
 
 def cmd_train(args, section) -> int:
+    epochs = _pick(args, section, "epochs", 60, int)
+    batch_size = _pick(args, section, "batch_size", 16, int)
+    lr = _pick(args, section, "lr", 1e-3, float)
+    if epochs < 0:
+        raise CliError(EXIT_INPUT, f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise CliError(EXIT_INPUT, f"batch_size must be >= 1, got {batch_size}")
+    overrides = {k: _pick(args, section, k, None, int) for k in MODEL_CONFIG_FIELDS
+                 if section.get(k) is not None}
     manifest = RunManifest("train", args.seed)
     for name in ("arrays.bin", "manifest.json"):
         path = os.path.join(args.dataset, name)
@@ -236,11 +245,10 @@ def cmd_train(args, section) -> int:
     except (TrainingError, ValueError) as e:
         raise CliError(EXIT_INPUT, str(e)) from None
 
-    overrides = {k: int(section[k]) for k in MODEL_CONFIG_FIELDS if k in section}
-    config = mdl.MetamodelConfig(d_in=ds.schema.d_in, **overrides) if overrides else None
-    epochs = int(_pick(args, section, "epochs", 60))
-    batch_size = int(_pick(args, section, "batch_size", 16))
-    lr = float(_pick(args, section, "lr", 1e-3))
+    try:
+        config = mdl.MetamodelConfig(d_in=ds.schema.d_in, **overrides) if overrides else None
+    except ValueError as e:
+        raise CliError(EXIT_INPUT, str(e)) from None
 
     result = train(
         ds,
@@ -290,10 +298,10 @@ def cmd_train(args, section) -> int:
 
 
 def cmd_twin(args, section) -> int:
-    noise_t = float(_pick(args, section, "noise_t", 0.1))
-    noise_q = float(_pick(args, section, "noise_q", 0.02))
-    if noise_t < 0 or noise_q < 0:
-        raise CliError(EXIT_INPUT, "noise levels must be >= 0")
+    noise_t = _pick(args, section, "noise_t", 0.1, float)
+    noise_q = _pick(args, section, "noise_q", 0.02, float)
+    if not (noise_t >= 0 and noise_q >= 0):  # NaN fails too
+        raise CliError(EXIT_INPUT, f"noise levels must be >= 0, got {noise_t} and {noise_q}")
     manifest = RunManifest("twin", args.seed)
     manifest.add_input(args.building)
     params, bms, occ = _load_building_file(args.building)
@@ -305,7 +313,7 @@ def cmd_twin(args, section) -> int:
         if not weeks:
             raise CliError(EXIT_INPUT, f"no weather files in {args.weather}")
 
-    os.makedirs(args.out, exist_ok=True)
+    traces = []  # every week is read and simulated before anything is written
     for k in weeks:
         weather = _load_weather_week(args.weather, k)
         manifest.add_input(_weather_path(args.weather, k))
@@ -313,8 +321,11 @@ def cmd_twin(args, section) -> int:
         rng = substream(args.seed, "twin-noise", k)
         t_noisy = truth.t_int + noise_t * rng.standard_normal(HOURS_PER_WEEK)
         q_noisy = truth.q_heat * (1.0 + noise_q * rng.standard_normal(HOURS_PER_WEEK))
+        traces.append((k, SensorTrace(t_noisy, q_noisy)))
+    os.makedirs(args.out, exist_ok=True)
+    for k, trace in traces:
         path = _trace_path(args.out, k)
-        SensorTrace(t_noisy, q_noisy).save_csv(path)
+        trace.save_csv(path)
         manifest.add_output(path)
     manifest.write(os.path.join(args.out, "run.json"))
     _progress(f"wrote {len(weeks)} sensor trace(s) to {args.out}")
@@ -341,8 +352,12 @@ def _parse_free(text: str):
 
 
 def cmd_calibrate(args, section) -> int:
-    budget = int(_pick(args, section, "budget", 500))
-    sigma0 = float(_pick(args, section, "sigma0", 0.3))
+    budget = _pick(args, section, "budget", 500, int)
+    sigma0 = _pick(args, section, "sigma0", 0.3, float)
+    if budget < 0:
+        raise CliError(EXIT_INPUT, f"budget must be >= 0, got {budget}")
+    if not 0 < sigma0 < math.inf:
+        raise CliError(EXIT_INPUT, f"sigma0 must be finite and > 0, got {sigma0}")
     manifest = RunManifest("calibrate", args.seed)
     manifest.add_input(args.model)
     try:
@@ -424,9 +439,11 @@ def cmd_calibrate(args, section) -> int:
 
 
 def cmd_optimize(args, section) -> int:
-    generations = int(_pick(args, section, "generations", NsgaConfig().generations))
-    population = int(_pick(args, section, "pop", NsgaConfig().population))
-    tolerance = float(_pick(args, section, "tolerance", 0.05))
+    generations = _pick(args, section, "generations", NsgaConfig().generations, int)
+    population = _pick(args, section, "pop", NsgaConfig().population, int)
+    tolerance = _pick(args, section, "tolerance", 0.05, float)
+    if not math.isfinite(tolerance):
+        raise CliError(EXIT_INPUT, f"tolerance must be finite, got {tolerance}")
     manifest = RunManifest("optimize", args.seed)
     manifest.add_input(args.model)
     try:
@@ -544,90 +561,108 @@ def cmd_report(args, section) -> int:
 
     manifest = RunManifest("report", args.seed)
     lines = []
-    for path in metric_files:
+    histories = []  # (path, text) of each calibration_history.csv
+    # every artifact is read and rendered before any file is written
+    for path in metric_files + calib_files + chosen_files:
         manifest.add_input(path)
         d = _load_json(path)
         rel = os.path.relpath(path, root)
-        lines.append(f"== model metrics ({rel}) ==")
-        lines.append(
-            f"  kind {d['kind']}  best epoch {d['best_epoch']}  "
-            f"best val loss {_fmt(d['best_val_loss'])}"
-        )
-        _metric_block(lines, "validation", d["val"])
-        _metric_block(lines, "test", d["test"])
-        lines.append("")
-    outputs = []
-    for path in calib_files:
-        manifest.add_input(path)
-        d = _load_json(path)
-        rel = os.path.relpath(path, root)
-        lines.append(f"== calibration ({rel}) ==")
-        r = d["report"]
-        lines.append(
-            f"  cost {_fmt(r['initial_cost'])} -> {_fmt(r['best_cost'])} "
-            f"in {r['generations']} generations ({r['evaluations']} evaluations)"
-        )
-        width = max(len(n) for n in r["names"])
-        for n, v in zip(r["names"], r["values"]):
-            lines.append(f"    {n:<{width}}  {_fmt(v)}")
-        for label, rows in (("week", r["week_metrics"]), ("held-out week", r["holdout_metrics"])):
-            for row in rows:
-                lines.append(
-                    f"  {label} {row['week']}: r2_t {_fmt(row['r2_t'])}  "
-                    f"r2_q {_fmt(row['r2_q'])}  mse_t {_fmt(row['mse_t'])}  "
-                    f"mse_q {_fmt(row['mse_q'])}"
-                )
-        hist_path = os.path.join(os.path.dirname(path), "calibration_history.csv")
-        with open(hist_path, "w") as f:
-            f.write("generation,best_cost\n")
-            for g, c in enumerate(r["history"], start=1):
-                f.write(f"{g},{_fmt(c)}\n")
-        outputs.append(hist_path)
-        lines.append("")
-    for path in chosen_files:
-        manifest.add_input(path)
-        d = _load_json(path)
-        rel = os.path.relpath(path, root)
-        lines.append(f"== operating point ({rel}) ==")
-        lines.append(f"  front size {d['front_size']}  generations {d['generations']}")
-        lines.append(
-            f"  baseline comfort {_fmt(d['baseline']['comfort'])}  "
-            f"consumption {_fmt(d['baseline']['consumption'])}"
-        )
-        lines.append(
-            f"  chosen   comfort {_fmt(d['objectives']['comfort'])}  "
-            f"consumption {_fmt(d['objectives']['consumption'])}"
-        )
-        lines.append(
-            f"  savings {_fmt(100 * d['savings'])} %  "
-            f"within tolerance: {d['within_tolerance']}"
-        )
+        try:
+            if path in metric_files:
+                _report_metrics(lines, rel, d)
+            elif path in calib_files:
+                hist_path = os.path.join(os.path.dirname(path), "calibration_history.csv")
+                histories.append((hist_path, _report_calibration(lines, rel, d)))
+            else:
+                _report_operating_point(lines, rel, d)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise CliError(EXIT_INPUT,
+                           f"{path}: malformed artifact ({type(e).__name__}: {e})") from None
         lines.append("")
 
+    for hist_path, hist in histories:
+        with open(hist_path, "w") as f:
+            f.write(hist)
     text = "\n".join(lines)
     report_path = os.path.join(root, "report.txt")
     with open(report_path, "w") as f:
         f.write(text)
     print(text, end="")
     manifest.add_output(report_path)
-    for path in outputs:
-        manifest.add_output(path)
+    for hist_path, _ in histories:
+        manifest.add_output(hist_path)
     manifest.write(os.path.join(root, "report_run.json"))
     return EXIT_OK
+
+
+def _report_metrics(lines, rel, d) -> None:
+    lines.append(f"== model metrics ({rel}) ==")
+    lines.append(
+        f"  kind {d['kind']}  best epoch {d['best_epoch']}  "
+        f"best val loss {_fmt(d['best_val_loss'])}"
+    )
+    _metric_block(lines, "validation", d["val"])
+    _metric_block(lines, "test", d["test"])
+
+
+def _report_calibration(lines, rel, d) -> str:
+    """Appends the calibration block; returns the calibration_history.csv text."""
+    lines.append(f"== calibration ({rel}) ==")
+    r = d["report"]
+    lines.append(
+        f"  cost {_fmt(r['initial_cost'])} -> {_fmt(r['best_cost'])} "
+        f"in {r['generations']} generations ({r['evaluations']} evaluations)"
+    )
+    width = max(len(n) for n in r["names"])
+    for n, v in zip(r["names"], r["values"]):
+        lines.append(f"    {n:<{width}}  {_fmt(v)}")
+    for label, rows in (("week", r["week_metrics"]), ("held-out week", r["holdout_metrics"])):
+        for row in rows:
+            lines.append(
+                f"  {label} {row['week']}: r2_t {_fmt(row['r2_t'])}  "
+                f"r2_q {_fmt(row['r2_q'])}  mse_t {_fmt(row['mse_t'])}  "
+                f"mse_q {_fmt(row['mse_q'])}"
+            )
+    return "generation,best_cost\n" + "".join(
+        f"{g},{_fmt(c)}\n" for g, c in enumerate(r["history"], start=1))
+
+
+def _report_operating_point(lines, rel, d) -> None:
+    lines.append(f"== operating point ({rel}) ==")
+    lines.append(f"  front size {d['front_size']}  generations {d['generations']}")
+    lines.append(
+        f"  baseline comfort {_fmt(d['baseline']['comfort'])}  "
+        f"consumption {_fmt(d['baseline']['consumption'])}"
+    )
+    lines.append(
+        f"  chosen   comfort {_fmt(d['objectives']['comfort'])}  "
+        f"consumption {_fmt(d['objectives']['consumption'])}"
+    )
+    lines.append(
+        f"  savings {_fmt(100 * d['savings'])} %  "
+        f"within tolerance: {d['within_tolerance']}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
-def _pick(args, section, name, builtin):
-    """Priority: explicit flag > --config file section > built-in default."""
+def _pick(args, section, name, builtin, kind):
+    """Priority: explicit flag > --config file section > built-in default.
+
+    The value is converted by `kind` (int or float); one that does not
+    convert is an input error. A JSON null in the section means the default.
+    """
     v = getattr(args, name, None)
-    if v is not None:
-        return v
-    if name in section:
-        return section[name]
-    return builtin
+    if v is None:
+        v = section.get(name)
+    if v is None:
+        return builtin
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(EXIT_INPUT, f"{name} must be {kind.__name__}, got {v!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -711,18 +746,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
-    section = {}
-    if getattr(args, "config", None):
-        doc = _load_json_or_exit(args.config)
-        if doc is None:
-            return EXIT_INPUT
-        section = doc.get(args.command, {})
-        if not isinstance(section, dict):
-            print(f"bemopt {args.command}: --config section must be an object", file=sys.stderr)
-            return EXIT_INPUT
-
     try:
-        return COMMANDS[args.command](args, section)
+        return COMMANDS[args.command](args, _config_section(args))
     except CliError as e:
         print(f"bemopt {args.command}: {e}", file=sys.stderr)
         return e.code
@@ -734,12 +759,18 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
-def _load_json_or_exit(path):
-    try:
-        return _load_json(path)
-    except CliError as e:
-        print(f"bemopt: {e}", file=sys.stderr)
-        return None
+def _config_section(args) -> dict:
+    """The command's section of the --config file; {} without one."""
+    if args.config is None:
+        return {}
+    doc = _load_json(args.config)
+    if not isinstance(doc, dict):
+        raise CliError(EXIT_INPUT, f"{args.config}: --config must hold a JSON object")
+    section = doc.get(args.command, {})
+    if not isinstance(section, dict):
+        raise CliError(EXIT_INPUT,
+                       f"{args.config}: --config section {args.command!r} must be an object")
+    return section
 
 
 if __name__ == "__main__":

@@ -51,6 +51,13 @@ T_STAR = 22.5  # deg C comfort reference
 PENALTY = 1e30  # objective pair assigned to failed/non-finite candidates
 COMFORT_TOLERANCE = 0.05  # deg C
 
+# NSGA-II variation operators; the per-coordinate mutation probability is
+# 1/n for an n-dimensional search box.
+ETA_CROSSOVER = 15.0  # SBX distribution index
+P_CROSSOVER = 0.9  # chance that a parent pair is recombined
+ETA_MUTATION = 20.0  # polynomial-mutation distribution index
+TOURNAMENT = 2  # contenders per parent selection
+
 
 @dataclass(frozen=True)
 class Objectives:
@@ -75,25 +82,12 @@ class Objectives:
 class NsgaConfig:
     population: int = 100
     generations: int = 300  # desk-scale default; large reference budget is 3000
-    eta_crossover: float = 15.0
-    p_crossover: float = 0.9
-    eta_mutation: float = 20.0
-    p_mutation: float | None = None  # None -> 1/n once the dimension is known
-    tournament: int = 2
 
     def __post_init__(self):
         if self.population < 4 or self.population % 2:
             raise ValueError(f"population must be even and >= 4, got {self.population}")
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
-        for name in ("p_crossover", "p_mutation"):
-            p = getattr(self, name)
-            if p is not None and not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.eta_crossover <= 0 or self.eta_mutation <= 0:
-            raise ValueError("distribution indices must be > 0")
-        if self.tournament < 1:
-            raise ValueError(f"tournament size must be >= 1, got {self.tournament}")
 
 
 class ParetoFront:
@@ -116,9 +110,6 @@ class ParetoFront:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def objectives(self) -> np.ndarray:
-        return np.array([[o.comfort, o.consumption] for _, o in self.members])
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +264,7 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> Par
         raise ValueError("bounds must be finite with hi >= lo")
     n = len(lo)
     pop = config.population
-    p_mut = config.p_mutation if config.p_mutation is not None else 1.0 / n
+    p_mut = 1.0 / n
     rng = stream(seed, "nsga2")
 
     def eval_pop(X) -> np.ndarray:
@@ -290,11 +281,11 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> Par
     minima = [F.min(axis=0)]
 
     for gen in range(config.generations):
-        parents = _tournament(rng, ranks, crowd, pop, config.tournament)
+        parents = _tournament(rng, ranks, crowd, pop, TOURNAMENT)
         p1, p2 = X[parents[0::2]], X[parents[1::2]]
-        c1, c2 = _sbx(rng, p1, p2, lo, hi, config.eta_crossover, config.p_crossover)
+        c1, c2 = _sbx(rng, p1, p2, lo, hi, ETA_CROSSOVER, P_CROSSOVER)
         children = np.concatenate([c1, c2])
-        children = _polynomial_mutation(rng, children, lo, hi, config.eta_mutation, p_mut)
+        children = _polynomial_mutation(rng, children, lo, hi, ETA_MUTATION, p_mut)
         Fc = eval_pop(children)
 
         X_all = np.concatenate([X, children])
@@ -325,7 +316,7 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> Par
 # the control-schedule objectives
 
 
-def objectives_from_series(t_pred, q_pred, occupied, t_star: float = T_STAR) -> Objectives:
+def objectives_from_series(t_pred, q_pred, occupied) -> Objectives:
     """Comfort gap over occupied hours and mean consumption over all hours.
 
     The comfort normalization divides by the occupied count outside the
@@ -342,7 +333,7 @@ def objectives_from_series(t_pred, q_pred, occupied, t_star: float = T_STAR) -> 
     if n_occ == 0:
         comfort = 0.0
     else:
-        sq = float(np.sum((t_pred[occupied] - t_star) ** 2))
+        sq = float(np.sum((t_pred[occupied] - T_STAR) ** 2))
         comfort = math.sqrt(sq) / n_occ
     consumption = max(0.0, float(np.mean(q_pred)))
     return Objectives(comfort, consumption)
@@ -404,17 +395,17 @@ class BmsSpace:
 
 def evaluate_settings(model: FrozenModel, params: BuildingParams, bms: BmsSchedule,
                       occ: OccupancySchedule, weather: WeatherSeries,
-                      t_star: float = T_STAR, schema: Schema = DEFAULT_SCHEMA) -> Objectives:
+                      schema: Schema = DEFAULT_SCHEMA) -> Objectives:
     """Objectives of one explicit configuration under the frozen surrogate."""
     inputs = assemble_inputs(params, bms, occ, weather, schema)
     pred = predict(model.params, model.config, model.kind, inputs, model.norm)
     return objectives_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred),
-                                  expand_daily(occ) > 0, t_star=t_star)
+                                  expand_daily(occ) > 0)
 
 
 def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
                  config: NsgaConfig | None = None, seed: int = 0,
-                 t_star: float = T_STAR, log=None) -> ParetoFront:
+                 log=None) -> ParetoFront:
     """NSGA-II over the control schedule; returns a front of physical settings.
 
     All candidates of a generation go through one batched forward pass.
@@ -427,8 +418,7 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
         preds = predict(model.params, model.config, model.kind, inputs, model.norm)
         out = np.empty((len(X), 2))
         for i, p in enumerate(preds):
-            o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), mask,
-                                       t_star=t_star)
+            o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), mask)
             out[i] = (o.comfort, o.consumption)
         return out
 

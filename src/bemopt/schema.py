@@ -10,7 +10,6 @@ across workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -74,15 +73,9 @@ class VariableSpec:
         """Number of points on the sampling grid (both endpoints included)."""
         return int(round((self.max - self.min) / self.step)) + 1
 
-    def grid(self) -> np.ndarray:
-        return self.min + self.step * np.arange(self.n_levels)
-
     def sample(self, rng: np.random.Generator) -> float:
         """Uniform draw over the quantized grid."""
         return float(self.min + self.step * rng.integers(0, self.n_levels))
-
-    def contains(self, value: float) -> bool:
-        return self.min - 1e-9 <= value <= self.max + 1e-9
 
 
 def decode_unit_box(specs: Sequence[VariableSpec], x01) -> np.ndarray:
@@ -230,20 +223,6 @@ class Schema:
             output_channels=tuple(d.get("output_channels", OUTPUT_CHANNELS)),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Schema":
-        with open(path) as f:
-            try:
-                d = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        return cls.from_dict(d)
-
 
 DEFAULT_SCHEMA = Schema()
 
@@ -292,14 +271,6 @@ class BuildingParams:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def validate(self, schema: Schema = DEFAULT_SCHEMA) -> None:
-        for spec in schema.building:
-            value = getattr(self, spec.name)
-            if not spec.contains(value):
-                raise SchemaError(
-                    f"{spec.name}={value} outside [{spec.min}, {spec.max}]"
-                )
 
     @property
     def facade_thicknesses(self) -> tuple[float, float, float, float]:
@@ -377,19 +348,6 @@ class BmsSchedule:
 
     def to_dict(self) -> dict:
         return {name: list(getattr(self, name)) for name in _BMS_FIELDS}
-
-    def validate(self, schema: Schema = DEFAULT_SCHEMA) -> None:
-        for spec in schema.bms:
-            for day, value in enumerate(getattr(self, spec.name)):
-                if not spec.contains(value):
-                    raise SchemaError(
-                        f"{spec.name}[{DAY_NAMES[day]}]={value} outside [{spec.min}, {spec.max}]"
-                    )
-
-    def replace(self, **daily_arrays) -> "BmsSchedule":
-        d = self.to_dict()
-        d.update({k: list(v) for k, v in daily_arrays.items()})
-        return BmsSchedule.from_dict(d)
 
     def as_matrix(self) -> np.ndarray:
         """(7, 12) day-by-variable matrix in schema order."""

@@ -33,7 +33,8 @@ from .rcsim import simulate_week
 from .seeding import stream, substream
 
 __all__ = [
-    "LossWeights",
+    "LOSS_ALPHA",
+    "LOSS_BETA",
     "AUX_WEIGHT",
     "Dataset",
     "TrainResult",
@@ -43,6 +44,7 @@ __all__ = [
     "sample_episode_config",
     "sample_dataset",
     "r2_score",
+    "episode_errors",
     "loss",
     "training_loss",
     "metrics",
@@ -52,6 +54,9 @@ __all__ = [
     "load_history_csv",
 ]
 
+# Weights of the temperature (alpha) and consumption (beta) terms of the loss.
+LOSS_ALPHA = 1.0
+LOSS_BETA = 0.3
 # Weight of the auxiliary all-channel MSE folded into the training objective
 # (the reported loss stays the two-term temperature/consumption form).
 AUX_WEIGHT = 0.1
@@ -67,30 +72,16 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Relative weight of the temperature and consumption error terms."""
-
-    alpha: float = 1.0
-    beta: float = 0.3
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(f"loss weights must be >= 0, got ({self.alpha}, {self.beta})")
-        if self.alpha == 0 and self.beta == 0:
-            raise ValueError("loss weights cannot both be zero")
-
-
 # ---------------------------------------------------------------------------
 # dataset sampling
 
 
-def split_counts(n_total: int, ratios=SPLIT_RATIOS) -> tuple[int, int, int]:
+def split_counts(n_total: int) -> tuple[int, int, int]:
     """Train/val/test counts; val and test round to nearest, train absorbs."""
     if n_total < 3:
         raise ValueError(f"need at least 3 examples to split, got {n_total}")
-    n_val = max(1, round(n_total * ratios[1]))
-    n_test = max(1, round(n_total * ratios[2]))
+    n_val = max(1, round(n_total * SPLIT_RATIOS[1]))
+    n_test = max(1, round(n_total * SPLIT_RATIOS[2]))
     n_train = n_total - n_val - n_test
     if n_train < 1:
         raise ValueError(f"split of {n_total} leaves no training examples")
@@ -262,7 +253,7 @@ def _pooled_rmse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def loss(pred: np.ndarray, target: np.ndarray, weights: LossWeights = LossWeights()) -> float:
+def loss(pred: np.ndarray, target: np.ndarray) -> float:
     """alpha*log(1+D_T) + beta*log(1+D_Q) on physical-unit outputs.
 
     D_T is the pooled RMSE of the indoor temperature channel, D_Q the
@@ -275,15 +266,10 @@ def loss(pred: np.ndarray, target: np.ndarray, weights: LossWeights = LossWeight
         raise ValueError(f"loss: prediction {pred.shape} vs target {target.shape}")
     d_t = _pooled_rmse(pred[..., T_INT_INDEX], target[..., T_INT_INDEX])
     d_q = _pooled_rmse(heat_aggregate_of(pred), heat_aggregate_of(target))
-    return weights.alpha * math.log1p(d_t) + weights.beta * math.log1p(d_q)
+    return LOSS_ALPHA * math.log1p(d_t) + LOSS_BETA * math.log1p(d_q)
 
 
-def training_loss(
-    pred,
-    target_norm: np.ndarray,
-    norm: NormStats,
-    weights: LossWeights = LossWeights(),
-):
+def training_loss(pred, target_norm: np.ndarray, norm: NormStats):
     """Differentiable objective on normalized predictions.
 
     Returns (total, reported): the optimized total adds an auxiliary MSE
@@ -312,9 +298,9 @@ def training_loss(
         q = ad.add(q, part)
     d_q = rmse(ad.sub(q, ad.constant(heat_aggregate_of(target_phys)[..., None])))
 
-    reported = ad.add(weights.alpha * ad.log1p(d_t), weights.beta * ad.log1p(d_q))
+    reported = ad.add(ad.mul(ad.log1p(d_t), LOSS_ALPHA), ad.mul(ad.log1p(d_q), LOSS_BETA))
     aux = ad.mean(ad.square(ad.sub(pred, ad.constant(target_norm))))
-    total = ad.add(reported, AUX_WEIGHT * aux)
+    total = ad.add(reported, ad.mul(aux, AUX_WEIGHT))
     return total, reported
 
 
@@ -388,12 +374,28 @@ class MetricReport:
         return cls(**kw)
 
 
-def metrics(
-    preds: np.ndarray,
-    targets: np.ndarray,
-    masks: np.ndarray,
-    weights: LossWeights = LossWeights(),
-) -> MetricReport:
+def episode_errors(p_t, y_t, p_q, y_q, mask) -> dict:
+    """One episode's errors: predicted (p) against true (y) temperature and
+    heat-consumption series over its hours.
+
+    Holds mse_t, mse_q, their occupied-hours variants mse_t_occ and
+    mse_q_occ (None when `mask` marks no hour), r2_t and r2_q.
+    """
+    row = {
+        "mse_t": float(np.mean((p_t - y_t) ** 2)),
+        "mse_q": float(np.mean((p_q - y_q) ** 2)),
+        "mse_t_occ": None,
+        "mse_q_occ": None,
+    }
+    if mask.any():
+        row["mse_t_occ"] = float(np.mean((p_t[mask] - y_t[mask]) ** 2))
+        row["mse_q_occ"] = float(np.mean((p_q[mask] - y_q[mask]) ** 2))
+    row["r2_t"] = r2_score(y_t, p_t)
+    row["r2_q"] = r2_score(y_q, p_q)
+    return row
+
+
+def metrics(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> MetricReport:
     """Episode-wise error suite on physical-unit outputs.
 
     preds/targets are (n, 168, 8); masks is (n, 168) marking occupied hours.
@@ -412,22 +414,11 @@ def metrics(
 
     rows = {name: [] for name in _METRIC_FIELDS}
     for i in range(preds.shape[0]):
-        p_t = preds[i, :, T_INT_INDEX]
-        y_t = targets[i, :, T_INT_INDEX]
-        p_q = heat_aggregate_of(preds[i])
-        y_q = heat_aggregate_of(targets[i])
-        m = masks[i]
-        rows["loss"].append(loss(preds[i], targets[i], weights))
-        rows["mse_t"].append(float(np.mean((p_t - y_t) ** 2)))
-        rows["mse_q"].append(float(np.mean((p_q - y_q) ** 2)))
-        if m.any():
-            rows["mse_t_occ"].append(float(np.mean((p_t[m] - y_t[m]) ** 2)))
-            rows["mse_q_occ"].append(float(np.mean((p_q[m] - y_q[m]) ** 2)))
-        else:
-            rows["mse_t_occ"].append(None)
-            rows["mse_q_occ"].append(None)
-        rows["r2_t"].append(r2_score(y_t, p_t))
-        rows["r2_q"].append(r2_score(y_q, p_q))
+        row = episode_errors(preds[i, :, T_INT_INDEX], targets[i, :, T_INT_INDEX],
+                             heat_aggregate_of(preds[i]), heat_aggregate_of(targets[i]), masks[i])
+        row["loss"] = loss(preds[i], targets[i])
+        for name in _METRIC_FIELDS:
+            rows[name].append(row[name])
 
     return MetricReport(
         n_episodes=preds.shape[0],
@@ -503,7 +494,6 @@ def train(
     batch_size: int = 16,
     lr: float = 1e-3,
     seed: int = 0,
-    weights: LossWeights = LossWeights(),
     log=None,
 ) -> TrainResult:
     """Minibatch Adam on the training split; keeps the best-validation weights.
@@ -534,8 +524,8 @@ def train(
 
     def val_metrics(p):
         pred = predict(p, config, kind, dataset.inputs[val_idx], norm)
-        rep = metrics(pred, dataset.targets[val_idx], dataset.masks[val_idx], weights)
-        pooled = loss(pred, dataset.targets[val_idx], weights)
+        rep = metrics(pred, dataset.targets[val_idx], dataset.masks[val_idx])
+        pooled = loss(pred, dataset.targets[val_idx])
         return pooled, rep
 
     best_val, best_report = val_metrics(params)
@@ -560,7 +550,7 @@ def train(
         for lo in range(0, len(order), batch_size):
             sel = order[lo:lo + batch_size]
             pred = forward(params, config, ad.constant(xn[sel]))
-            total, reported = training_loss(pred, yn[sel], norm, weights)
+            total, reported = training_loss(pred, yn[sel], norm)
             if not np.isfinite(total.data):
                 diverged = True
                 break

@@ -194,7 +194,7 @@ def test_5_genetic_front_recovers_zdt1():
 
     front = nsga2_run(NsgaConfig(population=100, generations=250), zdt1,
                       (np.zeros(30), np.ones(30)), seed=0)
-    F = front.objectives()
+    F = np.array([[o.comfort, o.consumption] for _, o in front.members])
     le = (F[:, None, :] <= F[None, :, :]).all(-1)
     lt = (F[:, None, :] < F[None, :, :]).any(-1)
     dominated = (le & lt).any(axis=0)

@@ -287,40 +287,161 @@ def test_usage_and_config_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# corrupt inputs and numerical failures: exit code plus one stderr line
+# bad inputs and numerical failures: exit code, one stderr line, nothing written
 
 
-def _truncated_model(pipeline, path):
+def _argv(pipeline, tmp, command, *extra):
+    """`command` on the pipeline's inputs, writing to tmp/out; `extra` flags
+    come later and so override the inputs given here."""
+    p = pipeline
+    inputs = {
+        "train": ["--dataset", str(p["dataset"])],
+        "twin": ["--building", str(p["building"]), "--weather", str(p["weather"]),
+                 "--weeks", "0"],
+        "calibrate": ["--model", str(p["model"] / "model.bin"), "--traces", str(p["traces"]),
+                      "--weather", str(p["weather"]), "--base", str(p["building"]),
+                      "--weeks", "0"],
+        "optimize": ["--model", str(p["model"] / "model.bin"),
+                     "--calibrated", str(p["cal"] / "calibration.json"),
+                     "--weather", str(p["weather"]), "--week", "2",
+                     "--generations", "1", "--pop", "8"],
+    }[command]
+    return [command, *inputs, *extra, "--out", str(tmp / "out")]
+
+
+def _config(tmp, doc) -> str:
+    path = tmp / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _truncated_model(pipeline, tmp):
+    path = tmp / "input"
     path.write_bytes((pipeline["model"] / "model.bin").read_bytes()[:5])
-    return "optimize", path
+    return _argv(pipeline, tmp, "optimize", "--model", str(path))
 
 
-def _short_payload_model(pipeline, path):
+def _short_payload_model(pipeline, tmp):
+    path = tmp / "input"
     path.write_bytes((pipeline["model"] / "model.bin").read_bytes()[:-8])
-    return "optimize", path
+    return _argv(pipeline, tmp, "optimize", "--model", str(path))
 
 
-def _trailing_bytes_model(pipeline, path):
+def _trailing_bytes_model(pipeline, tmp):
+    path = tmp / "input"
     path.write_bytes((pipeline["model"] / "model.bin").read_bytes() + b"\0" * 8)
-    return "optimize", path
+    return _argv(pipeline, tmp, "optimize", "--model", str(path))
 
 
-def _nan_weights_model(pipeline, path):
+def _nan_weights_model(pipeline, tmp):
+    path = tmp / "input"
     params, cfg, kind, meta = mdl.load_model(pipeline["model"] / "model.bin")
     params["out.W"].data[:] = np.nan
     extra = {k: v for k, v in meta.items() if k not in ("kind", "config")}
     mdl.save_model(path, params, cfg, kind, extra_meta=extra)
-    return "optimize", path
+    return _argv(pipeline, tmp, "optimize", "--model", str(path))
 
 
-def _corrupt_dataset(pipeline, path):
+def _corrupt_dataset(pipeline, tmp):
+    path = tmp / "input"
     path.mkdir()
     for name in ("arrays.bin", "manifest.json"):
         (path / name).write_bytes((pipeline["dataset"] / name).read_bytes())
     raw = bytearray((path / "arrays.bin").read_bytes())
     raw[8:12] = b"\xff{[,"  # the JSON index no longer parses
     (path / "arrays.bin").write_bytes(bytes(raw))
-    return "train", path
+    return _argv(pipeline, tmp, "train", "--dataset", str(path))
+
+
+def _config_is_an_array(pipeline, tmp):
+    return _argv(pipeline, tmp, "train", "--config", _config(tmp, [{"train": {}}]))
+
+
+def _config_budget_not_a_number(pipeline, tmp):
+    return _argv(pipeline, tmp, "calibrate",
+                 "--config", _config(tmp, {"calibrate": {"budget": "abc"}}))
+
+
+def _config_zero_model_width(pipeline, tmp):
+    return _argv(pipeline, tmp, "train", "--config", _config(tmp, {"train": {"d_emb": 0}}))
+
+
+def _zero_batch_size(pipeline, tmp):
+    return _argv(pipeline, tmp, "train", "--batch-size", "0")
+
+
+def _negative_epochs(pipeline, tmp):
+    return _argv(pipeline, tmp, "train", "--epochs", "-1")
+
+
+def _zero_sigma0(pipeline, tmp):
+    return _argv(pipeline, tmp, "calibrate", "--sigma0", "0")
+
+
+def _infinite_sigma0(pipeline, tmp):
+    return _argv(pipeline, tmp, "calibrate", "--sigma0", "inf")
+
+
+def _negative_budget(pipeline, tmp):
+    return _argv(pipeline, tmp, "calibrate", "--budget", "-3")
+
+
+def _nan_noise(pipeline, tmp):
+    return _argv(pipeline, tmp, "twin", "--noise-t", "nan")
+
+
+def _nan_tolerance(pipeline, tmp):
+    return _argv(pipeline, tmp, "optimize", "--tolerance", "nan")
+
+
+def _malformed_weather_csv(pipeline, tmp):
+    wx = tmp / "wx"
+    wx.mkdir()
+    for k in range(3):
+        name = f"week_{k:04d}.csv"
+        (wx / name).write_bytes((pipeline["weather"] / name).read_bytes())
+    rows = (wx / "week_0001.csv").read_text().splitlines()
+    rows[3] = rows[3].replace(",", ";", 1)
+    (wx / "week_0001.csv").write_text("\n".join(rows) + "\n")
+    # week 0 reads and simulates fine, so its trace must not be written either
+    return _argv(pipeline, tmp, "twin", "--weather", str(wx), "--weeks", "0,1")
+
+
+def _missing_trace(pipeline, tmp):
+    return _argv(pipeline, tmp, "calibrate", "--weeks", "0,2")
+
+
+def _heat_window_start_not_before_end(pipeline, tmp):
+    doc = read_json(pipeline["building"])
+    doc["bms"]["start_heat_day"] = list(doc["bms"]["end_heat_day"])
+    path = tmp / "building.json"
+    path.write_text(json.dumps(doc))
+    return _argv(pipeline, tmp, "twin", "--building", str(path))
+
+
+def _report_dir(pipeline, tmp, name, doc):
+    """A run directory with the pipeline's metrics, calibration and chosen
+    artifacts, the one called `name` replaced by `doc`."""
+    run = tmp / "run"
+    for key, artifact in (("model", "metrics.json"), ("cal", "calibration.json"),
+                          ("opt", "chosen.json")):
+        (run / key).mkdir(parents=True)
+        (run / key / artifact).write_bytes((pipeline[key] / artifact).read_bytes())
+        if artifact == name:
+            (run / key / artifact).write_text(json.dumps(doc))
+    return ["report", str(run)]
+
+
+def _report_metrics_without_best_epoch(pipeline, tmp):
+    doc = read_json(pipeline["model"] / "metrics.json")
+    del doc["best_epoch"]
+    return _report_dir(pipeline, tmp, "metrics.json", doc)
+
+
+def _report_chosen_is_a_list(pipeline, tmp):
+    # rendered after calibration.json, whose history CSV must not be written
+    doc = [read_json(pipeline["opt"] / "chosen.json")]
+    return _report_dir(pipeline, tmp, "chosen.json", doc)
 
 
 @pytest.mark.parametrize("make, code", [
@@ -329,18 +450,27 @@ def _corrupt_dataset(pipeline, path):
     (_trailing_bytes_model, 3),
     (_corrupt_dataset, 3),
     (_nan_weights_model, 4),
+    (_config_is_an_array, 3),
+    (_config_budget_not_a_number, 3),
+    (_config_zero_model_width, 3),
+    (_zero_batch_size, 3),
+    (_negative_epochs, 3),
+    (_zero_sigma0, 3),
+    (_infinite_sigma0, 3),
+    (_negative_budget, 3),
+    (_nan_noise, 3),
+    (_nan_tolerance, 3),
+    (_malformed_weather_csv, 3),
+    (_missing_trace, 3),
+    (_heat_window_start_not_before_end, 3),
+    (_report_metrics_without_best_epoch, 3),
+    (_report_chosen_is_a_list, 3),
 ])
 def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
-    command, path = make(pipeline, tmp_path / "input")
-    if command == "train":
-        argv = ["train", "--dataset", str(path), "--out", str(tmp_path / "out")]
-    else:
-        argv = ["optimize", "--model", str(path),
-                "--calibrated", str(pipeline["cal"] / "calibration.json"),
-                "--weather", str(pipeline["weather"]), "--week", "2",
-                "--generations", "1", "--pop", "8", "--out", str(tmp_path / "out")]
+    argv = make(pipeline, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"bemopt {command}: "), err
-    assert not (tmp_path / "out").exists()
+    assert len(err) == 1 and err[0].startswith(f"bemopt {argv[0]}: "), err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written

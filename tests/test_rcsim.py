@@ -1,5 +1,7 @@
 """Thermal simulator: control law, AHU load, energy accounting, dynamics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,7 +211,8 @@ class TestSteadyState:
         cfg = rcsim.RcModelConfig(ground_temp_c=0.0, hvac_gain_kw_k=gain, light_w_m2=0.0)
         params = quiet_building(capacitance_kJ_perdegreK_perm3=50, power_VCV_kW_heat=1e9)
         # continuous comfort setpoint and always-on ventilation at supply = TAMB = 0
-        bms = default_bms().replace(
+        bms = dataclasses.replace(
+            default_bms(),
             start_heat_day=[0] * 7, end_heat_day=[24] * 7,
             t_heat_conf_day=[sp] * 7, t_heat_red_day=[sp] * 7,
             start_ventilation_day=[0] * 7, end_ventilation_day=[24] * 7,
@@ -288,7 +291,7 @@ class TestSimulationContracts:
         w = winter_weather()
         totals = []
         for sp in (22.0, 22.5, 23.0, 23.5, 24.0):
-            b = bms.replace(t_heat_conf_day=[sp] * 7)
+            b = dataclasses.replace(bms, t_heat_conf_day=[sp] * 7)
             totals.append(rcsim.simulate_week(params, b, occ, w).channel("Q_HEAT_OFFICE").sum())
         assert all(b >= a - 1e-9 for a, b in zip(totals, totals[1:]))
         assert totals[-1] > totals[0]

@@ -1,5 +1,6 @@
 """Variable declarations, schedules, episode assembly and normalization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -45,7 +46,9 @@ class TestVariableSpec:
     def test_grid_levels_counts_both_endpoints(self):
         spec = sc.VariableSpec("x", 0.0, 1.0, 0.25, "static")
         assert spec.n_levels == 5
-        np.testing.assert_allclose(spec.grid(), [0, 0.25, 0.5, 0.75, 1.0])
+        u = np.linspace(0.0, 1.0, spec.n_levels)
+        np.testing.assert_allclose(sc.decode_unit_box([spec] * spec.n_levels, u),
+                                   [0, 0.25, 0.5, 0.75, 1.0])
 
     def test_span_must_be_multiple_of_step(self):
         with pytest.raises(sc.SchemaError):
@@ -91,29 +94,19 @@ class TestSchema:
         assert names[29] == "occupancy_fraction"
         assert names[30:] == sc.WEATHER_CHANNELS
 
-    def test_json_round_trip(self, tmp_path):
-        p = tmp_path / "schema.json"
-        sc.DEFAULT_SCHEMA.save(p)
-        loaded = sc.Schema.load(p)
+    def test_json_round_trip(self):
+        loaded = sc.Schema.from_dict(json.loads(json.dumps(sc.DEFAULT_SCHEMA.to_dict())))
         assert loaded == sc.DEFAULT_SCHEMA
 
-    def test_load_reports_line_of_syntax_error(self, tmp_path):
-        p = tmp_path / "broken.json"
-        p.write_text('{\n "version": 1,\n "building": [\n')
-        with pytest.raises(sc.SchemaError, match=r"line \d+"):
-            sc.Schema.load(p)
-
-    def test_load_reports_offending_row(self, tmp_path):
+    def test_load_reports_offending_row(self):
         d = sc.DEFAULT_SCHEMA.to_dict()
         d["building"][2]["step"] = -1
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(d))
         with pytest.raises(sc.SchemaError, match="building row 3"):
-            sc.Schema.load(p)
+            sc.Schema.from_dict(json.loads(json.dumps(d)))
 
     def test_vol_ventilation_grid_keeps_published_endpoints(self):
         spec = sc.DEFAULT_SCHEMA.spec("vol_ventilation_day")
-        g = spec.grid()
+        g = sc.decode_unit_box([spec, spec], [0.0, 1.0])
         assert g[0] == 0.7 and g[-1] == 1.7
 
 
@@ -121,7 +114,7 @@ class TestSchedules:
     def test_bms_requires_seven_days(self):
         good = default_bms()
         with pytest.raises(sc.SchemaError):
-            good.replace(start_clim_day=[8, 8, 8])
+            dataclasses.replace(good, start_clim_day=[8, 8, 8])
 
     def test_window_start_before_end(self):
         with pytest.raises(sc.SchemaError, match="start_heat_day"):
@@ -138,7 +131,7 @@ class TestSchedules:
             sc.OccupancySchedule.constant(8, 21)
 
     def test_bms_expansion_shape_and_day_blocks(self):
-        bms = default_bms().replace(t_heat_conf_day=[22, 22.5, 23, 23.5, 24, 22, 22])
+        bms = dataclasses.replace(default_bms(), t_heat_conf_day=[22, 22.5, 23, 23.5, 24, 22, 22])
         x = sc.expand_daily(bms)
         assert x.shape == (168, 12)
         j = [s.name for s in sc.BMS_SPECS].index("t_heat_conf_day")
@@ -309,9 +302,3 @@ class TestBuildingCaseIO:
         assert sc.BuildingParams.from_dict(d["params"]) == params
         assert sc.BmsSchedule.from_dict(d["bms"]) == bms
         assert sc.OccupancySchedule.from_dict(d["occ"]) == occ
-
-    def test_validate_rejects_out_of_range(self):
-        with pytest.raises(sc.SchemaError, match="nb_occupants"):
-            default_building(nb_occupants=5000).validate()
-        with pytest.raises(sc.SchemaError, match="t_clim_red_day"):
-            default_bms(t_clim_red_day=35).validate()

@@ -36,12 +36,12 @@ def small_dataset(pool):
     return tr.sample_dataset(DEFAULT_SCHEMA, pool, 20, seed=5, counts=(16, 2, 2))
 
 
-def hand_loss(pred, target, alpha=1.0, beta=0.3):
-    """Direct restatement of the two-term loss in plain numpy."""
+def hand_loss(pred, target):
+    """Direct restatement of the two-term loss in plain numpy, alpha 1.0 and beta 0.3."""
     d_t = np.sqrt(np.mean((pred[..., T_INT_INDEX] - target[..., T_INT_INDEX]) ** 2))
     agg = lambda a: a[..., list(HEAT_AGGREGATE_INDICES)].sum(axis=-1)
     d_q = np.sqrt(np.mean((agg(pred) - agg(target)) ** 2))
-    return alpha * np.log1p(d_t) + beta * np.log1p(d_q)
+    return 1.0 * np.log1p(d_t) + 0.3 * np.log1p(d_q)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +179,10 @@ def test_loss_matches_hand_formula():
     rng = stream(12, "loss-toy")
     target = rng.normal(size=(3, 4, 8))
     pred = target + rng.normal(size=(3, 4, 8))
-    w = tr.LossWeights(alpha=0.7, beta=0.4)
-    assert abs(tr.loss(pred, target, w) - hand_loss(pred, target, 0.7, 0.4)) < 1e-12
+    assert abs(tr.loss(pred, target) - hand_loss(pred, target)) < 1e-12
 
 
-def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        tr.LossWeights(alpha=-0.1)
-    with pytest.raises(ValueError):
-        tr.LossWeights(alpha=0.0, beta=0.0)
+def test_loss_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         tr.loss(np.zeros((2, 3, 8)), np.zeros((2, 4, 8)))
 
