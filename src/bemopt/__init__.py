@@ -2,7 +2,7 @@
 
 The pipeline stages are exposed as submodules:
 
-- ``schema``      variable specs, schedules, episodes, normalization
+- ``schema``      the fixed variable declaration, schedules, episodes, normalization
 - ``weather``     synthetic weekly weather traces and CSV I/O
 - ``rcsim``       the lumped-RC building simulator used as ground truth
 - ``autodiff``    minimal reverse-mode tensor library + Adam

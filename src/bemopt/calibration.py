@@ -15,6 +15,8 @@ import numpy as np
 
 from . import model as mdl
 from .schema import (
+    BMS_SPECS,
+    BUILDING_SPECS,
     DAY_NAMES,
     DAYS_PER_WEEK,
     DEFAULT_SCHEMA,
@@ -24,7 +26,6 @@ from .schema import (
     BuildingParams,
     NormStats,
     OccupancySchedule,
-    Schema,
     SchemaError,
     assemble_inputs,
     decode_unit_box,
@@ -301,8 +302,7 @@ class CalibrationSpace:
     """Ordered free variables plus the pinned values of everything else."""
 
     def __init__(self, free, base_params: BuildingParams, base_bms: BmsSchedule,
-                 base_occ: OccupancySchedule, schema: Schema = DEFAULT_SCHEMA):
-        self.schema = schema
+                 base_occ: OccupancySchedule):
         self.free = tuple(FreeVariable(f.name, f.per_day) if isinstance(f, FreeVariable)
                           else FreeVariable(*f) if isinstance(f, tuple) else FreeVariable(f)
                           for f in free)
@@ -312,12 +312,12 @@ class CalibrationSpace:
         self.base_bms = base_bms
         self.base_occ = base_occ
 
-        self._building = {s.name for s in schema.building}
-        self._bms = {s.name for s in schema.bms}
+        self._building = {s.name for s in BUILDING_SPECS}
+        self._bms = {s.name for s in BMS_SPECS}
         self._dims = []  # (label, spec, kind, day)
         seen = set()
         for fv in self.free:
-            spec = schema.spec(fv.name)  # raises on unknown names
+            spec = DEFAULT_SCHEMA.spec(fv.name)  # raises on unknown names
             if fv.name in seen:  # also a lockstep and a per-day copy of one variable
                 raise SchemaError(f"duplicate free variable {fv.name}")
             seen.add(fv.name)
@@ -377,7 +377,7 @@ class CalibrationSpace:
         between weeks.
         """
         params, bms, occ = self.decode(x01)
-        return np.stack([assemble_inputs(params, bms, occ, w, self.schema) for w in weathers])
+        return np.stack([assemble_inputs(params, bms, occ, w) for w in weathers])
 
     # A hand-picked informative subset: envelope and internal-gain levers
     # that shape both channels without the full 100+ dim schedule space.
@@ -393,8 +393,8 @@ class CalibrationSpace:
     )
 
     @classmethod
-    def default(cls, base_params, base_bms, base_occ, schema: Schema = DEFAULT_SCHEMA):
-        return cls(cls.DEFAULT_FREE, base_params, base_bms, base_occ, schema)
+    def default(cls, base_params, base_bms, base_occ):
+        return cls(cls.DEFAULT_FREE, base_params, base_bms, base_occ)
 
     def to_dict(self) -> dict:
         return {
@@ -403,17 +403,6 @@ class CalibrationSpace:
             "base_bms": self.base_bms.to_dict(),
             "base_occ": self.base_occ.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d, schema: Schema = DEFAULT_SCHEMA) -> "CalibrationSpace":
-        free = [FreeVariable(f["name"], bool(f.get("per_day", False))) for f in d["free"]]
-        return cls(
-            free,
-            BuildingParams.from_dict(d["base_params"]),
-            BmsSchedule.from_dict(d["base_bms"]),
-            OccupancySchedule.from_dict(d["base_occ"]),
-            schema,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +420,19 @@ class FrozenModel:
 
     @classmethod
     def load(cls, path) -> "FrozenModel":
+        """Read a checkpoint; one that does not fit the variable declaration
+        or carries unusable normalization stats raises ValueError."""
         params, cfg, kind, meta = mdl.load_model(path)
-        if "norm" not in meta:
-            raise ValueError(f"{path}: checkpoint lacks normalization stats")
-        return cls(params, cfg, kind, NormStats.from_dict(meta["norm"]))
+        widths = (DEFAULT_SCHEMA.d_in, DEFAULT_SCHEMA.d_out)
+        if (cfg.d_in, cfg.d_out) != widths:
+            raise ValueError(f"{path}: model widths ({cfg.d_in}, {cfg.d_out}) do not match "
+                             f"the declaration {widths}")
+        try:
+            norm = NormStats.from_dict(meta["norm"])
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{path}: missing or malformed normalization stats "
+                             f"({type(e).__name__}: {e})") from None
+        return cls(params, cfg, kind, norm)
 
     def checksum(self) -> str:
         h = hashlib.sha256()

@@ -45,6 +45,7 @@ from .training import (
     metrics,
     predict,
     sample_dataset,
+    split_counts,
     train,
     write_train_artifacts,
 )
@@ -181,6 +182,12 @@ def cmd_sample(args, section) -> int:
     episodes = _pick(args, section, "episodes", None, int)
     if episodes is None:
         raise CliError(EXIT_USAGE, "--episodes is required")
+    if args.jobs < 1:
+        raise CliError(EXIT_INPUT, f"jobs must be >= 1, got {args.jobs}")
+    try:
+        split_counts(episodes)  # before a weather pool is generated and written
+    except ValueError as e:
+        raise CliError(EXIT_INPUT, str(e)) from None
 
     manifest = RunManifest("sample", args.seed)
     generated = []
@@ -212,7 +219,7 @@ def cmd_sample(args, section) -> int:
             )
 
     try:
-        ds = sample_dataset(DEFAULT_SCHEMA, pool, episodes, seed=args.seed, jobs=args.jobs)
+        ds = sample_dataset(pool, episodes, seed=args.seed, jobs=args.jobs)
     except (SchemaError, ValueError) as e:
         raise CliError(EXIT_INPUT, str(e)) from None
     ds.save(args.out)
@@ -232,6 +239,8 @@ def cmd_train(args, section) -> int:
         raise CliError(EXIT_INPUT, f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise CliError(EXIT_INPUT, f"batch_size must be >= 1, got {batch_size}")
+    if not 0 < lr < math.inf:
+        raise CliError(EXIT_INPUT, f"lr must be finite and > 0, got {lr}")
     overrides = {k: _pick(args, section, k, None, int) for k in MODEL_CONFIG_FIELDS
                  if section.get(k) is not None}
     manifest = RunManifest("train", args.seed)
@@ -246,7 +255,7 @@ def cmd_train(args, section) -> int:
         raise CliError(EXIT_INPUT, str(e)) from None
 
     try:
-        config = mdl.MetamodelConfig(d_in=ds.schema.d_in, **overrides) if overrides else None
+        config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in, **overrides) if overrides else None
     except ValueError as e:
         raise CliError(EXIT_INPUT, str(e)) from None
 
@@ -668,7 +677,6 @@ def _pick(args, section, name, builtin, kind):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes where supported")
     common.add_argument("--config", default=None, help="JSON file with per-command defaults")
 
     p = argparse.ArgumentParser(prog="bemopt", description=__doc__.splitlines()[0])
@@ -682,6 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--weather-weeks", type=int, default=None, dest="weather_weeks",
                    help="generate this many weather weeks when the directory is empty")
     s.add_argument("--weather-seed", type=int, default=None, dest="weather_seed")
+    s.add_argument("--jobs", type=int, default=1, help="labeling worker processes (default 1)")
 
     s = sub.add_parser("train", parents=[common], help="fit a surrogate on a dataset")
     s.add_argument("--dataset", required=True)

@@ -220,10 +220,14 @@ def load_model(path):
     if kind not in FORWARDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     params = {name: ad.parameter(arr) for name, arr in tensors.items()}
-    expected = set(INITS[kind](cfg, np.random.default_rng(0)))
-    if set(params) != expected:
-        missing = sorted(expected - set(params))
-        extra = sorted(set(params) - expected)
+    fresh = INITS[kind](cfg, np.random.default_rng(0))
+    if set(params) != set(fresh):
+        missing = sorted(set(fresh) - set(params))
+        extra = sorted(set(params) - set(fresh))
         raise ValueError(f"{path}: parameter names do not match the architecture "
                          f"(missing {missing}, unexpected {extra})")
+    wrong = [f"{name} {params[name].data.shape} (want {p.data.shape})"
+             for name, p in fresh.items() if params[name].data.shape != p.data.shape]
+    if wrong:
+        raise ValueError(f"{path}: parameter shapes do not match the config: {', '.join(wrong)}")
     return params, cfg, kind, meta

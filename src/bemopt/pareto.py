@@ -13,13 +13,12 @@ import numpy as np
 
 from .calibration import FrozenModel
 from .schema import (
+    BMS_SPECS,
     DAY_NAMES,
     DAYS_PER_WEEK,
-    DEFAULT_SCHEMA,
     BmsSchedule,
     BuildingParams,
     OccupancySchedule,
-    Schema,
     WeatherSeries,
     assemble_inputs,
     decode_unit_box,
@@ -347,13 +346,11 @@ class BmsSpace:
     continuous relaxation of the discrete schedule grid.
     """
 
-    def __init__(self, base_params: BuildingParams, base_occ: OccupancySchedule,
-                 schema: Schema = DEFAULT_SCHEMA):
-        self.schema = schema
+    def __init__(self, base_params: BuildingParams, base_occ: OccupancySchedule):
         self.base_params = base_params
         self.base_occ = base_occ
         self._dims = [(f"{spec.name}[{DAY_NAMES[d]}]", spec, d)
-                      for spec in schema.bms for d in range(DAYS_PER_WEEK)]
+                      for spec in BMS_SPECS for d in range(DAYS_PER_WEEK)]
         self._specs = [spec for _, spec, _ in self._dims]
 
     @property
@@ -380,24 +377,22 @@ class BmsSpace:
         settings = np.asarray(settings, dtype=np.float64)
         if settings.shape != (self.dim,):
             raise ValueError(f"settings: want ({self.dim},), got {settings.shape}")
-        bms_d = {spec.name: [None] * DAYS_PER_WEEK for spec in self.schema.bms}
+        bms_d = {spec.name: [None] * DAYS_PER_WEEK for spec in BMS_SPECS}
         for (label, spec, day), v in zip(self._dims, settings.tolist()):
             bms_d[spec.name][day] = v
         return BmsSchedule.from_dict(bms_d)
 
     def assemble(self, x01, weather: WeatherSeries) -> np.ndarray:
-        return assemble_inputs(self.base_params, self.decode(x01), self.base_occ, weather,
-                               self.schema)
+        return assemble_inputs(self.base_params, self.decode(x01), self.base_occ, weather)
 
     def occupied_mask(self) -> np.ndarray:
         return expand_daily(self.base_occ) > 0
 
 
 def evaluate_settings(model: FrozenModel, params: BuildingParams, bms: BmsSchedule,
-                      occ: OccupancySchedule, weather: WeatherSeries,
-                      schema: Schema = DEFAULT_SCHEMA) -> Objectives:
+                      occ: OccupancySchedule, weather: WeatherSeries) -> Objectives:
     """Objectives of one explicit configuration under the frozen surrogate."""
-    inputs = assemble_inputs(params, bms, occ, weather, schema)
+    inputs = assemble_inputs(params, bms, occ, weather)
     pred = predict(model.params, model.config, model.kind, inputs, model.norm)
     return objectives_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred),
                                   expand_daily(occ) > 0)

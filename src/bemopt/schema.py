@@ -38,8 +38,6 @@ T_INT_INDEX = OUTPUT_CHANNELS.index("T_INT_OFFICE")
 HEAT_AGGREGATE_CHANNELS = ("Q_HEAT_OFFICE", "Q_AHU_H", "Q_EQP", "Q_LIGHT")
 HEAT_AGGREGATE_INDICES = tuple(OUTPUT_CHANNELS.index(c) for c in HEAT_AGGREGATE_CHANNELS)
 
-SCHEMA_VERSION = 1
-
 
 class SchemaError(ValueError):
     """A value or declaration violates the variable schema."""
@@ -144,16 +142,18 @@ OCCUPANCY_SPECS = (
 )
 
 
-@dataclass(frozen=True)
 class Schema:
-    """The full variable declaration shared by a dataset and its models."""
+    """The one variable declaration shared by a dataset and its models.
 
-    version: int = SCHEMA_VERSION
-    building: tuple[VariableSpec, ...] = BUILDING_SPECS
-    bms: tuple[VariableSpec, ...] = BMS_SPECS
-    occupancy: tuple[VariableSpec, ...] = OCCUPANCY_SPECS
-    weather_channels: tuple[str, ...] = WEATHER_CHANNELS
-    output_channels: tuple[str, ...] = OUTPUT_CHANNELS
+    Every schedule type, the sampler and the simulator are written against
+    these specs, so no other declaration can be used.
+    """
+
+    building = BUILDING_SPECS
+    bms = BMS_SPECS
+    occupancy = OCCUPANCY_SPECS
+    weather_channels = WEATHER_CHANNELS
+    output_channels = OUTPUT_CHANNELS
 
     def spec(self, name: str) -> VariableSpec:
         for s in self.building + self.bms + self.occupancy:
@@ -180,6 +180,7 @@ class Schema:
         return len(self.output_channels)
 
     def to_dict(self) -> dict:
+        """The declaration as stored in every dataset manifest."""
         def rows(specs):
             return [
                 {"name": s.name, "min": s.min, "max": s.max, "step": s.step, "kind": s.kind}
@@ -187,41 +188,13 @@ class Schema:
             ]
 
         return {
-            "version": self.version,
+            "version": 1,
             "building": rows(self.building),
             "bms": rows(self.bms),
             "occupancy": rows(self.occupancy),
             "weather_channels": list(self.weather_channels),
             "output_channels": list(self.output_channels),
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Schema":
-        def specs(group):
-            out = []
-            for i, row in enumerate(d.get(group, [])):
-                try:
-                    out.append(
-                        VariableSpec(
-                            str(row["name"]),
-                            float(row["min"]),
-                            float(row["max"]),
-                            float(row["step"]),
-                            str(row["kind"]),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError, SchemaError) as exc:
-                    raise SchemaError(f"{group} row {i + 1}: {exc}") from exc
-            return tuple(out)
-
-        return cls(
-            version=int(d.get("version", SCHEMA_VERSION)),
-            building=specs("building"),
-            bms=specs("bms"),
-            occupancy=specs("occupancy"),
-            weather_channels=tuple(d.get("weather_channels", WEATHER_CHANNELS)),
-            output_channels=tuple(d.get("output_channels", OUTPUT_CHANNELS)),
-        )
 
 
 DEFAULT_SCHEMA = Schema()
@@ -368,11 +341,11 @@ class OccupancySchedule:
             if len(values) != WEEKDAYS:
                 raise SchemaError(f"{name}: expected {WEEKDAYS} weekday values, got {len(values)}")
             object.__setattr__(self, name, values)
-        for day in range(WEEKDAYS):
-            if not 7 <= self.start_occupation[day] <= 9:
-                raise SchemaError(f"start_occupation[{DAY_NAMES[day]}] outside [7, 9]")
-            if not 17 <= self.end_occupation[day] <= 20:
-                raise SchemaError(f"end_occupation[{DAY_NAMES[day]}] outside [17, 20]")
+        for spec in OCCUPANCY_SPECS:
+            for day, v in enumerate(getattr(self, spec.name)):
+                if not spec.min <= v <= spec.max:
+                    raise SchemaError(
+                        f"{spec.name}[{DAY_NAMES[day]}] outside [{spec.min}, {spec.max}]")
 
     @classmethod
     def constant(cls, start: float, end: float, max_occupants: float = 0.0) -> "OccupancySchedule":
@@ -506,21 +479,22 @@ class Episode:
         return self.inputs.shape[1]
 
 
+# make_episode and assemble_inputs stay module-level: perfbench/tracer.py patches both.
 def assemble_inputs(
     params: BuildingParams,
     bms: BmsSchedule,
     occ: OccupancySchedule,
     weather: WeatherSeries,
-    schema: Schema = DEFAULT_SCHEMA,
 ) -> np.ndarray:
-    """Stack (static | daily BMS | occupancy fraction | weather) into (168, D_in)."""
+    """Stack (static | daily BMS | occupancy fraction | weather) into (168, D_in).
+
+    Each part has its declared width by construction of its type, so the
+    result is DEFAULT_SCHEMA.d_in wide.
+    """
     static = np.tile(params.as_vector(), (HOURS_PER_WEEK, 1))
     bms_channels = expand_daily(bms)
     occ_frac = expand_daily(occ)[:, None]
-    x = np.hstack([static, bms_channels, occ_frac, weather.data])
-    if x.shape[1] != schema.d_in:
-        raise SchemaError(f"assembled width {x.shape[1]} != schema width {schema.d_in}")
-    return x
+    return np.hstack([static, bms_channels, occ_frac, weather.data])
 
 
 def make_episode(
@@ -529,9 +503,8 @@ def make_episode(
     occ: OccupancySchedule,
     weather: WeatherSeries,
     targets: np.ndarray | None = None,
-    schema: Schema = DEFAULT_SCHEMA,
 ) -> Episode:
-    inputs = assemble_inputs(params, bms, occ, weather, schema)
+    inputs = assemble_inputs(params, bms, occ, weather)
     mask = expand_daily(occ) > 0
     return Episode(inputs, targets, mask)
 
@@ -564,15 +537,14 @@ class NormStats:
     @classmethod
     def fit(
         cls,
-        schema: Schema,
         train_inputs: Iterable[np.ndarray],
         train_targets: Iterable[np.ndarray],
     ) -> "NormStats":
-        names = schema.input_channel_names
-        lo = np.empty(schema.d_in)
-        hi = np.empty(schema.d_in)
-        ranged = {s.name: s for s in schema.building + schema.bms}
-        weather_start = schema.d_in - len(schema.weather_channels)
+        names = DEFAULT_SCHEMA.input_channel_names
+        lo = np.empty(len(names))
+        hi = np.empty(len(names))
+        ranged = {s.name: s for s in BUILDING_SPECS + BMS_SPECS}
+        weather_start = len(names) - len(WEATHER_CHANNELS)
         for i, name in enumerate(names):
             if name in ranged:
                 lo[i], hi[i] = ranged[name].min, ranged[name].max
@@ -580,7 +552,6 @@ class NormStats:
                 lo[i], hi[i] = 0.0, 1.0
             else:
                 lo[i], hi[i] = np.inf, -np.inf  # filled from data below
-        stacked = None
         for x in train_inputs:
             w = np.asarray(x)[:, weather_start:]
             lo[weather_start:] = np.minimum(lo[weather_start:], w.min(axis=0))
@@ -596,11 +567,11 @@ class NormStats:
         for i, name in enumerate(names):
             if not hi[i] > lo[i]:
                 flagged.append(name)
-        for j, name in enumerate(schema.output_channels):
+        for j, name in enumerate(OUTPUT_CHANNELS):
             if std[j] == 0:
                 std[j] = 1.0
                 flagged.append(name)
-        return cls(lo, hi, mean, std, tuple(names), tuple(schema.output_channels), tuple(flagged))
+        return cls(lo, hi, mean, std, names, OUTPUT_CHANNELS, tuple(flagged))
 
     def normalize_inputs(self, x: np.ndarray) -> np.ndarray:
         width = self.input_hi - self.input_lo
@@ -627,7 +598,9 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormStats":
-        return cls(
+        """Stats read back from disk; every array must be finite and as wide
+        as the declaration's inputs or outputs."""
+        stats = cls(
             np.array(d["input_lo"], dtype=np.float64),
             np.array(d["input_hi"], dtype=np.float64),
             np.array(d["target_mean"], dtype=np.float64),
@@ -636,4 +609,10 @@ class NormStats:
             tuple(d["target_names"]),
             tuple(d.get("flagged", ())),
         )
+        for name in ("input_lo", "input_hi", "target_mean", "target_std"):
+            want = DEFAULT_SCHEMA.d_in if name.startswith("input") else DEFAULT_SCHEMA.d_out
+            a = getattr(stats, name)
+            if a.shape != (want,) or not np.all(np.isfinite(a)):
+                raise SchemaError(f"norm {name}: want {want} finite values, got shape {a.shape}")
+        return stats
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .schema import (
+    DEFAULT_SCHEMA,
     HEAT_AGGREGATE_INDICES,
     HOURS_PER_WEEK,
     T_INT_INDEX,
@@ -62,10 +63,10 @@ LOSS_BETA = 0.3
 AUX_WEIGHT = 0.1
 
 SPLIT_RATIOS = (0.95, 0.025, 0.025)
-SPLIT_NAMES = ("train", "val", "test")
 
 DATASET_ARRAYS = "arrays.bin"
 DATASET_MANIFEST = "manifest.json"
+MANIFEST_KEYS = ("schema", "seed", "n_weather", "splits", "norm")
 
 
 class TrainingError(RuntimeError):
@@ -88,6 +89,7 @@ def split_counts(n_total: int) -> tuple[int, int, int]:
     return n_train, n_val, n_test
 
 
+# Keeps its schema argument: perfbench/bench.py passes DEFAULT_SCHEMA positionally.
 def sample_episode_config(schema: Schema, n_weather: int, rng):
     """Draw one episode's free variables; returns (params, bms, occ, week index).
 
@@ -117,7 +119,6 @@ def _label_one(args):
 class Dataset:
     """Sampled, labeled, split, and normalization-fitted training corpus."""
 
-    schema: Schema
     inputs: np.ndarray  # (n, 168, d_in) physical units
     targets: np.ndarray  # (n, 168, 8) physical units
     masks: np.ndarray  # (n, 168) bool, occupied hours
@@ -148,7 +149,7 @@ class Dataset:
             meta={"n_episodes": int(self.n_episodes)},
         )
         manifest = {
-            "schema": self.schema.to_dict(),
+            "schema": DEFAULT_SCHEMA.to_dict(),
             "seed": int(self.seed),
             "n_weather": int(self.n_weather),
             "splits": {k: [int(i) for i in v] for k, v in self.splits.items()},
@@ -160,6 +161,8 @@ class Dataset:
 
     @classmethod
     def load(cls, directory) -> "Dataset":
+        """Read a saved corpus; a manifest that is incomplete, malformed or
+        written for another variable declaration raises TrainingError."""
         path = os.path.join(directory, DATASET_MANIFEST)
         try:
             with open(path) as f:
@@ -168,22 +171,30 @@ class Dataset:
             raise TrainingError(f"{directory}: no dataset manifest found") from None
         except json.JSONDecodeError as e:
             raise TrainingError(f"{path}: manifest is not valid JSON ({e})") from None
+        if not isinstance(manifest, dict):
+            raise TrainingError(f"{path}: manifest is not a JSON object")
+        missing = [k for k in MANIFEST_KEYS if k not in manifest]
+        if missing:
+            raise TrainingError(f"{path}: manifest lacks {', '.join(missing)}")
+        if manifest["schema"] != DEFAULT_SCHEMA.to_dict():
+            raise TrainingError(f"{path}: stored schema differs from the variable declaration")
         tensors, _ = ad.load_tensors(os.path.join(directory, DATASET_ARRAYS))
-        return cls(
-            schema=Schema.from_dict(manifest["schema"]),
-            inputs=tensors["inputs"],
-            targets=tensors["targets"],
-            masks=tensors["masks"].astype(bool),
-            weather_index=tensors["weather_index"].astype(np.int64),
-            splits={k: np.array(v, dtype=np.int64) for k, v in manifest["splits"].items()},
-            norm=NormStats.from_dict(manifest["norm"]),
-            seed=int(manifest["seed"]),
-            n_weather=int(manifest["n_weather"]),
-        )
+        try:
+            return cls(
+                inputs=tensors["inputs"],
+                targets=tensors["targets"],
+                masks=tensors["masks"].astype(bool),
+                weather_index=tensors["weather_index"].astype(np.int64),
+                splits={k: np.array(v, dtype=np.int64) for k, v in manifest["splits"].items()},
+                norm=NormStats.from_dict(manifest["norm"]),
+                seed=int(manifest["seed"]),
+                n_weather=int(manifest["n_weather"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise TrainingError(f"{directory}: malformed dataset ({type(e).__name__}: {e})") from None
 
 
 def sample_dataset(
-    schema: Schema,
     weather_pool,
     n_total: int,
     seed: int,
@@ -205,7 +216,7 @@ def sample_dataset(
     configs = []
     for i in range(n_total):
         rng = substream(seed, "episode", i)
-        configs.append(sample_episode_config(schema, len(weather_pool), rng))
+        configs.append(sample_episode_config(DEFAULT_SCHEMA, len(weather_pool), rng))
 
     work = [(p, b, o, weather_pool[w]) for p, b, o, w in configs]
     if jobs > 1:
@@ -214,12 +225,11 @@ def sample_dataset(
     else:
         labels = [_label_one(w) for w in work]
 
-    d_in = schema.d_in
-    inputs = np.empty((n_total, HOURS_PER_WEEK, d_in))
-    targets = np.empty((n_total, HOURS_PER_WEEK, schema.d_out))
+    inputs = np.empty((n_total, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_in))
+    targets = np.empty((n_total, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_out))
     masks = np.empty((n_total, HOURS_PER_WEEK), dtype=bool)
     for i, ((params, bms, occ, w), y) in enumerate(zip(configs, labels)):
-        ep = make_episode(params, bms, occ, weather_pool[w], y, schema)
+        ep = make_episode(params, bms, occ, weather_pool[w], y)
         inputs[i] = ep.inputs
         targets[i] = ep.targets
         masks[i] = ep.occupied_mask
@@ -231,9 +241,8 @@ def sample_dataset(
         "val": np.arange(n_train, n_train + n_val),
         "test": np.arange(n_train + n_val, n_total),
     }
-    norm = NormStats.fit(schema, inputs[splits["train"]], targets[splits["train"]])
+    norm = NormStats.fit(inputs[splits["train"]], targets[splits["train"]])
     return Dataset(
-        schema=schema,
         inputs=inputs,
         targets=targets,
         masks=masks,
@@ -365,14 +374,6 @@ class MetricReport:
             d[name] = None if stat is None else stat.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, d) -> "MetricReport":
-        kw = {"n_episodes": int(d["n_episodes"])}
-        for name in _METRIC_FIELDS:
-            v = d[name]
-            kw[name] = None if v is None else MetricStat(float(v["mean"]), float(v["std"]))
-        return cls(**kw)
-
 
 def episode_errors(p_t, y_t, p_q, y_q, mask) -> dict:
     """One episode's errors: predicted (p) against true (y) temperature and
@@ -503,11 +504,11 @@ def train(
     last good checkpoint is returned with diverged=True.
     """
     if config is None:
-        config = mdl.MetamodelConfig(d_in=dataset.schema.d_in)
-    if config.d_in != dataset.schema.d_in or config.d_out != dataset.schema.d_out:
+        config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in)
+    if config.d_in != DEFAULT_SCHEMA.d_in or config.d_out != DEFAULT_SCHEMA.d_out:
         raise ValueError(
             f"model widths ({config.d_in}, {config.d_out}) do not match "
-            f"dataset ({dataset.schema.d_in}, {dataset.schema.d_out})"
+            f"the declaration ({DEFAULT_SCHEMA.d_in}, {DEFAULT_SCHEMA.d_out})"
         )
     forward = mdl.forward_for(kind)
     train_idx, val_idx = dataset.splits["train"], dataset.splits["val"]

@@ -51,7 +51,7 @@ def verdict(num, label, ok, detail):
 def corpus():
     t0 = time.monotonic()
     pool = generate_pool(0, 30)
-    ds = sample_dataset(DEFAULT_SCHEMA, pool, 2106, seed=11)  # 2000 train weeks
+    ds = sample_dataset(pool, 2106, seed=11)  # 2000 train weeks
     TIMINGS["corpus"] = time.monotonic() - t0
     return pool, ds
 
@@ -60,7 +60,7 @@ def corpus():
 def surrogates(corpus):
     _, ds = corpus
     cfg = mdl.MetamodelConfig(
-        d_in=ds.schema.d_in, d_emb=32, r=4, v_width=4, h=4, n_layers=3, delta=12
+        d_in=DEFAULT_SCHEMA.d_in, d_emb=32, r=4, v_width=4, h=4, n_layers=3, delta=12
     )
     t0 = time.monotonic()
     tf = train(ds, kind="transformer", config=cfg, epochs=40, batch_size=32,
@@ -90,9 +90,9 @@ def twin_trace(params, bms, occ, weather, plant_seed: int, k: int) -> SensorTrac
 def test_1_full_loss_gradient_matches_finite_differences():
     t0 = time.monotonic()
     pool = generate_pool(5, 2)
-    ds = sample_dataset(DEFAULT_SCHEMA, pool, 4, seed=19)
+    ds = sample_dataset(pool, 4, seed=19)
     cfg = mdl.MetamodelConfig(
-        d_in=ds.schema.d_in, d_emb=8, r=2, v_width=2, h=2, n_layers=1, delta=6
+        d_in=DEFAULT_SCHEMA.d_in, d_emb=8, r=2, v_width=2, h=2, n_layers=1, delta=6
     )
     p = mdl.init_transformer(cfg, stream(31, "grad-gate"))
     xn = ds.norm.normalize_inputs(ds.inputs[:1, :24])

@@ -1,5 +1,6 @@
 """CMA-ES, sensor traces, calibration space, and the calibration loop."""
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from bemopt.schema import (
     DEFAULT_SCHEMA,
     HEAT_AGGREGATE_INDICES,
     T_INT_INDEX,
+    BmsSchedule,
     BuildingParams,
+    OccupancySchedule,
     SchemaError,
     assemble_inputs,
     heat_aggregate_of,
@@ -61,7 +64,7 @@ def pool():
 
 @pytest.fixture(scope="module")
 def base_pieces(pool):
-    ds = sample_dataset(DEFAULT_SCHEMA, pool, 3, seed=2, counts=(1, 1, 1))
+    ds = sample_dataset(pool, 3, seed=2, counts=(1, 1, 1))
     params, bms, occ, _ = sample_episode_config(DEFAULT_SCHEMA, len(pool), substream(2, "episode", 0))
     return ds, params, bms, occ
 
@@ -325,18 +328,18 @@ def test_space_validation(base_pieces):
         space.decode(np.zeros(2))
 
 
-def test_space_dict_roundtrip(base_pieces):
+def test_space_to_dict_lists_free_variables_and_base(base_pieces):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace(
         ["capacitance_kJ_perdegreK_perm3", cal.FreeVariable("t_heat_conf_day", True)],
         params, bms, occ,
     )
-    back = cal.CalibrationSpace.from_dict(space.to_dict())
-    assert back.names == space.names
-    x = np.array([0.3] * space.dim)
-    pa, ba, oa = space.decode(x)
-    pb, bb, ob = back.decode(x)
-    assert pa == pb and ba == bb and oa == ob
+    d = json.loads(json.dumps(space.to_dict()))  # as written into calibration.json
+    assert d["free"] == [{"name": "capacitance_kJ_perdegreK_perm3", "per_day": False},
+                         {"name": "t_heat_conf_day", "per_day": True}]
+    assert BuildingParams.from_dict(d["base_params"]) == params
+    assert BmsSchedule.from_dict(d["base_bms"]) == bms
+    assert OccupancySchedule.from_dict(d["base_occ"]) == occ
 
 
 def test_assemble_changes_only_freed_columns(base_pieces, pool):

@@ -7,12 +7,13 @@ import os
 import numpy as np
 import pytest
 
-import bemopt.model as mdl
+import bemopt.autodiff as ad
 from bemopt.calibration import FrozenModel, SensorTrace
 from bemopt.cli import main
 from bemopt.rcsim import simulate_week
 from bemopt.schema import (
     DEFAULT_SCHEMA,
+    T_INT_INDEX,
     BmsSchedule,
     BuildingParams,
     OccupancySchedule,
@@ -284,6 +285,7 @@ def test_usage_and_config_errors(tmp_path):
     bad.write_text("{not json")
     assert main(["sample", "--out", str(tmp_path / "d"), "--weather", str(tmp_path / "w"),
                  "--episodes", "2", "--config", str(bad)]) == 3
+    assert main(["report", str(tmp_path), "--jobs", "3"]) == 2  # only `sample` has workers
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +297,7 @@ def _argv(pipeline, tmp, command, *extra):
     come later and so override the inputs given here."""
     p = pipeline
     inputs = {
+        "sample": ["--weather", str(p["weather"]), "--episodes", "4"],
         "train": ["--dataset", str(p["dataset"])],
         "twin": ["--building", str(p["building"]), "--weather", str(p["weather"]),
                  "--weeks", "0"],
@@ -333,13 +336,64 @@ def _trailing_bytes_model(pipeline, tmp):
     return _argv(pipeline, tmp, "optimize", "--model", str(path))
 
 
-def _nan_weights_model(pipeline, tmp):
+def _edited_model(pipeline, tmp, command, edit):
+    """`command` on a copy of the pipeline's checkpoint whose tensors and
+    meta went through `edit`."""
     path = tmp / "input"
-    params, cfg, kind, meta = mdl.load_model(pipeline["model"] / "model.bin")
-    params["out.W"].data[:] = np.nan
-    extra = {k: v for k, v in meta.items() if k not in ("kind", "config")}
-    mdl.save_model(path, params, cfg, kind, extra_meta=extra)
-    return _argv(pipeline, tmp, "optimize", "--model", str(path))
+    tensors, meta = ad.load_tensors(pipeline["model"] / "model.bin")
+    edit(tensors, meta)
+    ad.save_tensors(path, tensors, meta=meta)
+    return _argv(pipeline, tmp, command, "--model", str(path))
+
+
+def _nan_weights_model(pipeline, tmp):
+    def edit(tensors, meta):
+        tensors["out.W"][:] = np.nan
+    return _edited_model(pipeline, tmp, "optimize", edit)
+
+
+def _config_narrower_than_tensors(pipeline, tmp):
+    def edit(tensors, meta):
+        meta["config"]["d_in"] -= 1
+    return _edited_model(pipeline, tmp, "optimize", edit)
+
+
+def _model_narrower_than_declaration(pipeline, tmp):
+    def edit(tensors, meta):  # a consistent checkpoint, one input channel short
+        meta["config"]["d_in"] -= 1
+        tensors["emb.W"] = tensors["emb.W"][:, :-1]
+    return _edited_model(pipeline, tmp, "optimize", edit)
+
+
+def _nan_norm_std(pipeline, tmp):
+    def edit(tensors, meta):  # on a sensor channel, so every candidate's cost is NaN
+        meta["norm"]["target_std"][T_INT_INDEX] = float("nan")
+    return _edited_model(pipeline, tmp, "calibrate", edit)
+
+
+def _short_norm_mean(pipeline, tmp):
+    def edit(tensors, meta):
+        meta["norm"]["target_mean"].pop()
+    return _edited_model(pipeline, tmp, "optimize", edit)
+
+
+def _edited_dataset(pipeline, tmp, edit):
+    """`train` on a copy of the pipeline's dataset whose manifest went through `edit`."""
+    path = tmp / "input"
+    path.mkdir()
+    (path / "arrays.bin").write_bytes((pipeline["dataset"] / "arrays.bin").read_bytes())
+    doc = read_json(pipeline["dataset"] / "manifest.json")
+    edit(doc)
+    (path / "manifest.json").write_text(json.dumps(doc))
+    return _argv(pipeline, tmp, "train", "--dataset", str(path))
+
+
+def _manifest_missing_splits(pipeline, tmp):
+    return _edited_dataset(pipeline, tmp, lambda doc: doc.pop("splits"))
+
+
+def _manifest_schema_differs(pipeline, tmp):
+    return _edited_dataset(pipeline, tmp, lambda doc: doc["schema"]["building"].pop())
 
 
 def _corrupt_dataset(pipeline, tmp):
@@ -372,6 +426,24 @@ def _zero_batch_size(pipeline, tmp):
 
 def _negative_epochs(pipeline, tmp):
     return _argv(pipeline, tmp, "train", "--epochs", "-1")
+
+
+def _nan_lr(pipeline, tmp):
+    return _argv(pipeline, tmp, "train", "--lr", "nan")
+
+
+def _negative_lr(pipeline, tmp):
+    return _argv(pipeline, tmp, "train", "--lr", "-1")
+
+
+def _zero_jobs(pipeline, tmp):
+    return _argv(pipeline, tmp, "sample", "--jobs", "0")
+
+
+def _too_few_episodes_for_new_weather(pipeline, tmp):
+    # the count is checked before a weather pool is generated into `wx`
+    return _argv(pipeline, tmp, "sample", "--weather", str(tmp / "wx"),
+                 "--weather-weeks", "2", "--episodes", "2")
 
 
 def _zero_sigma0(pipeline, tmp):
@@ -450,11 +522,21 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_trailing_bytes_model, 3),
     (_corrupt_dataset, 3),
     (_nan_weights_model, 4),
+    (_config_narrower_than_tensors, 3),
+    (_model_narrower_than_declaration, 3),
+    (_nan_norm_std, 3),
+    (_short_norm_mean, 3),
+    (_manifest_missing_splits, 3),
+    (_manifest_schema_differs, 3),
     (_config_is_an_array, 3),
     (_config_budget_not_a_number, 3),
     (_config_zero_model_width, 3),
     (_zero_batch_size, 3),
     (_negative_epochs, 3),
+    (_nan_lr, 3),
+    (_negative_lr, 3),
+    (_zero_jobs, 3),
+    (_too_few_episodes_for_new_weather, 3),
     (_zero_sigma0, 3),
     (_infinite_sigma0, 3),
     (_negative_budget, 3),

@@ -60,7 +60,7 @@ def pool():
 
 @pytest.fixture(scope="module")
 def pieces(pool):
-    ds = sample_dataset(DEFAULT_SCHEMA, pool, 3, seed=6, counts=(1, 1, 1))
+    ds = sample_dataset(pool, 3, seed=6, counts=(1, 1, 1))
     params, _, occ, _ = sample_episode_config(DEFAULT_SCHEMA, len(pool), substream(6, "episode", 0))
     model = FrozenModel(mdl.init_transformer(TINY, stream(7, "opt-model")), TINY,
                         "transformer", ds.norm)

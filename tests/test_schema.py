@@ -95,14 +95,20 @@ class TestSchema:
         assert names[30:] == sc.WEATHER_CHANNELS
 
     def test_json_round_trip(self):
-        loaded = sc.Schema.from_dict(json.loads(json.dumps(sc.DEFAULT_SCHEMA.to_dict())))
-        assert loaded == sc.DEFAULT_SCHEMA
-
-    def test_load_reports_offending_row(self):
+        # a manifest's schema is checked by comparing its parsed JSON to to_dict()
         d = sc.DEFAULT_SCHEMA.to_dict()
-        d["building"][2]["step"] = -1
-        with pytest.raises(sc.SchemaError, match="building row 3"):
-            sc.Schema.from_dict(json.loads(json.dumps(d)))
+        assert json.loads(json.dumps(d)) == d
+        assert d["version"] == 1
+        assert [row["name"] for row in d["occupancy"]] == ["start_occupation", "end_occupation"]
+
+    def test_dataclass_fields_follow_declaration_order(self):
+        # as_vector/from_vector and as_matrix read the fields in this order
+        assert [f.name for f in dataclasses.fields(sc.BuildingParams)] == [
+            s.name for s in sc.BUILDING_SPECS]
+        assert [f.name for f in dataclasses.fields(sc.BmsSchedule)] == [
+            s.name for s in sc.BMS_SPECS]
+        assert [f.name for f in dataclasses.fields(sc.OccupancySchedule)][:2] == [
+            s.name for s in sc.OCCUPANCY_SPECS]
 
     def test_vol_ventilation_grid_keeps_published_endpoints(self):
         spec = sc.DEFAULT_SCHEMA.spec("vol_ventilation_day")
@@ -125,10 +131,12 @@ class TestSchedules:
             default_bms(t_heat_red_day=22, t_heat_conf_day=21)
 
     def test_occupancy_bounds(self):
-        with pytest.raises(sc.SchemaError):
+        with pytest.raises(sc.SchemaError, match=r"start_occupation\[mon\] outside \[7, 9\]"):
             sc.OccupancySchedule.constant(6, 18)
-        with pytest.raises(sc.SchemaError):
+        with pytest.raises(sc.SchemaError, match=r"end_occupation\[mon\] outside \[17, 20\]"):
             sc.OccupancySchedule.constant(8, 21)
+        sc.OccupancySchedule.constant(7, 20)  # both ends of the declared ranges
+        sc.OccupancySchedule.constant(9, 17)
 
     def test_bms_expansion_shape_and_day_blocks(self):
         bms = dataclasses.replace(default_bms(), t_heat_conf_day=[22, 22.5, 23, 23.5, 24, 22, 22])
@@ -234,7 +242,7 @@ class TestNormStats:
                                  synthetic_weather(rng))
             xs.append(ep.inputs)
             ys.append(rng.standard_normal((168, 8)) * 40 + 100)
-        return sc.NormStats.fit(sc.DEFAULT_SCHEMA, xs, ys), xs, ys
+        return sc.NormStats.fit(xs, ys), xs, ys
 
     def test_round_trip_inputs(self):
         stats, xs, _ = self._fit()
@@ -273,7 +281,7 @@ class TestNormStats:
         for x in xs2:
             x[:, j] = 55.0
         ys = [np.ones((168, 8))] * len(xs2)
-        stats2 = sc.NormStats.fit(sc.DEFAULT_SCHEMA, xs2, ys)
+        stats2 = sc.NormStats.fit(xs2, ys)
         assert "RHUM" in stats2.flagged
         x01 = stats2.normalize_inputs(xs2[0])
         assert np.all(x01[:, j] == 0.5)
