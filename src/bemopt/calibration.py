@@ -49,9 +49,6 @@ __all__ = [
     "CalibrationReport",
 ]
 
-WORST_COST = math.inf
-
-
 # ---------------------------------------------------------------------------
 # CMA-ES
 
@@ -261,24 +258,28 @@ class SensorTrace:
 
     @classmethod
     def load_csv(cls, path) -> "SensorTrace":
-        t, q = np.empty(HOURS_PER_WEEK), np.empty(HOURS_PER_WEEK)
+        """Read `save_csv` output; every hour 0..167 must appear exactly once."""
+        rows = {}
         with open(path) as f:
             header = f.readline().strip()
             if header != "hour,t_int,q_heat":
                 raise ValueError(f"{path}: unexpected header {header!r}")
-            count = 0
             for lineno, line in enumerate(f, start=2):
                 if not line.strip():
                     continue
                 parts = line.split(",")
                 try:
                     h = int(parts[0])
-                    t[h], q[h] = float(parts[1]), float(parts[2])
+                    values = float(parts[1]), float(parts[2])
                 except (IndexError, ValueError) as e:
                     raise ValueError(f"{path} line {lineno}: {e}") from None
-                count += 1
-        if count != HOURS_PER_WEEK:
-            raise ValueError(f"{path}: {count} rows, want {HOURS_PER_WEEK}")
+                if h in rows or not 0 <= h < HOURS_PER_WEEK:
+                    why = "repeated" if h in rows else f"outside 0..{HOURS_PER_WEEK - 1}"
+                    raise ValueError(f"{path} line {lineno}: hour {h} {why}")
+                rows[h] = values
+        if len(rows) != HOURS_PER_WEEK:
+            raise ValueError(f"{path}: {len(rows)} rows, want {HOURS_PER_WEEK}")
+        t, q = np.array([rows[h] for h in range(HOURS_PER_WEEK)]).T
         return cls(t, q)
 
 
@@ -444,10 +445,6 @@ class FrozenModel:
 
 def cost_from_series(pred_t, pred_q, trace: SensorTrace) -> float:
     """1 - (R2_T + R2_Q)/2 between predicted series and the trace."""
-    pred_t = np.asarray(pred_t, dtype=np.float64)
-    pred_q = np.asarray(pred_q, dtype=np.float64)
-    if not (np.all(np.isfinite(pred_t)) and np.all(np.isfinite(pred_q))):
-        return WORST_COST
     return 1.0 - 0.5 * (r2_score(trace.t_int, pred_t) + r2_score(trace.q_heat, pred_q))
 
 

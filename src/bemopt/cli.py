@@ -14,8 +14,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from . import model as mdl
 from .calibration import CalibrationSpace, FrozenModel, SensorTrace, calibrate
@@ -272,11 +270,6 @@ def cmd_train(args, section) -> int:
             f"val {row['val_loss']:.4f}  r2_t {row['val_r2_t']:.3f}  r2_q {row['val_r2_q']:.3f}"
         ),
     )
-    if result.diverged:
-        raise CliError(
-            EXIT_NUMERIC,
-            f"training diverged after epoch {len(result.history) - 1}; nothing written",
-        )
 
     os.makedirs(args.out, exist_ok=True)
     for path in write_train_artifacts(args.out, result, ds.norm, args.seed):
@@ -416,8 +409,6 @@ def cmd_calibrate(args, section) -> int:
         sigma0=sigma0,
         log=lambda gen, best: _progress(f"generation {gen:4d}  best cost {best:.6f}"),
     )
-    if not np.isfinite(report.best_cost):
-        raise CliError(EXIT_NUMERIC, "calibration never found a finite cost; nothing written")
 
     cal_params, cal_bms, cal_occ = space.decode(best_x)
     os.makedirs(args.out, exist_ok=True)
@@ -476,8 +467,6 @@ def cmd_optimize(args, section) -> int:
         raise CliError(EXIT_INPUT, str(e)) from None
     space = BmsSpace(params, occ)
     baseline = evaluate_settings(model, params, baseline_bms, occ, weather)
-    if baseline.comfort >= 1e29 or baseline.consumption >= 1e29:
-        raise CliError(EXIT_NUMERIC, "baseline schedule evaluates to non-finite predictions")
 
     front = optimize_bms(
         space, model, weather, config, seed=args.seed,

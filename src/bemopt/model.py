@@ -24,7 +24,8 @@ _CONFIG_KEYS = ("d_in", "d_out", "d_emb", "r", "v_width", "h",
 
 
 class ModelError(RuntimeError):
-    pass
+    """A non-finite model output or training loss; raised only by
+    `training.predict` and `training.train`."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,26 +141,16 @@ def attention_block(params: dict, cfg: MetamodelConfig, q_src, kv_src, prefix: s
     return ad.layer_norm(ad.add(x, ff), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
-def _check_finite(t: ad.Tensor, where: str) -> None:
-    if not np.isfinite(t.data).all():
-        raise ModelError(f"{where}: non-finite activation")
-
-
 def transformer_forward(params: dict, cfg: MetamodelConfig, x) -> ad.Tensor:
     """[batch, time, d_in] normalized inputs -> [batch, time, d_out]."""
     z = embed(params, cfg, x)
     pos = cfg.pos_scale * positional_encoding(z.data.shape[1], cfg.d_emb)
     z = ad.add(z, ad.constant(np.broadcast_to(pos, z.data.shape)))
-    _check_finite(z, "embedding")
     queries = z
     for i in range(cfg.n_layers - 1):
         z = attention_block(params, cfg, z, z, f"enc{i}")
-        _check_finite(z, f"layer {i}")
     z = attention_block(params, cfg, queries, z, "dec")
-    _check_finite(z, f"layer {cfg.n_layers - 1}")
-    out = ad.add(ad.matmul(z, params["out.W"], transpose_b=True), params["out.b"])
-    _check_finite(out, "output head")
-    return out
+    return ad.add(ad.matmul(z, params["out.W"], transpose_b=True), params["out.b"])
 
 
 def init_ffn(cfg: MetamodelConfig, rng) -> dict:
@@ -180,9 +171,7 @@ def ffn_forward(params: dict, cfg: MetamodelConfig, x) -> ad.Tensor:
         raise ValueError(f"ffn_forward: expected [batch, time, {cfg.d_in}], got {x.shape}")
     z = ad.relu(ad.add(ad.matmul(x, params["l1.W"], transpose_b=True), params["l1.b"]))
     z = ad.relu(ad.add(ad.matmul(z, params["l2.W"], transpose_b=True), params["l2.b"]))
-    out = ad.add(ad.matmul(z, params["out.W"], transpose_b=True), params["out.b"])
-    _check_finite(out, "output head")
-    return out
+    return ad.add(ad.matmul(z, params["out.W"], transpose_b=True), params["out.b"])
 
 
 FORWARDS = {"transformer": transformer_forward, "ffn": ffn_forward}

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 T_STAR = 22.5  # deg C comfort reference
-PENALTY = 1e30  # objective pair assigned to failed/non-finite candidates
+PENALTY = 1e30  # nsga2_run's score for an evaluator's non-finite objective
 COMFORT_TOLERANCE = 0.05  # deg C
 
 # NSGA-II variation operators; the per-coordinate mutation probability is
@@ -300,14 +300,8 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> Par
 
     first = fronts[0]
     _, unique_idx = np.unique(X[first], axis=0, return_index=True)
-    members = []
-    seen = set()
-    for i in first[np.sort(unique_idx)]:
-        key = X[i].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        members.append((X[i], Objectives(float(F[i, 0]), float(F[i, 1]))))
+    members = [(X[i], Objectives(float(F[i, 0]), float(F[i, 1])))
+               for i in first[np.sort(unique_idx)]]
     return ParetoFront(members, hv, minima)
 
 
@@ -326,15 +320,14 @@ def objectives_from_series(t_pred, q_pred, occupied) -> Objectives:
     occupied = np.asarray(occupied, dtype=bool)
     if t_pred.shape != q_pred.shape or t_pred.shape != occupied.shape:
         raise ValueError("t, q, and the occupancy mask must share a shape")
-    if not (np.all(np.isfinite(t_pred)) and np.all(np.isfinite(q_pred))):
-        return Objectives(PENALTY, PENALTY)
     n_occ = int(occupied.sum())
     if n_occ == 0:
         comfort = 0.0
     else:
         sq = float(np.sum((t_pred[occupied] - T_STAR) ** 2))
         comfort = math.sqrt(sq) / n_occ
-    consumption = max(0.0, float(np.mean(q_pred)))
+    mean_q = float(np.mean(q_pred))
+    consumption = 0.0 if mean_q <= 0.0 else mean_q  # NaN stays NaN, which Objectives refuses
     return Objectives(comfort, consumption)
 
 

@@ -307,15 +307,6 @@ class BmsSchedule:
                 )
 
     @classmethod
-    def constant(cls, **daily_values: float) -> "BmsSchedule":
-        """Same value every day; keyword per variable name."""
-        missing = set(_BMS_FIELDS) - set(daily_values)
-        extra = set(daily_values) - set(_BMS_FIELDS)
-        if missing or extra:
-            raise SchemaError(f"constant schedule: missing {sorted(missing)}, unknown {sorted(extra)}")
-        return cls(**{k: (float(v),) * DAYS_PER_WEEK for k, v in daily_values.items()})
-
-    @classmethod
     def from_dict(cls, d: Mapping[str, Sequence[float]]) -> "BmsSchedule":
         return cls(**{name: tuple(float(v) for v in d[name]) for name in _BMS_FIELDS})
 
@@ -346,10 +337,6 @@ class OccupancySchedule:
                 if not spec.min <= v <= spec.max:
                     raise SchemaError(
                         f"{spec.name}[{DAY_NAMES[day]}] outside [{spec.min}, {spec.max}]")
-
-    @classmethod
-    def constant(cls, start: float, end: float, max_occupants: float = 0.0) -> "OccupancySchedule":
-        return cls((float(start),) * WEEKDAYS, (float(end),) * WEEKDAYS, max_occupants)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "OccupancySchedule":
@@ -409,13 +396,6 @@ class SimOutput:
         if np.any(q < -1e-12):
             raise SchemaError("consumption channels must be >= 0")
         object.__setattr__(self, "data", _readonly(a))
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.data[:, OUTPUT_CHANNELS.index(name)]
-
-    @property
-    def t_int(self) -> np.ndarray:
-        return self.data[:, T_INT_INDEX]
 
 
 def heat_aggregate_of(targets: np.ndarray) -> np.ndarray:

@@ -162,7 +162,8 @@ class Dataset:
     @classmethod
     def load(cls, directory) -> "Dataset":
         """Read a saved corpus; a manifest that is incomplete, malformed or
-        written for another variable declaration raises TrainingError."""
+        written for another variable declaration, or arrays that do not fit
+        it (see `_check_arrays`), raise TrainingError."""
         path = os.path.join(directory, DATASET_MANIFEST)
         try:
             with open(path) as f:
@@ -180,7 +181,7 @@ class Dataset:
             raise TrainingError(f"{path}: stored schema differs from the variable declaration")
         tensors, _ = ad.load_tensors(os.path.join(directory, DATASET_ARRAYS))
         try:
-            return cls(
+            ds = cls(
                 inputs=tensors["inputs"],
                 targets=tensors["targets"],
                 masks=tensors["masks"].astype(bool),
@@ -192,6 +193,30 @@ class Dataset:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise TrainingError(f"{directory}: malformed dataset ({type(e).__name__}: {e})") from None
+        _check_arrays(directory, tensors, ds.splits)
+        return ds
+
+
+def _check_arrays(directory, tensors: dict, splits: dict) -> None:
+    """The corpus holds n finite episodes as wide as the declaration, and its
+    splits are exactly train/val/test, each naming episodes in [0, n)."""
+    n = tensors["weather_index"].size
+    shapes = {
+        "inputs": (n, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_in),
+        "targets": (n, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_out),
+        "masks": (n, HOURS_PER_WEEK),
+        "weather_index": (n,),
+    }
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise TrainingError(f"{directory}: {name} has shape {tensors[name].shape}, want {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise TrainingError(f"{directory}: {name} holds non-finite values")
+    if sorted(splits) != ["test", "train", "val"]:
+        raise TrainingError(f"{directory}: splits are {sorted(splits)}, want train, val and test")
+    for name, idx in splits.items():
+        if idx.ndim != 1 or len(idx) == 0 or not ((idx >= 0) & (idx < n)).all():
+            raise TrainingError(f"{directory}: split {name} must list episodes in [0, {n})")
 
 
 def sample_dataset(
@@ -438,6 +463,10 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
     the parameter arrays, so no op keeps a backward closure or its operands
     and no parameter's ``.grad`` is touched. Each row's result does not
     depend on the batch it shares a forward with.
+
+    This is the one finiteness check of inference: a non-finite output
+    anywhere raises ModelError once, and numpy's floating-point warnings
+    on the way there are silenced.
     """
     forward = mdl.forward_for(kind)
     frozen = {name: ad.constant(p.data) for name, p in params.items()}
@@ -447,10 +476,13 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
         x = x[None]
     xn = norm.normalize_inputs(x)
     outs = []
-    for lo in range(0, x.shape[0], batch_size):
-        z = forward(frozen, cfg, ad.constant(xn[lo:lo + batch_size]))
-        outs.append(norm.denormalize_targets(z.data))
+    with np.errstate(all="ignore"):
+        for lo in range(0, x.shape[0], batch_size):
+            z = forward(frozen, cfg, ad.constant(xn[lo:lo + batch_size]))
+            outs.append(norm.denormalize_targets(z.data))
     out = np.concatenate(outs, axis=0)
+    if not np.isfinite(out).all():
+        raise mdl.ModelError(f"{kind} model: non-finite output")
     return out[0] if squeeze else out
 
 
@@ -462,7 +494,6 @@ class TrainResult:
     history: list
     best_epoch: int
     best_val_loss: float
-    diverged: bool
     report: MetricReport  # validation metrics of the retained checkpoint
 
 
@@ -500,8 +531,8 @@ def train(
     """Minibatch Adam on the training split; keeps the best-validation weights.
 
     Validation selection uses the reported two-term loss pooled over the
-    whole validation set. A non-finite training loss aborts the run and the
-    last good checkpoint is returned with diverged=True.
+    whole validation set. A non-finite training loss raises ModelError
+    naming the epoch.
     """
     if config is None:
         config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in)
@@ -542,7 +573,6 @@ def train(
             "val_r2_q": best_report.r2_q.mean,
         }
     ]
-    diverged = False
 
     for epoch in range(1, epochs + 1):
         order = train_idx[substream(seed, "shuffle", epoch).permutation(len(train_idx))]
@@ -553,16 +583,13 @@ def train(
             pred = forward(params, config, ad.constant(xn[sel]))
             total, reported = training_loss(pred, yn[sel], norm)
             if not np.isfinite(total.data):
-                diverged = True
-                break
+                raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
             total.backward()
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in plist]
             ad.adam_step(plist, grads, state)
             ad.zero_grads(plist)
             batch_objectives.append(float(total.data))
             batch_reported.append(float(reported.data))
-        if diverged:
-            break
 
         val_loss, report = val_metrics(params)
         history.append(
@@ -593,7 +620,6 @@ def train(
         history=history,
         best_epoch=best_epoch,
         best_val_loss=best_val,
-        diverged=diverged,
         report=best_report,
     )
 
@@ -610,7 +636,6 @@ def write_train_artifacts(out_dir, result: TrainResult, norm: NormStats, seed: i
         extra_meta={
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,
-            "diverged": result.diverged,
             "seed": seed,
             "norm": norm.to_dict(),
         },

@@ -401,13 +401,6 @@ def test_cost_from_series_hand_arithmetic():
     assert cal.cost_from_series(pred_t, pred_q, trace) == pytest.approx(want, abs=1e-12)
 
 
-def test_cost_nonfinite_sentinel():
-    trace = cal.SensorTrace(np.full(168, 20.0), np.full(168, 100.0))
-    bad = np.full(168, 20.0)
-    bad[0] = np.nan
-    assert cal.cost_from_series(bad, np.full(168, 100.0), trace) == cal.WORST_COST
-
-
 def test_self_consistent_trace_costs_zero(base_pieces, tiny_model, pool):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace.default(params, bms, occ)

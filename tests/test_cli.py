@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bemopt
 import bemopt.autodiff as ad
 from bemopt.calibration import FrozenModel, SensorTrace
 from bemopt.cli import main
@@ -392,6 +395,36 @@ def _manifest_missing_splits(pipeline, tmp):
     return _edited_dataset(pipeline, tmp, lambda doc: doc.pop("splits"))
 
 
+def _splits_without_val(pipeline, tmp):
+    return _edited_dataset(pipeline, tmp, lambda doc: doc["splits"].pop("val"))
+
+
+def _edited_arrays(pipeline, tmp, edit):
+    """`train` on a copy of the pipeline's dataset whose arrays.bin tensors
+    went through `edit`."""
+    path = tmp / "input"
+    path.mkdir()
+    (path / "manifest.json").write_bytes((pipeline["dataset"] / "manifest.json").read_bytes())
+    tensors, meta = ad.load_tensors(pipeline["dataset"] / "arrays.bin")
+    edit(tensors)
+    ad.save_tensors(path / "arrays.bin", tensors, meta=meta)
+    return _argv(pipeline, tmp, "train", "--dataset", str(path))
+
+
+def _dataset_inputs_one_channel_short(pipeline, tmp):
+    def edit(tensors):
+        tensors["inputs"] = tensors["inputs"][..., :-1]
+    return _edited_arrays(pipeline, tmp, edit)
+
+
+def _dataset_nan_target(pipeline, tmp):
+    first_train = read_json(pipeline["dataset"] / "manifest.json")["splits"]["train"][0]
+
+    def edit(tensors):
+        tensors["targets"][first_train, 0, T_INT_INDEX] = np.nan
+    return _edited_arrays(pipeline, tmp, edit)
+
+
 def _manifest_schema_differs(pipeline, tmp):
     return _edited_dataset(pipeline, tmp, lambda doc: doc["schema"]["building"].pop())
 
@@ -483,6 +516,15 @@ def _missing_trace(pipeline, tmp):
     return _argv(pipeline, tmp, "calibrate", "--weeks", "0,2")
 
 
+def _trace_with_duplicate_hour(pipeline, tmp):
+    traces = tmp / "traces"
+    traces.mkdir()
+    rows = (pipeline["traces"] / "trace_w0000.csv").read_text().splitlines()
+    rows[8] = "6," + rows[8].split(",", 1)[1]  # hour 6 twice, no hour 7
+    (traces / "trace_w0000.csv").write_text("\n".join(rows) + "\n")
+    return _argv(pipeline, tmp, "calibrate", "--traces", str(traces))
+
+
 def _heat_window_start_not_before_end(pipeline, tmp):
     doc = read_json(pipeline["building"])
     doc["bms"]["start_heat_day"] = list(doc["bms"]["end_heat_day"])
@@ -527,6 +569,9 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_nan_norm_std, 3),
     (_short_norm_mean, 3),
     (_manifest_missing_splits, 3),
+    (_splits_without_val, 3),
+    (_dataset_inputs_one_channel_short, 3),
+    (_dataset_nan_target, 3),
     (_manifest_schema_differs, 3),
     (_config_is_an_array, 3),
     (_config_budget_not_a_number, 3),
@@ -544,6 +589,7 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_nan_tolerance, 3),
     (_malformed_weather_csv, 3),
     (_missing_trace, 3),
+    (_trace_with_duplicate_hour, 3),
     (_heat_window_start_not_before_end, 3),
     (_report_metrics_without_best_epoch, 3),
     (_report_chosen_is_a_list, 3),
@@ -556,3 +602,22 @@ def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"bemopt {argv[0]}: "), err
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize("command", ["calibrate", "optimize"])
+def test_nonfinite_weight_fails_with_one_line_in_a_fresh_process(pipeline, tmp_path, command):
+    """Exit 4 with the one `predict` message and no numpy warning before it.
+
+    In-process rows cannot see such warnings: pytest captures them.
+    """
+    def edit(tensors, meta):
+        tensors["enc0.ffn.W2"][0, 0] = np.inf
+    argv = _edited_model(pipeline, tmp_path, command, edit)
+    src = os.path.dirname(os.path.dirname(bemopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    proc = subprocess.run([sys.executable, "-m", "bemopt.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        f"bemopt {command}: numerical failure: transformer model: non-finite output"]
+    assert not (tmp_path / "out").exists()

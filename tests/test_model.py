@@ -1,11 +1,15 @@
 """Architecture tests: config plumbing, attention locality, baselines, IO."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from bemopt import autodiff as ad
 from bemopt import model as md
+from bemopt.schema import NormStats
 from bemopt.seeding import stream
+from bemopt.training import predict
 
 TINY = md.MetamodelConfig(d_in=3, d_out=2, d_emb=4, r=2, v_width=2, h=2,
                           n_layers=2, delta=2)
@@ -186,27 +190,6 @@ class TestTransformerForward:
         np.testing.assert_array_equal(md.transformer_forward(a, cfg, x).data,
                                       md.transformer_forward(b, cfg, x).data)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_nonfinite_diagnostics_name_the_layer(self):
-        cfg = TINY
-        x = stream(10, "x").random((1, 8, 3))
-        p = tiny_params(10)
-        p["enc0.ffn.W2"].data[0, 0] = np.inf
-        with pytest.raises(md.ModelError, match="layer 0"):
-            md.transformer_forward(p, cfg, x)
-        p = tiny_params(10)
-        p["dec.proj.W"].data[0, 0] = np.nan
-        with pytest.raises(md.ModelError, match="layer 1"):
-            md.transformer_forward(p, cfg, x)
-        p = tiny_params(10)
-        p["emb.b"].data[0] = np.inf
-        with pytest.raises(md.ModelError, match="embedding"):
-            md.transformer_forward(p, cfg, x)
-        p = tiny_params(10)
-        p["out.W"].data[0, 0] = np.nan
-        with pytest.raises(md.ModelError, match="output head"):
-            md.transformer_forward(p, cfg, x)
-
     def test_full_gradient_check_small(self):
         cfg = TINY
         p = tiny_params(11)
@@ -218,6 +201,30 @@ class TestTransformerForward:
             lambda: ad.mean(ad.square(ad.sub(md.transformer_forward(p, cfg, x), tgt))),
             params)
         assert err < 1e-4
+
+
+# the embedding (or first layer), an encoder layer, the decoder and the head
+POISONED_WEIGHTS = {
+    "transformer": ("emb.b", "enc0.ffn.W2", "dec.proj.W", "out.W"),
+    "ffn": ("l1.b", "l2.W", "out.W"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POISONED_WEIGHTS))
+def test_predict_raises_once_on_a_nonfinite_weight(kind):
+    """`predict` is the one finiteness check of inference: a NaN or inf weight
+    in any layer raises ModelError, and no numpy warning comes before it."""
+    x = stream(10, "x").random((2, 8, TINY.d_in))
+    norm = NormStats(np.zeros(TINY.d_in), np.ones(TINY.d_in), np.zeros(TINY.d_out),
+                     np.ones(TINY.d_out), ("a", "b", "c"), ("y0", "y1"))
+    for name in POISONED_WEIGHTS[kind]:
+        for bad in (np.nan, np.inf):
+            p = md.INITS[kind](TINY, stream(10, "init"))
+            p[name].data.flat[0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(md.ModelError, match=f"{kind} model: non-finite output"):
+                    predict(p, TINY, kind, x, norm)
 
 
 class TestFfnBaseline:

@@ -116,9 +116,11 @@ def test_comfort_normalization_outside_sqrt():
 
 def test_objectives_edge_cases():
     occ = np.ones(4, dtype=bool)
-    bad = np.array([1.0, np.nan, 1.0, 1.0])
-    obj = par.objectives_from_series(bad, np.ones(4), occ)
-    assert obj.comfort == par.PENALTY and obj.consumption == par.PENALTY
+    bad = np.array([1.0, np.nan, 1.0, 1.0])  # `predict` refuses such series first
+    with pytest.raises(ValueError, match="comfort must be finite"):
+        par.objectives_from_series(bad, np.ones(4), occ)
+    with pytest.raises(ValueError, match="consumption must be finite"):
+        par.objectives_from_series(np.ones(4), bad, occ)
     assert par.objectives_from_series(np.ones(4) * 30, np.ones(4),
                                       np.zeros(4, dtype=bool)).comfort == 0.0
     assert par.objectives_from_series(np.ones(4), -np.ones(4), occ).consumption == 0.0

@@ -10,6 +10,7 @@ from bemopt import schema as sc
 from bemopt.seeding import stream, substream
 from bemopt.training import sample_episode_config
 from bemopt.weather import generate_pool
+from tests.conftest import channel, constant_occ, t_int
 from tests.test_schema import default_bms, default_building, synthetic_weather
 
 
@@ -63,7 +64,7 @@ def quiet_building(**overrides):
     return sc.BuildingParams.from_dict(base)
 
 
-OCC = sc.OccupancySchedule.constant(8, 18, 1500)
+OCC = constant_occ(8, 18, 1500)
 
 
 class TestHvacControl:
@@ -151,10 +152,10 @@ class TestEquilibrium:
         cfg = rcsim.RcModelConfig(ground_temp_c=t, light_w_m2=0.0)
         params = quiet_building()
         bms = default_bms(t_ventilation_day=t)
-        occ = sc.OccupancySchedule.constant(8, 18, 0)
+        occ = constant_occ(8, 18, 0)
         res = rcsim.simulate_week_detailed(params, bms, occ, constant_weather(t), cfg, t0=t)
         out = res.output
-        np.testing.assert_allclose(out.t_int, t, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(t_int(out), t, rtol=0, atol=1e-9)
         q = np.delete(out.data, sc.T_INT_INDEX, axis=1)
         np.testing.assert_allclose(q, 0.0, rtol=0, atol=1e-9)
         np.testing.assert_allclose(res.t_air, t, rtol=0, atol=1e-9)
@@ -165,7 +166,7 @@ class TestInternalGains:
         params = quiet_building(nb_occupants=1500)
         out = rcsim.simulate_week(params, default_bms(), OCC, winter_weather())
         occupied = sc.expand_daily(OCC) > 0
-        q_people = out.channel("Q_PEOPLE")
+        q_people = channel(out, "Q_PEOPLE")
         assert np.all(q_people[occupied] == pytest.approx(150.0))  # 1500 × 100 W
         assert np.all(q_people[~occupied] == 0.0)
 
@@ -174,11 +175,11 @@ class TestInternalGains:
         params = quiet_building(nb_PCs=1000, percent_PCs_night=30, percent_light_night=10)
         out = rcsim.simulate_week(params, default_bms(), OCC, winter_weather())
         occupied = sc.expand_daily(OCC) > 0
-        q_eqp = out.channel("Q_EQP")
+        q_eqp = channel(out, "Q_EQP")
         q_day = 1000 * cfg.pc_gain_w / 1000.0
         assert np.all(q_eqp[occupied] == pytest.approx(q_day))
         assert np.all(q_eqp[~occupied] == pytest.approx(0.3 * q_day))
-        q_light = out.channel("Q_LIGHT")
+        q_light = channel(out, "Q_LIGHT")
         full = cfg.light_w_m2 * cfg.floor_area_m2 / 1000.0
         assert np.all(q_light[occupied] == pytest.approx(full))
         assert np.all(q_light[~occupied] == pytest.approx(0.1 * full))
@@ -219,7 +220,7 @@ class TestSteadyState:
             t_ventilation_day=[0.0] * 7, vol_ventilation_day=[1.0] * 7,
             t_clim_red_day=[30] * 7,
         )
-        occ = sc.OccupancySchedule.constant(8, 18, 0)
+        occ = constant_occ(8, 18, 0)
         out = rcsim.simulate_week(params, bms, occ, constant_weather(0.0), cfg, t0=sp)
         g_win, g_inf, g_om, g_gnd, g_ma = hand_conductances(params, cfg)
         g_vent = cfg.air_heat_capacity_kj_m3k * 1.0 * cfg.volume_m3 / 3600.0
@@ -227,9 +228,9 @@ class TestSteadyState:
         g_tot = g_win + g_inf + g_vent + g_series  # envelope UA seen by the heater
         q_star = gain * sp * g_tot / (gain + g_tot)  # proportional droop included
         t_star = gain * sp / (gain + g_tot)
-        q_sim = out.channel("Q_HEAT_OFFICE")[-1]
+        q_sim = channel(out, "Q_HEAT_OFFICE")[-1]
         assert q_sim == pytest.approx(q_star, rel=1e-6)
-        assert out.t_int[-1] == pytest.approx(t_star, rel=1e-9)
+        assert t_int(out)[-1] == pytest.approx(t_star, rel=1e-9)
         # high-gain limit: heater power = envelope UA × (setpoint − TAMB)
         assert q_sim == pytest.approx(g_tot * (sp - 0.0), rel=1e-3)
 
@@ -237,7 +238,7 @@ class TestSteadyState:
 class TestSimulationContracts:
     def _episode(self, **overrides):
         params = default_building(**overrides)
-        return params, default_bms(), sc.OccupancySchedule.constant(8, 18, params.nb_occupants)
+        return params, default_bms(), constant_occ(8, 18, params.nb_occupants)
 
     def test_energy_balance_per_hour(self):
         params, bms, occ = self._episode()
@@ -252,7 +253,7 @@ class TestSimulationContracts:
     def test_actuator_saturation(self):
         params, bms, occ = self._episode(power_VCV_kW_heat=300, power_VCV_kW_clim=200)
         out = rcsim.simulate_week(params, bms, occ, constant_weather(-10.0), t0=10.0)
-        qh = out.channel("Q_HEAT_OFFICE")
+        qh = channel(out, "Q_HEAT_OFFICE")
         assert qh.max() <= 300.0 + 1e-12
         assert qh.max() == pytest.approx(300.0)  # cold snap saturates the heater
 
@@ -267,7 +268,7 @@ class TestSimulationContracts:
             0, np.sin(np.pi * (hours % 24 - 7) / 10))
         w = sc.WeatherSeries(data)
         out = rcsim.simulate_week(params, bms, occ, w)
-        qh, qc = out.channel("Q_HEAT_OFFICE"), out.channel("Q_AC_OFFICE")
+        qh, qc = channel(out, "Q_HEAT_OFFICE"), channel(out, "Q_AC_OFFICE")
         assert qh.max() > 0 and qc.max() > 0  # both regimes exercised
         assert np.all(np.minimum(qh, qc) == 0.0)
 
@@ -292,7 +293,7 @@ class TestSimulationContracts:
         totals = []
         for sp in (22.0, 22.5, 23.0, 23.5, 24.0):
             b = dataclasses.replace(bms, t_heat_conf_day=[sp] * 7)
-            totals.append(rcsim.simulate_week(params, b, occ, w).channel("Q_HEAT_OFFICE").sum())
+            totals.append(channel(rcsim.simulate_week(params, b, occ, w), "Q_HEAT_OFFICE").sum())
         assert all(b >= a - 1e-9 for a, b in zip(totals, totals[1:]))
         assert totals[-1] > totals[0]
 
@@ -369,7 +370,7 @@ class TestFineStepReference:
     def test_reference_agrees_when_hour_starts_off_the_saturation_level(self):
         params, bms, occ, weather = self._case()
         for t0 in (19.0, 19.5, 20.5, 21.0):
-            sim = rcsim.simulate_week(params, bms, occ, weather, t0=t0).channel("Q_HEAT_OFFICE")[0]
+            sim = channel(rcsim.simulate_week(params, bms, occ, weather, t0=t0), "Q_HEAT_OFFICE")[0]
             ref = reference_hour0_heat(params, bms, occ, weather, t0)
             assert sim == pytest.approx(ref, rel=1e-4), t0
 
@@ -378,7 +379,7 @@ class TestFineStepReference:
         "the next sub-step boundary: 100 / 78.57 / 76.40 kW with 1 / 6 / 200 sub-steps"))
     def test_hour_starting_on_the_saturation_level_matches_reference(self):
         params, bms, occ, weather = self._case()
-        sim = rcsim.simulate_week(params, bms, occ, weather, t0=20.0).channel("Q_HEAT_OFFICE")[0]
+        sim = channel(rcsim.simulate_week(params, bms, occ, weather, t0=20.0), "Q_HEAT_OFFICE")[0]
         ref = reference_hour0_heat(params, bms, occ, weather, 20.0)
         assert ref == pytest.approx(76.40, abs=0.01)
         assert sim == pytest.approx(ref, rel=1e-4)

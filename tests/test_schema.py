@@ -8,6 +8,7 @@ import pytest
 
 from bemopt import schema as sc
 from bemopt.seeding import stream
+from tests.conftest import constant_bms, constant_occ
 
 
 def default_building(**overrides):
@@ -31,7 +32,7 @@ def default_bms(**overrides):
         vol_ventilation_day=1.2,
     )
     base.update(overrides)
-    return sc.BmsSchedule.constant(**base)
+    return constant_bms(**base)
 
 
 def synthetic_weather(rng):
@@ -132,11 +133,11 @@ class TestSchedules:
 
     def test_occupancy_bounds(self):
         with pytest.raises(sc.SchemaError, match=r"start_occupation\[mon\] outside \[7, 9\]"):
-            sc.OccupancySchedule.constant(6, 18)
+            constant_occ(6, 18)
         with pytest.raises(sc.SchemaError, match=r"end_occupation\[mon\] outside \[17, 20\]"):
-            sc.OccupancySchedule.constant(8, 21)
-        sc.OccupancySchedule.constant(7, 20)  # both ends of the declared ranges
-        sc.OccupancySchedule.constant(9, 17)
+            constant_occ(8, 21)
+        constant_occ(7, 20)  # both ends of the declared ranges
+        constant_occ(9, 17)
 
     def test_bms_expansion_shape_and_day_blocks(self):
         bms = dataclasses.replace(default_bms(), t_heat_conf_day=[22, 22.5, 23, 23.5, 24, 22, 22])
@@ -149,7 +150,7 @@ class TestSchedules:
         assert x[25, j] == 22.5  # Tuesday
 
     def test_occupancy_fraction_window_and_weekend(self):
-        occ = sc.OccupancySchedule.constant(8, 18, 1500)
+        occ = constant_occ(8, 18, 1500)
         f = sc.expand_daily(occ)
         assert f.shape == (168,)
         assert f[8] == 1.0 and f[17] == 1.0  # hour 17 covers [17, 18)
@@ -182,7 +183,7 @@ class TestEpisode:
     def test_assembled_width_matches_schema(self):
         rng = stream(3, "weather")
         ep = sc.make_episode(default_building(), default_bms(),
-                             sc.OccupancySchedule.constant(8, 18, 1400),
+                             constant_occ(8, 18, 1400),
                              synthetic_weather(rng))
         assert ep.inputs.shape == (168, 37)
         assert ep.targets is None
@@ -192,7 +193,7 @@ class TestEpisode:
     def test_static_channels_constant_over_time(self):
         rng = stream(4, "weather")
         ep = sc.make_episode(default_building(), default_bms(),
-                             sc.OccupancySchedule.constant(8, 18, 1400),
+                             constant_occ(8, 18, 1400),
                              synthetic_weather(rng))
         static = ep.inputs[:, :17]
         assert np.all(static == static[0])
@@ -200,7 +201,7 @@ class TestEpisode:
     def test_inputs_are_read_only(self):
         rng = stream(5, "weather")
         ep = sc.make_episode(default_building(), default_bms(),
-                             sc.OccupancySchedule.constant(8, 18, 1400),
+                             constant_occ(8, 18, 1400),
                              synthetic_weather(rng))
         with pytest.raises(ValueError):
             ep.inputs[0, 0] = 1.0
@@ -238,7 +239,7 @@ class TestNormStats:
         xs, ys = [], []
         for i in range(n_episodes):
             ep = sc.make_episode(default_building(), default_bms(),
-                                 sc.OccupancySchedule.constant(8, 18, 1400),
+                                 constant_occ(8, 18, 1400),
                                  synthetic_weather(rng))
             xs.append(ep.inputs)
             ys.append(rng.standard_normal((168, 8)) * 40 + 100)
@@ -303,7 +304,7 @@ class TestBuildingCaseIO:
     def test_case_round_trip(self):
         params = default_building()
         bms = default_bms()
-        occ = sc.OccupancySchedule.constant(8, 18, params.nb_occupants)
+        occ = constant_occ(8, 18, params.nb_occupants)
         # the {"params", "bms", "occ"} layout of a building.json
         d = json.loads(json.dumps({"params": params.to_dict(), "bms": bms.to_dict(),
                                    "occ": occ.to_dict()}))
