@@ -19,6 +19,16 @@ Control timing: the HVAC mode (heat / cool / off) is latched once per
 hour from the air temperature at the hour start, which makes heating and
 cooling mutually exclusive within any hour by construction. The latched
 branch then acts as an exact continuous proportional controller.
+
+Cost: each linear system caches its propagator over one full sub-step
+(the modal exponentials and their integrals at ``dt``), and the fixed
+point, levels and HVAC flux of each regime are set once per hour, so a
+sub-step without a control event evaluates no exponential. The crossing
+search gets the segment's end temperatures from the propagation it
+already did and bisects only where it finds a sign change. The float
+operations and their order are those of the plain per-segment solution,
+so the cached and the recomputed forms give the same bits
+(`tests/test_rcsim.py` pins a digest of every output).
 """
 
 from __future__ import annotations
@@ -56,6 +66,11 @@ class NumericalError(RuntimeError):
     def __init__(self, hour: int, message: str):
         super().__init__(f"hour {hour}: {message}")
         self.hour = hour
+        self.message = message
+
+    def __reduce__(self):
+        # a labeling worker's error is pickled back to the parent process
+        return type(self), (self.hour, self.message)
 
 
 @dataclass(frozen=True)
@@ -94,20 +109,12 @@ class RcModelConfig:
 DEFAULT_RC_CONFIG = RcModelConfig()
 
 
-@dataclass
-class ZoneState:
-    """Air and envelope-mass node temperatures (°C)."""
-
-    t_air: float
-    t_mass: float
-
-    def check(self, hour: int) -> None:
-        if not (math.isfinite(self.t_air) and math.isfinite(self.t_mass)):
-            raise NumericalError(hour, f"non-finite state T_air={self.t_air}, T_mass={self.t_mass}")
-        if not (T_SANITY_LO <= self.t_air <= T_SANITY_HI):
-            raise NumericalError(
-                hour, f"T_air={self.t_air:.2f} outside sanity band [{T_SANITY_LO}, {T_SANITY_HI}]"
-            )
+def _check_state(hour: int, t_air: float, t_mass: float) -> None:
+    """Raise NumericalError unless both node temperatures (°C) are sane."""
+    if not (math.isfinite(t_air) and math.isfinite(t_mass)):
+        raise NumericalError(hour, f"non-finite state T_air={t_air}, T_mass={t_mass}")
+    if not (T_SANITY_LO <= t_air <= T_SANITY_HI):
+        raise NumericalError(hour, f"T_air={t_air:.2f} outside sanity band [{T_SANITY_LO}, {T_SANITY_HI}]")
 
 
 @dataclass(frozen=True)
@@ -155,17 +162,21 @@ def hvac_control(
     return HvacDemand(heat, cool, cool_threshold if cool > 0 else heat_sp)
 
 
+def _ventilation(day: int, hod: int, bms: BmsSchedule, cfg: RcModelConfig) -> float | None:
+    """Supply-air conductance (kW/K) while the AHU is scheduled, else None."""
+    if not _scheduled(hod, bms.start_ventilation_day[day], bms.end_ventilation_day[day]):
+        return None
+    return cfg.air_heat_capacity_kj_m3k * bms.vol_ventilation_day[day] * cfg.volume_m3 / 3600.0
+
+
 def ahu_load(
     hour: int, bms: BmsSchedule, weather: WeatherSeries, cfg: RcModelConfig = DEFAULT_RC_CONFIG
 ) -> tuple[float, float]:
     """(Q_AHU_H, Q_AHU_C) in kW: tempering outside air to the supply setpoint."""
     day = (hour // HOURS_PER_DAY) % 7
-    hod = hour % HOURS_PER_DAY
-    if not _scheduled(hod, bms.start_ventilation_day[day], bms.end_ventilation_day[day]):
+    g_vent = _ventilation(day, hour % HOURS_PER_DAY, bms, cfg)
+    if g_vent is None:
         return 0.0, 0.0
-    g_vent = (
-        cfg.air_heat_capacity_kj_m3k * bms.vol_ventilation_day[day] * cfg.volume_m3 / 3600.0
-    )  # kW/K
     tamb = float(weather.tamb[hour])
     lift = bms.t_ventilation_day[day] - tamb
     if lift > 0:
@@ -203,18 +214,26 @@ def _u_opaque(thickness_m: float, cfg: RcModelConfig) -> float:
     return 1.0 / (cfg.base_resistance_m2k_w + thickness_m / cfg.insulation_lambda_w_mk)
 
 
+def _propagator(l1: float, l2: float, s: float) -> tuple[float, float, float, float]:
+    """Modal growth e_i = exp(λ_i s) and its integral g_i = (e_i − 1)/λ_i over [0, s]."""
+    e1, e2 = math.exp(l1 * s), math.exp(l2 * s)
+    return e1, e2, (e1 - 1.0) / l1, (e2 - 1.0) / l2
+
+
 class _LinearSystem:
     """Exact solution machinery for dx/dt = A x + b with 2x2 Hurwitz A.
 
-    Holds the eigendecomposition of A; b varies hour to hour, so the
-    fixed point is supplied per segment.
+    Holds the eigendecomposition of A and the propagator over one full
+    sub-step ``dt``; b varies hour to hour, so the fixed point is supplied
+    per hour. The state at time s of a segment is x* + V diag(e(s)) w with
+    modal coordinates w = W (x(0) − x*), W = V⁻¹; ``modal`` holds W and V
+    row by row, λ1, λ2 and the `_propagator` at ``dt``.
     """
 
-    __slots__ = ("a11", "a12", "a21", "a22", "ai11", "ai12", "ai21", "ai22",
-                 "l1", "l2", "v11", "v12", "v21", "v22", "w11", "w12", "w21", "w22")
+    __slots__ = ("a11", "a12", "ai11", "ai12", "ai21", "ai22", "modal")
 
-    def __init__(self, a11: float, a12: float, a21: float, a22: float):
-        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
+    def __init__(self, a11: float, a12: float, a21: float, a22: float, dt: float):
+        self.a11, self.a12 = a11, a12
         det = a11 * a22 - a12 * a21
         self.ai11, self.ai12 = a22 / det, -a12 / det
         self.ai21, self.ai22 = -a21 / det, a11 / det
@@ -225,74 +244,65 @@ class _LinearSystem:
             # RC networks have distinct real eigenvalues away from degenerate
             # corners; nudge apart so the diagonalized form stays usable
             l2 -= 1e-9 * max(abs(l1), abs(l2))
-        self.l1, self.l2 = l1, l2
         # eigenvectors (a12, λ−a11); a12 = G_ma/C_air > 0 keeps them independent
-        self.v11, self.v21 = a12, l1 - a11
-        self.v12, self.v22 = a12, l2 - a11
-        dv = self.v11 * self.v22 - self.v12 * self.v21
-        self.w11, self.w12 = self.v22 / dv, -self.v12 / dv
-        self.w21, self.w22 = -self.v21 / dv, self.v11 / dv
+        v11, v21 = a12, l1 - a11
+        v12, v22 = a12, l2 - a11
+        dv = v11 * v22 - v12 * v21
+        w11, w12 = v22 / dv, -v12 / dv
+        w21, w22 = -v21 / dv, v11 / dv
+        self.modal = (w11, w12, w21, w22, v11, v12, v21, v22, l1, l2, _propagator(l1, l2, dt))
 
     def fixed_point(self, ba: float, bm: float) -> tuple[float, float]:
         return -(self.ai11 * ba + self.ai12 * bm), -(self.ai21 * ba + self.ai22 * bm)
 
-    def coeffs(self, ta: float, tm: float, xsa: float, xsm: float) -> tuple[float, float]:
-        """Modal coordinates of the deviation from the fixed point."""
-        da, dm = ta - xsa, tm - xsm
-        return self.w11 * da + self.w12 * dm, self.w21 * da + self.w22 * dm
 
-    def t_air_at(self, w1: float, w2: float, xsa: float, s: float) -> float:
-        return xsa + self.v11 * w1 * math.exp(self.l1 * s) + self.v12 * w2 * math.exp(self.l2 * s)
+def _earliest_crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level):
+    """First (time, level) in (0, s_max] where T_air hits one of ``levels``.
 
-    def advance(self, w1: float, w2: float, xsa: float, xsm: float, s: float):
-        """State at time s and exact ∫x dt over [0, s]."""
-        e1, e2 = math.exp(self.l1 * s), math.exp(self.l2 * s)
-        xa = xsa + self.v11 * w1 * e1 + self.v12 * w2 * e2
-        xm = xsm + self.v21 * w1 * e1 + self.v22 * w2 * e2
-        g1, g2 = (e1 - 1.0) / self.l1, (e2 - 1.0) / self.l2
-        ia = xsa * s + self.v11 * w1 * g1 + self.v12 * w2 * g2
-        im = xsm * s + self.v21 * w1 * g1 + self.v22 * w2 * g2
-        return xa, xm, ia, im
-
-    def earliest_crossing(self, w1, w2, xsa, s_max, levels, skip_level=None) -> tuple[float, float] | None:
-        """First time in (0, s_max] where T_air hits one of ``levels``.
-
-        T_air(s) is a constant plus two exponentials, so it has at most one
-        interior extremum; splitting there gives monotone pieces on which a
-        sign change pins the root for bisection. ``skip_level`` marks a
-        boundary the segment starts on: its residual at s=0 is rounding
-        noise, so the departure sign is probed just inside instead.
-        """
-        alpha, beta = self.v11 * w1 * self.l1, self.v12 * w2 * self.l2
-        knots = [0.0, s_max]
-        if alpha != 0.0 and beta != 0.0 and alpha * beta < 0:
-            s_ext = math.log(-beta / alpha) / (self.l1 - self.l2)
-            if 0.0 < s_ext < s_max:
-                knots = [0.0, s_ext, s_max]
-        best = None
-        for level in levels:
-            for lo, hi in zip(knots, knots[1:]):
-                if lo == 0.0 and level == skip_level:
-                    lo = min(1e-9, 0.5 * hi)
-                f_lo = self.t_air_at(w1, w2, xsa, lo) - level
-                f_hi = self.t_air_at(w1, w2, xsa, hi) - level
-                if f_lo == 0.0 and lo == 0.0:
-                    continue  # segment starts on this boundary; regime already chosen
-                if f_lo * f_hi > 0:
-                    continue
-                a, b = lo, hi
-                for _ in range(80):
-                    mid = 0.5 * (a + b)
-                    fm = self.t_air_at(w1, w2, xsa, mid) - level
-                    if f_lo * fm <= 0:
-                        b = mid
-                    else:
-                        a, f_lo = mid, fm
-                s_hit = 0.5 * (a + b)
-                if s_hit > 1e-15 and (best is None or s_hit < best[0]):
-                    best = (s_hit, level)
-                break  # earlier piece wins for this level
-        return best
+    T_air(s) = xsa + c1·exp(l1·s) + c2·exp(l2·s) has at most one interior
+    extremum; splitting there gives monotone pieces on which a sign change
+    pins the root for bisection. The caller passes the end values
+    ``ta_start`` = T_air(0) and ``ta_end`` = T_air(s_max) it already has, so
+    a segment without a sign change costs no exponential. ``skip_level``
+    marks a boundary the segment starts on: its residual at s=0 is rounding
+    noise, so the departure sign is probed just inside instead.
+    """
+    exp = math.exp
+    alpha, beta = c1 * l1, c2 * l2
+    knots = [(0.0, ta_start), (s_max, ta_end)]
+    if alpha != 0.0 and beta != 0.0 and alpha * beta < 0:
+        s_ext = math.log(-beta / alpha) / (l1 - l2)
+        if 0.0 < s_ext < s_max:
+            knots.insert(1, (s_ext, xsa + c1 * exp(l1 * s_ext) + c2 * exp(l2 * s_ext)))
+    best = None
+    for level in levels:
+        for (lo, ta_lo), (hi, ta_hi) in zip(knots, knots[1:]):
+            if lo == 0.0 and level == skip_level:
+                lo = min(1e-9, 0.5 * hi)
+                ta_lo = xsa + c1 * exp(l1 * lo) + c2 * exp(l2 * lo)
+            f_lo = ta_lo - level
+            if f_lo == 0.0 and lo == 0.0:
+                continue  # segment starts on this boundary; regime already chosen
+            if f_lo * (ta_hi - level) > 0:
+                continue
+            a, b = lo, hi
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                fm = xsa + c1 * exp(l1 * mid) + c2 * exp(l2 * mid) - level
+                # once the midpoint rounds onto an end the bracket never moves again
+                if f_lo * fm <= 0:
+                    if mid == b:
+                        break
+                    b = mid
+                else:
+                    if mid == a:
+                        break
+                    a, f_lo = mid, fm
+            s_hit = 0.5 * (a + b)
+            if s_hit > 1e-15 and (best is None or s_hit < best[0]):
+                best = (s_hit, level)
+            break  # earlier piece wins for this level
+    return best
 
 
 def simulate_week_detailed(
@@ -316,6 +326,7 @@ def simulate_week_detailed(
     g_inf = (
         cfg.air_heat_capacity_kj_m3k * params.airchange_infiltration_vol_per_h * cfg.volume_m3 / 3600.0
     )
+    g_wi = g_win + g_inf  # both couple the air node to ambient
     g_om = (
         sum(a * u for a, u in opaque_facade)
         + cfg.wall5_u_w_m2k * cfg.wall5_area_m2
@@ -342,13 +353,13 @@ def simulate_week_detailed(
             if closed_loop:
                 a11 -= gain / c_air
             systems[key] = _LinearSystem(
-                a11, g_ma / c_air, g_ma / c_mass, -(g_ma + g_om + g_gnd) / c_mass
+                a11, g_ma / c_air, g_ma / c_mass, -(g_ma + g_om + g_gnd) / c_mass, dt
             )
         return systems[key]
 
-    occupied = expand_daily(occ)
-    tamb_series = weather.tamb
-    iglob = weather.channel("IGLOB_H")
+    occupied_h = expand_daily(occ).tolist()
+    tamb_h = weather.tamb.tolist()
+    iglob_h = weather.channel("IGLOB_H").tolist()
     solar_coeff = cfg.solar_projection * cfg.shgc * window_area / 1000.0  # kW per (W/m²)
     f_air = cfg.solar_air_fraction
 
@@ -358,127 +369,111 @@ def simulate_week_detailed(
     q_light_day = cfg.light_w_m2 * cfg.floor_area_m2 / 1000.0
     q_light_night = q_light_day * params.percent_light_night / 100.0
 
-    out = np.zeros((HOURS_PER_WEEK, 8))
-    air_delta = np.zeros(HOURS_PER_WEEK)
-    air_flux = np.zeros(HOURS_PER_WEEK)
-    mass_delta = np.zeros(HOURS_PER_WEEK)
-    mass_flux = np.zeros(HOURS_PER_WEEK)
-    t_air_trace = np.zeros(HOURS_PER_WEEK + 1)
-    t_mass_trace = np.zeros(HOURS_PER_WEEK + 1)
+    rows = []
+    air_delta, air_flux, mass_delta, mass_flux = [], [], [], []
 
-    state = ZoneState(float(t0), float(t0))
-    state.check(0)
-    t_air_trace[0] = state.t_air
-    t_mass_trace[0] = state.t_mass
+    ta = tm = float(t0)
+    _check_state(0, ta, tm)
+    t_air_trace, t_mass_trace = [ta], [tm]
     tg = cfg.ground_temp_c
 
     for hour in range(HOURS_PER_WEEK):
         day = hour // HOURS_PER_DAY
         hod = hour % HOURS_PER_DAY
-        tamb = float(tamb_series[hour])
-        vent_on = _scheduled(hod, bms.start_ventilation_day[day], bms.end_ventilation_day[day])
-        g_vent = (
-            cfg.air_heat_capacity_kj_m3k * bms.vol_ventilation_day[day] * cfg.volume_m3 / 3600.0
-            if vent_on
-            else 0.0
-        )
+        tamb = tamb_h[hour]
         t_vent = bms.t_ventilation_day[day]
+        g_vent = _ventilation(day, hod, bms, cfg) or 0.0
 
-        is_occ = occupied[hour] > 0
-        q_people = occupied[hour] * q_people_occ
+        occupied = occupied_h[hour]
+        is_occ = occupied > 0
+        q_people = occupied * q_people_occ
         q_eqp = q_eqp_day if is_occ else q_eqp_night
         q_light = q_light_day if is_occ else q_light_night
         q_int = q_people + q_eqp + q_light
-        q_sol = solar_coeff * float(iglob[hour])
+        q_sol = solar_coeff * iglob_h[hour]
+        q_air = q_int + f_air * q_sol  # gains landing on the air node (kW)
+        q_mass = (1.0 - f_air) * q_sol
 
-        ba_open = ((g_win + g_inf) * tamb + g_vent * t_vent + q_int + f_air * q_sol) / c_air
-        bm = (g_om * tamb + g_gnd * tg + (1.0 - f_air) * q_sol) / c_mass
+        ba_open = (g_wi * tamb + g_vent * t_vent + q_int + f_air * q_sol) / c_air
+        bm = (g_om * tamb + g_gnd * tg + q_mass) / c_mass
 
+        # the HVAC branch is latched from the air temperature at the hour start
         demand = hvac_control(
-            state.t_air, hour, bms, gain=gain, heat_cap=cap_heat, cool_cap=cap_cool, deadband=cfg.deadband_k
+            ta, hour, bms, gain=gain, heat_cap=cap_heat, cool_cap=cap_cool, deadband=cfg.deadband_k
         )
+        sp = demand.setpoint
         if demand.heat_kw > 0:
-            mode, sp, cap = 1, demand.setpoint, cap_heat
+            mode, cap = 1, cap_heat
         elif demand.cool_kw > 0:
-            mode, sp, cap = -1, demand.setpoint, cap_cool
+            mode, cap = -1, cap_cool
         else:
-            mode, sp, cap = 0, demand.setpoint, 0.0
+            mode, cap = 0, 0.0
 
         sys_open = system(g_vent, False)
-        sys_closed = system(g_vent, True) if mode != 0 else sys_open
-        # temperature levels where the latched branch changes regime
-        if mode == 1:
-            level_off, level_sat = sp, sp - cap / gain
-        elif mode == -1:
-            level_off, level_sat = sp, sp + cap / gain
+        # per regime (indexed by _OFF, _ACTIVE, _SAT): system, fixed point,
+        # constant HVAC flux and the levels where the regime ends
+        xs_open = sys_open.fixed_point(ba_open, bm)
+        if mode == 0:
+            regimes = ((sys_open, *xs_open, 0.0, ()),)
         else:
-            level_off, level_sat = math.inf, -math.inf
-
-        def classify(ta: float) -> int:
-            if mode == 0:
-                return _OFF
-            if mode == 1:
-                if ta >= level_off:
-                    return _OFF
-                if ta <= level_sat:
-                    return _SAT
-                return _ACTIVE
-            if ta <= level_off:
-                return _OFF
-            if ta >= level_sat:
-                return _SAT
-            return _ACTIVE
-
-        def regime_after_hit(level: float, ta: float, tm: float) -> int:
-            # The applied flux is continuous across a regime boundary, so the
-            # drift direction there is regime-independent and decides which
-            # side the trajectory continues on.
-            q_b = (cap if mode == 1 else -cap) if level == level_sat else 0.0
-            drift = sys_open.a11 * ta + sys_open.a12 * tm + ba_open + q_b / c_air
-            if level == level_off:
-                leaving = drift > 0 if mode == 1 else drift < 0
-                return _OFF if leaving else _ACTIVE
-            entering_band = drift > 0 if mode == 1 else drift < 0
-            return _ACTIVE if entering_band else _SAT
+            sys_closed = system(g_vent, True)
+            # temperature levels where the latched branch changes regime
+            level_off = sp
+            level_sat = sp - cap / gain if mode == 1 else sp + cap / gain
+            q_sat = cap if mode == 1 else -cap
+            regimes = (
+                (sys_open, *xs_open, 0.0, (level_off,)),
+                (sys_closed, *sys_closed.fixed_point(ba_open + gain * sp / c_air, bm), 0.0,
+                 (level_off,) if cap == math.inf else (level_off, level_sat)),
+                (sys_open, *sys_open.fixed_point(ba_open + q_sat / c_air, bm), q_sat, (level_sat,)),
+            )
 
         heat_kwh = 0.0
         cool_kwh = 0.0
         int_ta_h = 0.0
-        ta0_h, tm0_h = state.t_air, state.t_mass
+        air_sum = 0.0
+        mass_sum = 0.0
+        ta0_h, tm0_h = ta, tm
         events = 0
         forced_regime: int | None = None
         on_level: float | None = None
+        current = None
 
         for _ in range(n_sub):
             s_left = dt
             while s_left > 1e-14:
-                regime = forced_regime if forced_regime is not None else classify(state.t_air)
-                forced_regime = None
-                if regime == _ACTIVE:
-                    sys = sys_closed
-                    ba = ba_open + gain * sp / c_air
-                    q_const = 0.0
-                    levels = [level_off] if cap == math.inf else [level_off, level_sat]
-                elif regime == _SAT:
-                    sys = sys_open
-                    q_const = cap if mode == 1 else -cap
-                    ba = ba_open + q_const / c_air
-                    levels = [level_sat]
+                if forced_regime is not None:
+                    regime, forced_regime = forced_regime, None
+                elif mode == 0:
+                    regime = _OFF
+                elif mode == 1:
+                    regime = _OFF if ta >= level_off else _SAT if ta <= level_sat else _ACTIVE
                 else:
-                    sys = sys_open
-                    ba = ba_open
-                    q_const = 0.0
-                    levels = [] if mode == 0 else [level_off]
+                    regime = _OFF if ta <= level_off else _SAT if ta >= level_sat else _ACTIVE
+                if regime != current:
+                    current = regime
+                    sys, xsa, xsm, q_const, levels = regimes[regime]
+                    w11, w12, w21, w22, v11, v12, v21, v22, l1, l2, prop_dt = sys.modal
 
-                xsa, xsm = sys.fixed_point(ba, bm)
-                w1, w2 = sys.coeffs(state.t_air, state.t_mass, xsa, xsm)
+                da, dm = ta - xsa, tm - xsm
+                w1, w2 = w11 * da + w12 * dm, w21 * da + w22 * dm
+                c1, c2 = v11 * w1, v12 * w2
+                e1, e2, g1, g2 = prop_dt if s_left == dt else _propagator(l1, l2, s_left)
+                xa = xsa + c1 * e1 + c2 * e2
                 hit = (
-                    sys.earliest_crossing(w1, w2, xsa, s_left, levels, skip_level=on_level)
+                    _earliest_crossing(c1, c2, l1, l2, xsa, s_left, xsa + c1 + c2, xa, levels, on_level)
                     if levels
                     else None
                 )
-                s_seg = hit[0] if hit else s_left
-                xa, xm, ia, im = sys.advance(w1, w2, xsa, xsm, s_seg)
+                if hit:
+                    s_seg = hit[0]
+                    e1, e2, g1, g2 = _propagator(l1, l2, s_seg)
+                else:
+                    s_seg = s_left
+                c3, c4 = v21 * w1, v22 * w2
+                xm = xsm + c3 * e1 + c4 * e2
+                ia = xsa * s_seg + c1 * g1 + c2 * g2  # exact ∫T_air dt over the segment
+                im = xsm * s_seg + c3 * g1 + c4 * g2
 
                 if regime == _ACTIVE:
                     q_hvac_kwh = gain * (sp * s_seg - ia)  # ∫ gain·(sp − T) dt, signed
@@ -490,40 +485,51 @@ def simulate_week_detailed(
                     cool_kwh += -q_hvac_kwh
 
                 int_ta_h += ia
-                air_flux[hour] += (
-                    (g_win + g_inf) * (tamb * s_seg - ia)
+                air_sum += (
+                    g_wi * (tamb * s_seg - ia)
                     + g_vent * (t_vent * s_seg - ia)
                     + g_ma * (im - ia)
-                    + (q_int + f_air * q_sol) * s_seg
+                    + q_air * s_seg
                     + q_hvac_kwh
                 )
-                mass_flux[hour] += (
+                mass_sum += (
                     g_ma * (ia - im)
                     + g_om * (tamb * s_seg - im)
                     + g_gnd * (tg * s_seg - im)
-                    + (1.0 - f_air) * q_sol * s_seg
+                    + q_mass * s_seg
                 )
 
-                state.t_air = hit[1] if hit else xa  # land exactly on the boundary
-                state.t_mass = xm
+                tm = xm
                 s_left -= s_seg
                 if hit:
-                    on_level = hit[1]
-                    forced_regime = regime_after_hit(hit[1], state.t_air, state.t_mass)
+                    ta = on_level = hit[1]  # land exactly on the boundary
+                    # The applied flux is continuous across a regime boundary, so
+                    # the drift direction there is regime-independent and decides
+                    # which side the trajectory continues on.
+                    q_b = q_sat if on_level == level_sat else 0.0
+                    drift = sys_open.a11 * ta + sys_open.a12 * tm + ba_open + q_b / c_air
+                    if on_level == level_off:
+                        leaving = drift > 0 if mode == 1 else drift < 0
+                        forced_regime = _OFF if leaving else _ACTIVE
+                    else:
+                        entering_band = drift > 0 if mode == 1 else drift < 0
+                        forced_regime = _ACTIVE if entering_band else _SAT
                     events += 1
                     if events > _MAX_EVENTS_PER_HOUR:
                         raise NumericalError(hour, "HVAC regime chatter: too many control events")
                 else:
+                    ta = xa
                     on_level = None
 
-        state.check(hour)
-        air_delta[hour] = c_air * (state.t_air - ta0_h)
-        mass_delta[hour] = c_mass * (state.t_mass - tm0_h)
-        t_air_trace[hour + 1] = state.t_air
-        t_mass_trace[hour + 1] = state.t_mass
-
+        _check_state(hour, ta, tm)
         q_ahu_h, q_ahu_c = ahu_load(hour, bms, weather, cfg)
-        out[hour] = (
+        air_delta.append(c_air * (ta - ta0_h))
+        mass_delta.append(c_mass * (tm - tm0_h))
+        air_flux.append(air_sum)
+        mass_flux.append(mass_sum)
+        t_air_trace.append(ta)
+        t_mass_trace.append(tm)
+        rows.append((
             max(cool_kwh, 0.0),  # Q_AC_OFFICE: kWh over one hour = mean kW
             max(heat_kwh, 0.0),
             q_people,
@@ -532,10 +538,10 @@ def simulate_week_detailed(
             q_ahu_c,
             q_ahu_h,
             int_ta_h,  # hour-mean air temperature
-        )
+        ))
 
-    ledger = EnergyLedger(air_delta, air_flux, mass_delta, mass_flux)
-    return SimResult(SimOutput(out), ledger, t_air_trace, t_mass_trace)
+    ledger = EnergyLedger(*(np.array(v) for v in (air_delta, air_flux, mass_delta, mass_flux)))
+    return SimResult(SimOutput(np.array(rows)), ledger, np.array(t_air_trace), np.array(t_mass_trace))
 
 
 def simulate_week(

@@ -72,6 +72,7 @@ def save_week(path, week: WeatherSeries) -> None:
 
 
 def load_week(path) -> WeatherSeries:
+    """Read a week written by `save_week`: the hour column must read 0..167 in order."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         if header != ["hour"] + list(WEATHER_CHANNELS):
@@ -83,6 +84,8 @@ def load_week(path) -> WeatherSeries:
             parts = line.strip().split(",")
             if len(parts) != 1 + len(WEATHER_CHANNELS):
                 raise SchemaError(f"{path}: line {lineno}: expected {1 + len(WEATHER_CHANNELS)} fields")
+            if parts[0] != str(len(rows)):
+                raise SchemaError(f"{path}: line {lineno}: hour {parts[0]!r}, expected {len(rows)}")
             try:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:

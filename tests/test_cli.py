@@ -499,17 +499,32 @@ def _nan_tolerance(pipeline, tmp):
     return _argv(pipeline, tmp, "optimize", "--tolerance", "nan")
 
 
-def _malformed_weather_csv(pipeline, tmp):
+def _edited_weather(pipeline, tmp, edit):
+    """`twin` on weeks 0 and 1 of a copy of the pipeline's weather whose week-1
+    CSV lines are passed through `edit`."""
     wx = tmp / "wx"
     wx.mkdir()
     for k in range(3):
         name = f"week_{k:04d}.csv"
         (wx / name).write_bytes((pipeline["weather"] / name).read_bytes())
-    rows = (wx / "week_0001.csv").read_text().splitlines()
-    rows[3] = rows[3].replace(",", ";", 1)
-    (wx / "week_0001.csv").write_text("\n".join(rows) + "\n")
+    lines = (wx / "week_0001.csv").read_text().splitlines()
+    (wx / "week_0001.csv").write_text("\n".join(edit(lines)) + "\n")
     # week 0 reads and simulates fine, so its trace must not be written either
     return _argv(pipeline, tmp, "twin", "--weather", str(wx), "--weeks", "0,1")
+
+
+def _malformed_weather_csv(pipeline, tmp):
+    def edit(lines):
+        lines[3] = lines[3].replace(",", ";", 1)
+        return lines
+    return _edited_weather(pipeline, tmp, edit)
+
+
+def _weather_hours_reversed(pipeline, tmp):
+    def edit(lines):
+        header, *rows = lines
+        return [header] + [f"{167 - h}," + row.split(",", 1)[1] for h, row in enumerate(rows)]
+    return _edited_weather(pipeline, tmp, edit)
 
 
 def _missing_trace(pipeline, tmp):
@@ -588,6 +603,7 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_nan_noise, 3),
     (_nan_tolerance, 3),
     (_malformed_weather_csv, 3),
+    (_weather_hours_reversed, 3),
     (_missing_trace, 3),
     (_trace_with_duplicate_hour, 3),
     (_heat_window_start_not_before_end, 3),

@@ -1,6 +1,8 @@
 """Thermal simulator: control law, AHU load, energy accounting, dynamics."""
 
 import dataclasses
+import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -302,6 +304,12 @@ class TestSimulationContracts:
         with pytest.raises(rcsim.NumericalError, match="hour 0"):
             rcsim.simulate_week(params, bms, occ, winter_weather(), t0=float("nan"))
 
+    def test_numerical_error_survives_pickling(self):
+        # labeling workers send their exceptions to the parent process pickled
+        err = pickle.loads(pickle.dumps(rcsim.NumericalError(7, "T_air left the band")))
+        assert type(err) is rcsim.NumericalError
+        assert err.hour == 7 and str(err) == "hour 7: T_air left the band"
+
     def test_sanity_band_abort_reports_hour(self):
         params, bms, occ = self._episode(power_VCV_kW_heat=0, power_VCV_kW_clim=0)
         with pytest.raises(rcsim.NumericalError) as err:
@@ -383,3 +391,40 @@ class TestFineStepReference:
         ref = reference_hour0_heat(params, bms, occ, weather, 20.0)
         assert ref == pytest.approx(76.40, abs=0.01)
         assert sim == pytest.approx(ref, rel=1e-4)
+
+
+GOLDEN_SHA256 = "5a68aeb1e5f17a4a9693f9efe1125dd2070364d5be15fa150fdb7ba1a417746c"
+
+
+def _golden_cases():
+    """(params, bms, occ, weather, cfg, t0) runs the golden digest covers."""
+    pool = generate_pool(0, 30)
+    episodes = [sample_episode_config(sc.DEFAULT_SCHEMA, 30, substream(11, "episode", i))
+                for i in range(200)]
+    cases = [(p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, 20.0) for p, b, o, w in episodes]
+    p, b, o, w = episodes[1]  # starts on the heater's saturation level at t0 = 20
+    cases += [(p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, t0) for t0 in (19.0, 19.5, 20.0, 20.5, 21.0)]
+    for substeps in (1, 12):
+        cfg = rcsim.RcModelConfig(substeps=substeps)
+        cases += [(p, b, o, pool[w], cfg, 20.0) for p, b, o, w in episodes[:4]]
+    return cases
+
+
+def test_simulator_output_is_pinned_bit_for_bit():
+    """sha256 of every output, both traces and the ledger over a fixed corpus.
+
+    The digest was recorded before the segment loop reused cached
+    propagators and crossing endpoints; any change to the float operations
+    or their order moves it (and so would a libm whose exp or log rounds
+    differently). The corpus includes episode 1, which starts on the
+    heater's saturation level, hours with control events, and sub-step
+    counts other than the default.
+    """
+    digest = hashlib.sha256()
+    for params, bms, occ, weather, cfg, t0 in _golden_cases():
+        res = rcsim.simulate_week_detailed(params, bms, occ, weather, cfg, t0)
+        ledger = res.ledger
+        for arr in (res.output.data, res.t_air, res.t_mass, ledger.air_delta, ledger.air_flux,
+                    ledger.mass_delta, ledger.mass_flux):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == GOLDEN_SHA256

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from bemopt.schema import (
     NormStats,
     VariableSpec,
 )
-from bemopt.rcsim import simulate_week
+from bemopt.rcsim import NumericalError, simulate_week
 from bemopt.seeding import stream, substream
 from bemopt.weather import generate_pool
 
@@ -164,9 +165,36 @@ def test_resample_deterministic(pool):
 
 
 def test_parallel_labeling_matches_serial(pool):
-    a = tr.sample_dataset(pool, 6, seed=7, counts=(4, 1, 1), jobs=1)
-    b = tr.sample_dataset(pool, 6, seed=7, counts=(4, 1, 1), jobs=2)
-    np.testing.assert_array_equal(a.targets, b.targets)
+    # 40 episodes are three chunks of the pool's chunksize 16, so both workers label
+    a = tr.sample_dataset(pool, 40, seed=7, jobs=1)
+    b = tr.sample_dataset(pool, 40, seed=7, jobs=2)
+    for name in ("inputs", "targets", "masks", "weather_index"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.splits.keys() == b.splits.keys()
+    for name in a.splits:
+        np.testing.assert_array_equal(a.splits[name], b.splits[name])
+    for name in ("input_lo", "input_hi", "target_mean", "target_std"):
+        np.testing.assert_array_equal(getattr(a.norm, name), getattr(b.norm, name))
+    assert a.norm.flagged == b.norm.flagged
+
+
+def test_worker_numerical_error_reaches_the_parent(pool, monkeypatch):
+    def fail(*args):
+        raise NumericalError(7, "T_air left the sanity band")
+
+    def hung(signum, frame):
+        raise TimeoutError("labeling pool hung on a worker's error")
+
+    monkeypatch.setattr(tr, "simulate_week", fail)  # forked workers inherit the patch
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(NumericalError, match="hour 7") as err:
+            tr.sample_dataset(pool, 6, seed=7, counts=(4, 1, 1), jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert err.value.hour == 7
 
 
 def test_sampling_rejections(pool):

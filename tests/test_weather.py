@@ -62,6 +62,16 @@ class TestCsvRoundTrip:
         with pytest.raises(sc.SchemaError, match="line 3"):
             weather.load_week(p)
 
+    @pytest.mark.parametrize("relabel", [lambda h: str(167 - h), lambda h: "x", lambda h: f"{h}.0"])
+    def test_hour_column_must_count_up_from_zero(self, tmp_path, relabel):
+        p = tmp_path / "week.csv"
+        weather.save_week(p, weather.synthetic_week(stream(3, "wk")))
+        header, *rows = p.read_text().splitlines()
+        rows = [relabel(h) + "," + row.split(",", 1)[1] for h, row in enumerate(rows)]
+        p.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(sc.SchemaError, match="line 2: hour"):
+            weather.load_week(p)
+
     def test_missing_directory_content(self, tmp_path):
         with pytest.raises(sc.SchemaError, match="no weather"):
             weather.load_pool(tmp_path)
