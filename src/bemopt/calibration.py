@@ -29,8 +29,8 @@ from .schema import (
     SchemaError,
     assemble_inputs,
     decode_unit_box,
-    expand_daily,
     heat_aggregate_of,
+    occupied_hours,
 )
 from .seeding import stream
 from .training import T_INT_INDEX, episode_errors, predict, r2_score
@@ -400,9 +400,11 @@ class CalibrationSpace:
     def to_dict(self) -> dict:
         return {
             "free": [{"name": f.name, "per_day": f.per_day} for f in self.free],
-            "base_params": self.base_params.to_dict(),
-            "base_bms": self.base_bms.to_dict(),
-            "base_occ": self.base_occ.to_dict(),
+            "base": {
+                "params": self.base_params.to_dict(),
+                "bms": self.base_bms.to_dict(),
+                "occ": self.base_occ.to_dict(),
+            },
         }
 
 
@@ -518,16 +520,13 @@ def calibrate(
                           sigma0=sigma0, log=log)
     best_x = result.best_x
 
-    _, _, best_occ = space.decode(best_x)
-    mask = expand_daily(best_occ) > 0
-
     def week_rows(ts, ws):
         if not ws:
             return []
-        preds = predict(model.params, model.config, model.kind, space.assemble(best_x, ws),
-                        model.norm)
+        inputs = space.assemble(best_x, ws)
+        preds = predict(model.params, model.config, model.kind, inputs, model.norm)
         rows = []
-        for k, (trace, pred) in enumerate(zip(ts, preds)):
+        for k, (trace, pred, mask) in enumerate(zip(ts, preds, occupied_hours(inputs))):
             row = episode_errors(pred[:, T_INT_INDEX], trace.t_int,
                                  heat_aggregate_of(pred), trace.q_heat, mask)
             row["week"] = k

@@ -118,10 +118,16 @@ def _load_json(path) -> dict:
         raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {e}") from None
 
 
-def _load_building_file(path):
-    """JSON with params/bms/occ sections -> the three schedule dataclasses."""
+def _load_building_file(path, block=None):
+    """JSON with params/bms/occ sections -> the three schedule dataclasses.
+
+    `block` names the object that holds the sections, as ``calibrated`` does
+    in a calibration.json; without it they sit at the top level.
+    """
     doc = _load_json(path)
     try:
+        if block is not None:
+            doc = doc[block]
         return (
             BuildingParams.from_dict(doc["params"]),
             BmsSchedule.from_dict(doc["bms"]),
@@ -451,13 +457,7 @@ def cmd_optimize(args, section) -> int:
     except (ValueError, OSError) as e:
         raise CliError(EXIT_INPUT, f"cannot load model {args.model}: {e}") from None
     manifest.add_input(args.calibrated)
-    doc = _load_json(args.calibrated)
-    try:
-        params = BuildingParams.from_dict(doc["calibrated"]["params"])
-        baseline_bms = BmsSchedule.from_dict(doc["calibrated"]["bms"])
-        occ = OccupancySchedule.from_dict(doc["calibrated"]["occ"])
-    except (KeyError, TypeError, SchemaError, ValueError) as e:
-        raise CliError(EXIT_INPUT, f"{args.calibrated}: bad calibration file: {e}") from None
+    params, baseline_bms, occ = _load_building_file(args.calibrated, "calibrated")
     weather = _load_weather_week(args.weather, args.week)
     manifest.add_input(_weather_path(args.weather, args.week))
 

@@ -22,8 +22,8 @@ from .schema import (
     WeatherSeries,
     assemble_inputs,
     decode_unit_box,
-    expand_daily,
     heat_aggregate_of,
+    occupied_hours,
 )
 from .seeding import stream
 from .training import T_INT_INDEX, predict
@@ -378,9 +378,6 @@ class BmsSpace:
     def assemble(self, x01, weather: WeatherSeries) -> np.ndarray:
         return assemble_inputs(self.base_params, self.decode(x01), self.base_occ, weather)
 
-    def occupied_mask(self) -> np.ndarray:
-        return expand_daily(self.base_occ) > 0
-
 
 def evaluate_settings(model: FrozenModel, params: BuildingParams, bms: BmsSchedule,
                       occ: OccupancySchedule, weather: WeatherSeries) -> Objectives:
@@ -388,7 +385,7 @@ def evaluate_settings(model: FrozenModel, params: BuildingParams, bms: BmsSchedu
     inputs = assemble_inputs(params, bms, occ, weather)
     pred = predict(model.params, model.config, model.kind, inputs, model.norm)
     return objectives_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred),
-                                  expand_daily(occ) > 0)
+                                  occupied_hours(inputs))
 
 
 def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
@@ -399,14 +396,13 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
     All candidates of a generation go through one batched forward pass.
     """
     config = config or NsgaConfig()
-    mask = space.occupied_mask()
 
     def batch_evaluator(X):
         inputs = np.stack([space.assemble(x, weather) for x in X])
         preds = predict(model.params, model.config, model.kind, inputs, model.norm)
         out = np.empty((len(X), 2))
-        for i, p in enumerate(preds):
-            o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), mask)
+        for i, (p, occupied) in enumerate(zip(preds, occupied_hours(inputs))):
+            o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), occupied)
             out[i] = (o.comfort, o.consumption)
         return out
 

@@ -8,12 +8,14 @@ proportional HVAC branch is linear in the state, so the trajectory is
 integrated exactly (eigendecomposition of the 2x2 system) with explicit
 event handling where the controller changes regime (off / proportional /
 saturated). The per-hour energy ledger therefore balances to machine
-precision. The sub-step partition is not neutral, though: a segment that
-starts exactly on the heater's saturation level stays saturated until the
-next sub-step boundary, so such an hour's heat depends on `substeps`
-(100 / 78.57 / 76.40 kW with 1 / 6 / 200 sub-steps in one corpus episode
-whose exact value is 76.40 kW). Elsewhere the partition changes results
-only by float rounding.
+precision.
+
+Boundary rule: a segment that starts exactly on a level where the latched
+branch changes regime (its off level or its saturation level), whether a
+crossing landed it there or the hour began there, continues on the side
+the drift points to. The applied flux is continuous across the level, so
+that drift does not depend on the regime. The sub-step partition therefore
+changes results only by float rounding.
 
 Control timing: the HVAC mode (heat / cool / off) is latched once per
 hour from the air temperature at the hour start, which makes heating and
@@ -435,17 +437,27 @@ def simulate_week_detailed(
         mass_sum = 0.0
         ta0_h, tm0_h = ta, tm
         events = 0
-        forced_regime: int | None = None
-        on_level: float | None = None
         current = None
 
         for _ in range(n_sub):
             s_left = dt
             while s_left > 1e-14:
-                if forced_regime is not None:
-                    regime, forced_regime = forced_regime, None
-                elif mode == 0:
+                on_level = None
+                if mode == 0:
                     regime = _OFF
+                elif ta == level_off or ta == level_sat:
+                    # The applied flux is continuous across a regime boundary, so
+                    # the drift direction there is regime-independent and decides
+                    # which side the trajectory continues on.
+                    on_level = ta
+                    q_b = q_sat if ta == level_sat else 0.0
+                    drift = sys_open.a11 * ta + sys_open.a12 * tm + ba_open + q_b / c_air
+                    if ta == level_off:
+                        leaving = drift > 0 if mode == 1 else drift < 0
+                        regime = _OFF if leaving else _ACTIVE
+                    else:
+                        entering_band = drift > 0 if mode == 1 else drift < 0
+                        regime = _ACTIVE if entering_band else _SAT
                 elif mode == 1:
                     regime = _OFF if ta >= level_off else _SAT if ta <= level_sat else _ACTIVE
                 else:
@@ -502,24 +514,12 @@ def simulate_week_detailed(
                 tm = xm
                 s_left -= s_seg
                 if hit:
-                    ta = on_level = hit[1]  # land exactly on the boundary
-                    # The applied flux is continuous across a regime boundary, so
-                    # the drift direction there is regime-independent and decides
-                    # which side the trajectory continues on.
-                    q_b = q_sat if on_level == level_sat else 0.0
-                    drift = sys_open.a11 * ta + sys_open.a12 * tm + ba_open + q_b / c_air
-                    if on_level == level_off:
-                        leaving = drift > 0 if mode == 1 else drift < 0
-                        forced_regime = _OFF if leaving else _ACTIVE
-                    else:
-                        entering_band = drift > 0 if mode == 1 else drift < 0
-                        forced_regime = _ACTIVE if entering_band else _SAT
+                    ta = hit[1]  # land exactly on the boundary
                     events += 1
                     if events > _MAX_EVENTS_PER_HOUR:
                         raise NumericalError(hour, "HVAC regime chatter: too many control events")
                 else:
                     ta = xa
-                    on_level = None
 
         _check_state(hour, ta, tm)
         q_ahu_h, q_ahu_c = ahu_load(hour, bms, weather, cfg)

@@ -45,17 +45,14 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class VariableSpec:
-    """One sampled variable: its range, granularity and time kind."""
+    """One sampled variable: its range and granularity."""
 
     name: str
     min: float
     max: float
     step: float
-    kind: str  # "static" | "daily" | "hourly"
 
     def __post_init__(self):
-        if self.kind not in ("static", "daily", "hourly"):
-            raise SchemaError(f"{self.name}: unknown kind {self.kind!r}")
         if not self.min <= self.max:
             raise SchemaError(f"{self.name}: min {self.min} > max {self.max}")
         if not self.step > 0:
@@ -98,47 +95,47 @@ def decode_unit_box(specs: Sequence[VariableSpec], x01) -> np.ndarray:
 
 # Ranges from the building-parameter table.
 BUILDING_SPECS = (
-    VariableSpec("airchange_infiltration_vol_per_h", 0.1, 0.5, 0.1, "static"),
-    VariableSpec("capacitance_kJ_perdegreK_perm3", 50, 300, 10, "static"),
-    VariableSpec("power_VCV_kW_heat", 0, 1000, 100, "static"),
-    VariableSpec("power_VCV_kW_clim", 0, 1000, 100, "static"),
-    VariableSpec("nb_occupants", 1000, 2000, 200, "static"),
-    VariableSpec("nb_PCs", 1000, 2000, 200, "static"),
-    VariableSpec("percent_light_night", 0, 70, 10, "static"),
-    VariableSpec("percent_PCs_night", 0, 70, 10, "static"),
-    VariableSpec("facade_1_thickness_2", 0.05, 0.15, 0.05, "static"),
-    VariableSpec("facade_2_thickness_2", 0.05, 0.15, 0.05, "static"),
-    VariableSpec("facade_3_thickness_2", 0.05, 0.15, 0.05, "static"),
-    VariableSpec("facade_4_thickness_2", 0.05, 0.15, 0.05, "static"),
-    VariableSpec("roof_1_thickness_3", 0.05, 0.15, 0.05, "static"),
-    VariableSpec("facade_1_window_area_percent", 40, 50, 5, "static"),
-    VariableSpec("facade_2_window_area_percent", 40, 50, 5, "static"),
-    VariableSpec("facade_3_window_area_percent", 40, 50, 5, "static"),
-    VariableSpec("facade_4_window_area_percent", 40, 50, 5, "static"),
+    VariableSpec("airchange_infiltration_vol_per_h", 0.1, 0.5, 0.1),
+    VariableSpec("capacitance_kJ_perdegreK_perm3", 50, 300, 10),
+    VariableSpec("power_VCV_kW_heat", 0, 1000, 100),
+    VariableSpec("power_VCV_kW_clim", 0, 1000, 100),
+    VariableSpec("nb_occupants", 1000, 2000, 200),
+    VariableSpec("nb_PCs", 1000, 2000, 200),
+    VariableSpec("percent_light_night", 0, 70, 10),
+    VariableSpec("percent_PCs_night", 0, 70, 10),
+    VariableSpec("facade_1_thickness_2", 0.05, 0.15, 0.05),
+    VariableSpec("facade_2_thickness_2", 0.05, 0.15, 0.05),
+    VariableSpec("facade_3_thickness_2", 0.05, 0.15, 0.05),
+    VariableSpec("facade_4_thickness_2", 0.05, 0.15, 0.05),
+    VariableSpec("roof_1_thickness_3", 0.05, 0.15, 0.05),
+    VariableSpec("facade_1_window_area_percent", 40, 50, 5),
+    VariableSpec("facade_2_window_area_percent", 40, 50, 5),
+    VariableSpec("facade_3_window_area_percent", 40, 50, 5),
+    VariableSpec("facade_4_window_area_percent", 40, 50, 5),
 )
 
 # Daily management-system settings; each holds one value per day of week.
 # vol_ventilation_day: the published step (0.3) does not divide the range
 # width; 0.25 keeps both endpoints on the grid.
 BMS_SPECS = (
-    VariableSpec("start_clim_day", 7, 9, 1, "daily"),
-    VariableSpec("end_clim_day", 18, 20, 1, "daily"),
-    VariableSpec("t_clim_red_day", 24, 30, 0.5, "daily"),
-    VariableSpec("t_clim_conf_day", 20, 24, 0.5, "daily"),
-    VariableSpec("start_heat_day", 6, 8, 1, "daily"),
-    VariableSpec("end_heat_day", 17, 19, 1, "daily"),
-    VariableSpec("t_heat_red_day", 17, 22, 0.5, "daily"),
-    VariableSpec("t_heat_conf_day", 22, 24, 0.5, "daily"),
-    VariableSpec("start_ventilation_day", 7, 9, 1, "daily"),
-    VariableSpec("end_ventilation_day", 18, 20, 1, "daily"),
-    VariableSpec("t_ventilation_day", 18, 26, 0.5, "daily"),
-    VariableSpec("vol_ventilation_day", 0.7, 1.7, 0.25, "daily"),
+    VariableSpec("start_clim_day", 7, 9, 1),
+    VariableSpec("end_clim_day", 18, 20, 1),
+    VariableSpec("t_clim_red_day", 24, 30, 0.5),
+    VariableSpec("t_clim_conf_day", 20, 24, 0.5),
+    VariableSpec("start_heat_day", 6, 8, 1),
+    VariableSpec("end_heat_day", 17, 19, 1),
+    VariableSpec("t_heat_red_day", 17, 22, 0.5),
+    VariableSpec("t_heat_conf_day", 22, 24, 0.5),
+    VariableSpec("start_ventilation_day", 7, 9, 1),
+    VariableSpec("end_ventilation_day", 18, 20, 1),
+    VariableSpec("t_ventilation_day", 18, 26, 0.5),
+    VariableSpec("vol_ventilation_day", 0.7, 1.7, 0.25),
 )
 
 # Occupancy window; applies to weekdays only, weekends are unoccupied.
 OCCUPANCY_SPECS = (
-    VariableSpec("start_occupation", 7, 9, 1, "daily"),
-    VariableSpec("end_occupation", 17, 20, 1, "daily"),
+    VariableSpec("start_occupation", 7, 9, 1),
+    VariableSpec("end_occupation", 17, 20, 1),
 )
 
 
@@ -183,7 +180,7 @@ class Schema:
         """The declaration as stored in every dataset manifest."""
         def rows(specs):
             return [
-                {"name": s.name, "min": s.min, "max": s.max, "step": s.step, "kind": s.kind}
+                {"name": s.name, "min": s.min, "max": s.max, "step": s.step}
                 for s in specs
             ]
 
@@ -324,7 +321,6 @@ class OccupancySchedule:
 
     start_occupation: tuple[float, ...]  # Mon..Fri arrival hour
     end_occupation: tuple[float, ...]  # Mon..Fri departure hour
-    max_occupants: float = 0.0
 
     def __post_init__(self):
         for name in ("start_occupation", "end_occupation"):
@@ -343,14 +339,12 @@ class OccupancySchedule:
         return cls(
             tuple(float(v) for v in d["start_occupation"]),
             tuple(float(v) for v in d["end_occupation"]),
-            float(d.get("max_occupants", 0.0)),
         )
 
     def to_dict(self) -> dict:
         return {
             "start_occupation": list(self.start_occupation),
             "end_occupation": list(self.end_occupation),
-            "max_occupants": self.max_occupants,
         }
 
 
@@ -403,17 +397,15 @@ def heat_aggregate_of(targets: np.ndarray) -> np.ndarray:
     return np.asarray(targets)[..., list(HEAT_AGGREGATE_INDICES)].sum(axis=-1)
 
 
-def expand_daily(schedule, horizon: int = HOURS_PER_WEEK) -> np.ndarray:
-    """Expand a daily schedule to hourly channels over ``horizon`` hours.
+def expand_daily(schedule) -> np.ndarray:
+    """Expand a daily schedule to hourly channels over one week.
 
-    BmsSchedule -> (horizon, 12) matrix: each day's settings repeated for
-    its 24 hours. OccupancySchedule -> (horizon,) presence fraction: 1.0
-    inside [start, end) on weekdays, 0.0 otherwise (weekends included).
+    BmsSchedule -> (168, 12) matrix: each day's settings repeated for its
+    24 hours. OccupancySchedule -> (168,) presence fraction: 1.0 inside
+    [start, end) on weekdays, 0.0 otherwise (weekends included).
     """
-    if horizon % HOURS_PER_DAY != 0:
-        raise SchemaError(f"horizon {horizon} is not a multiple of {HOURS_PER_DAY}")
-    day_of_hour = np.arange(horizon) // HOURS_PER_DAY % DAYS_PER_WEEK
-    hour_of_day = np.arange(horizon) % HOURS_PER_DAY
+    day_of_hour = np.arange(HOURS_PER_WEEK) // HOURS_PER_DAY
+    hour_of_day = np.arange(HOURS_PER_WEEK) % HOURS_PER_DAY
 
     if isinstance(schedule, BmsSchedule):
         per_day = schedule.as_matrix()  # (7, 12)
@@ -431,11 +423,10 @@ def expand_daily(schedule, horizon: int = HOURS_PER_WEEK) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Episode:
-    """One model example: assembled hourly inputs, targets, occupation mask."""
+    """One model example: assembled hourly inputs and their targets."""
 
     inputs: np.ndarray  # (168, D_in)
     targets: np.ndarray | None  # (168, 8) or None before labeling
-    occupied_mask: np.ndarray  # (168,) bool
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
@@ -447,16 +438,6 @@ class Episode:
             if y.shape != (HOURS_PER_WEEK, len(OUTPUT_CHANNELS)):
                 raise SchemaError(f"targets must be (168, 8), got {y.shape}")
             object.__setattr__(self, "targets", _readonly(y))
-        m = np.asarray(self.occupied_mask, dtype=bool)
-        if m.shape != (HOURS_PER_WEEK,):
-            raise SchemaError(f"occupied_mask must be (168,), got {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "occupied_mask", m)
-
-    @property
-    def d_in(self) -> int:
-        return self.inputs.shape[1]
 
 
 # make_episode and assemble_inputs stay module-level: perfbench/tracer.py patches both.
@@ -477,6 +458,21 @@ def assemble_inputs(
     return np.hstack([static, bms_channels, occ_frac, weather.data])
 
 
+_OCCUPANCY_COLUMN = DEFAULT_SCHEMA.input_channel_names.index("occupancy_fraction")
+
+
+def occupied_hours(inputs) -> np.ndarray:
+    """Occupied hours of assembled inputs: (..., 168, D_in) -> (..., 168) bool.
+
+    The one rule for which hours count as occupied: the occupancy-fraction
+    channel is positive. Comfort and the occupied-hours error metrics read it.
+    """
+    x = np.asarray(inputs)
+    if x.shape[-2:] != (HOURS_PER_WEEK, DEFAULT_SCHEMA.d_in):
+        raise SchemaError(f"inputs must be (..., 168, {DEFAULT_SCHEMA.d_in}), got {x.shape}")
+    return x[..., _OCCUPANCY_COLUMN] > 0
+
+
 def make_episode(
     params: BuildingParams,
     bms: BmsSchedule,
@@ -484,9 +480,7 @@ def make_episode(
     weather: WeatherSeries,
     targets: np.ndarray | None = None,
 ) -> Episode:
-    inputs = assemble_inputs(params, bms, occ, weather)
-    mask = expand_daily(occ) > 0
-    return Episode(inputs, targets, mask)
+    return Episode(assemble_inputs(params, bms, occ, weather), targets)
 
 
 @dataclass(frozen=True)
@@ -504,8 +498,6 @@ class NormStats:
     input_hi: np.ndarray
     target_mean: np.ndarray
     target_std: np.ndarray
-    input_names: tuple[str, ...]
-    target_names: tuple[str, ...]
     flagged: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -551,7 +543,7 @@ class NormStats:
             if std[j] == 0:
                 std[j] = 1.0
                 flagged.append(name)
-        return cls(lo, hi, mean, std, names, OUTPUT_CHANNELS, tuple(flagged))
+        return cls(lo, hi, mean, std, tuple(flagged))
 
     def normalize_inputs(self, x: np.ndarray) -> np.ndarray:
         width = self.input_hi - self.input_lo
@@ -571,8 +563,6 @@ class NormStats:
             "input_hi": self.input_hi.tolist(),
             "target_mean": self.target_mean.tolist(),
             "target_std": self.target_std.tolist(),
-            "input_names": list(self.input_names),
-            "target_names": list(self.target_names),
             "flagged": list(self.flagged),
         }
 
@@ -585,8 +575,6 @@ class NormStats:
             np.array(d["input_hi"], dtype=np.float64),
             np.array(d["target_mean"], dtype=np.float64),
             np.array(d["target_std"], dtype=np.float64),
-            tuple(d["input_names"]),
-            tuple(d["target_names"]),
             tuple(d.get("flagged", ())),
         )
         for name in ("input_lo", "input_hi", "target_mean", "target_std"):

@@ -29,6 +29,7 @@ from .schema import (
     Schema,
     heat_aggregate_of,
     make_episode,
+    occupied_hours,
 )
 from .rcsim import simulate_week
 from .seeding import stream, substream
@@ -105,7 +106,7 @@ def sample_episode_config(schema: Schema, n_weather: int, rng):
     bms = BmsSchedule(**daily)
     start = tuple(schema.occupancy[0].sample(rng) for _ in range(5))
     end = tuple(schema.occupancy[1].sample(rng) for _ in range(5))
-    occ = OccupancySchedule(start, end, max_occupants=params.nb_occupants)
+    occ = OccupancySchedule(start, end)
     week = int(rng.integers(0, n_weather))
     return params, bms, occ, week
 
@@ -121,7 +122,6 @@ class Dataset:
 
     inputs: np.ndarray  # (n, 168, d_in) physical units
     targets: np.ndarray  # (n, 168, 8) physical units
-    masks: np.ndarray  # (n, 168) bool, occupied hours
     weather_index: np.ndarray  # (n,) which pool week each episode used
     splits: dict  # name -> np.ndarray of episode indices
     norm: NormStats
@@ -131,6 +131,11 @@ class Dataset:
     @property
     def n_episodes(self) -> int:
         return self.inputs.shape[0]
+
+    @property
+    def masks(self) -> np.ndarray:
+        """(n, 168) bool: each episode's occupied hours, read from its inputs."""
+        return occupied_hours(self.inputs)
 
     def split_arrays(self, name: str):
         idx = self.splits[name]
@@ -143,7 +148,6 @@ class Dataset:
             {
                 "inputs": self.inputs,
                 "targets": self.targets,
-                "masks": self.masks.astype(np.float64),
                 "weather_index": self.weather_index.astype(np.float64),
             },
             meta={"n_episodes": int(self.n_episodes)},
@@ -184,7 +188,6 @@ class Dataset:
             ds = cls(
                 inputs=tensors["inputs"],
                 targets=tensors["targets"],
-                masks=tensors["masks"].astype(bool),
                 weather_index=tensors["weather_index"].astype(np.int64),
                 splits={k: np.array(v, dtype=np.int64) for k, v in manifest["splits"].items()},
                 norm=NormStats.from_dict(manifest["norm"]),
@@ -204,7 +207,6 @@ def _check_arrays(directory, tensors: dict, splits: dict) -> None:
     shapes = {
         "inputs": (n, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_in),
         "targets": (n, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_out),
-        "masks": (n, HOURS_PER_WEEK),
         "weather_index": (n,),
     }
     for name, shape in shapes.items():
@@ -252,12 +254,10 @@ def sample_dataset(
 
     inputs = np.empty((n_total, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_in))
     targets = np.empty((n_total, HOURS_PER_WEEK, DEFAULT_SCHEMA.d_out))
-    masks = np.empty((n_total, HOURS_PER_WEEK), dtype=bool)
     for i, ((params, bms, occ, w), y) in enumerate(zip(configs, labels)):
         ep = make_episode(params, bms, occ, weather_pool[w], y)
         inputs[i] = ep.inputs
         targets[i] = ep.targets
-        masks[i] = ep.occupied_mask
 
     # contiguous split: episodes are i.i.d. draws, so position carries no signal
     n_train, n_val, n_test = counts
@@ -270,7 +270,6 @@ def sample_dataset(
     return Dataset(
         inputs=inputs,
         targets=targets,
-        masks=masks,
         weather_index=np.array([w for _, _, _, w in configs], dtype=np.int64),
         splits=splits,
         norm=norm,
@@ -554,10 +553,12 @@ def train(
     plist = mdl.param_list(params)
     state = ad.AdamState(plist, lr=lr)
 
+    val_inputs, val_targets, val_masks = dataset.split_arrays("val")
+
     def val_metrics(p):
-        pred = predict(p, config, kind, dataset.inputs[val_idx], norm)
-        rep = metrics(pred, dataset.targets[val_idx], dataset.masks[val_idx])
-        pooled = loss(pred, dataset.targets[val_idx])
+        pred = predict(p, config, kind, val_inputs, norm)
+        rep = metrics(pred, val_targets, val_masks)
+        pooled = loss(pred, val_targets)
         return pooled, rep
 
     best_val, best_report = val_metrics(params)

@@ -19,9 +19,9 @@ def constant_bms(**daily_values: float) -> BmsSchedule:
     return BmsSchedule(**{k: (float(v),) * DAYS_PER_WEEK for k, v in daily_values.items()})
 
 
-def constant_occ(start: float, end: float, max_occupants: float = 0.0) -> OccupancySchedule:
+def constant_occ(start: float, end: float) -> OccupancySchedule:
     """Same occupation window every weekday."""
-    return OccupancySchedule((float(start),) * WEEKDAYS, (float(end),) * WEEKDAYS, max_occupants)
+    return OccupancySchedule((float(start),) * WEEKDAYS, (float(end),) * WEEKDAYS)
 
 
 def channel(out, name: str):

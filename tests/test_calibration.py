@@ -337,9 +337,12 @@ def test_space_to_dict_lists_free_variables_and_base(base_pieces):
     d = json.loads(json.dumps(space.to_dict()))  # as written into calibration.json
     assert d["free"] == [{"name": "capacitance_kJ_perdegreK_perm3", "per_day": False},
                          {"name": "t_heat_conf_day", "per_day": True}]
-    assert BuildingParams.from_dict(d["base_params"]) == params
-    assert BmsSchedule.from_dict(d["base_bms"]) == bms
-    assert OccupancySchedule.from_dict(d["base_occ"]) == occ
+    assert sorted(d) == ["base", "free"]
+    # the pinned building in the {"params", "bms", "occ"} layout of a building.json
+    assert sorted(d["base"]) == ["bms", "occ", "params"]
+    assert BuildingParams.from_dict(d["base"]["params"]) == params
+    assert BmsSchedule.from_dict(d["base"]["bms"]) == bms
+    assert OccupancySchedule.from_dict(d["base"]["occ"]) == occ
 
 
 def test_assemble_changes_only_freed_columns(base_pieces, pool):

@@ -548,6 +548,14 @@ def _heat_window_start_not_before_end(pipeline, tmp):
     return _argv(pipeline, tmp, "twin", "--building", str(path))
 
 
+def _calibrated_block_without_occ(pipeline, tmp):
+    doc = read_json(pipeline["cal"] / "calibration.json")
+    del doc["calibrated"]["occ"]
+    path = tmp / "calibration.json"
+    path.write_text(json.dumps(doc))
+    return _argv(pipeline, tmp, "optimize", "--calibrated", str(path))
+
+
 def _report_dir(pipeline, tmp, name, doc):
     """A run directory with the pipeline's metrics, calibration and chosen
     artifacts, the one called `name` replaced by `doc`."""
@@ -607,6 +615,7 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_missing_trace, 3),
     (_trace_with_duplicate_hour, 3),
     (_heat_window_start_not_before_end, 3),
+    (_calibrated_block_without_occ, 3),
     (_report_metrics_without_best_epoch, 3),
     (_report_chosen_is_a_list, 3),
 ])
@@ -618,6 +627,23 @@ def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"bemopt {argv[0]}: "), err
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+def test_every_building_description_is_read_by_one_parser(pipeline, tmp_path, capsys):
+    """A building.json (twin, calibrate) and the `calibrated` block of a
+    calibration.json (optimize) fail alike when a section is missing."""
+    building = read_json(pipeline["building"])
+    del building["occ"]
+    path = tmp_path / "building.json"
+    path.write_text(json.dumps(building))
+    cases = [(_argv(pipeline, tmp_path, "twin", "--building", str(path)), path),
+             (_argv(pipeline, tmp_path, "calibrate", "--base", str(path)), path),
+             (_calibrated_block_without_occ(pipeline, tmp_path), tmp_path / "calibration.json")]
+    for argv, source in cases:
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"bemopt {argv[0]}: {source}: bad building description: 'occ'"]
 
 
 @pytest.mark.parametrize("command", ["calibrate", "optimize"])

@@ -216,7 +216,7 @@ def test_predict_raises_once_on_a_nonfinite_weight(kind):
     in any layer raises ModelError, and no numpy warning comes before it."""
     x = stream(10, "x").random((2, 8, TINY.d_in))
     norm = NormStats(np.zeros(TINY.d_in), np.ones(TINY.d_in), np.zeros(TINY.d_out),
-                     np.ones(TINY.d_out), ("a", "b", "c"), ("y0", "y1"))
+                     np.ones(TINY.d_out))
     for name in POISONED_WEIGHTS[kind]:
         for bad in (np.nan, np.inf):
             p = md.INITS[kind](TINY, stream(10, "init"))

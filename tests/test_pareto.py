@@ -8,7 +8,13 @@ import pytest
 import bemopt.model as mdl
 import bemopt.pareto as par
 from bemopt.calibration import FrozenModel
-from bemopt.schema import DEFAULT_SCHEMA, HEAT_AGGREGATE_INDICES, T_INT_INDEX, expand_daily
+from bemopt.schema import (
+    DEFAULT_SCHEMA,
+    HEAT_AGGREGATE_INDICES,
+    T_INT_INDEX,
+    expand_daily,
+    occupied_hours,
+)
 from bemopt.seeding import stream, substream
 from bemopt.training import predict, sample_dataset, sample_episode_config
 from bemopt.weather import generate_pool
@@ -350,11 +356,16 @@ def test_bms_decode_is_bitwise_the_scalar_rescale_clip_quantize(pieces):
         np.testing.assert_array_equal(space.settings_vector(space.decode(x)), want)
 
 
-def test_bms_occupied_mask(pieces):
+def test_bms_candidates_keep_the_base_occupied_hours(pieces, pool):
+    # the search moves the control schedule only, so comfort is always scored
+    # over the pinned occupancy window
     params, occ, _ = pieces
     space = par.BmsSpace(params, occ)
-    np.testing.assert_array_equal(space.occupied_mask(), expand_daily(occ) > 0)
-    assert space.occupied_mask()[120:].sum() == 0  # weekend
+    want = expand_daily(occ) > 0
+    assert want.any() and not want[120:].any()  # weekend
+    for u in (0.0, 0.37, 1.0):
+        hours = occupied_hours(space.assemble(np.full(space.dim, u), pool[0]))
+        np.testing.assert_array_equal(hours, want)
 
 
 def test_evaluate_is_pure_and_matches_hand_path(pieces, pool):
@@ -368,7 +379,7 @@ def test_evaluate_is_pure_and_matches_hand_path(pieces, pool):
                    space.assemble(x, pool[0]), model.norm)
     want = par.objectives_from_series(
         pred[:, T_INT_INDEX], pred[:, list(HEAT_AGGREGATE_INDICES)].sum(axis=1),
-        space.occupied_mask())
+        expand_daily(occ) > 0)
     assert a == want
 
 

@@ -66,7 +66,7 @@ def quiet_building(**overrides):
     return sc.BuildingParams.from_dict(base)
 
 
-OCC = constant_occ(8, 18, 1500)
+OCC = constant_occ(8, 18)
 
 
 class TestHvacControl:
@@ -154,7 +154,7 @@ class TestEquilibrium:
         cfg = rcsim.RcModelConfig(ground_temp_c=t, light_w_m2=0.0)
         params = quiet_building()
         bms = default_bms(t_ventilation_day=t)
-        occ = constant_occ(8, 18, 0)
+        occ = constant_occ(8, 18)
         res = rcsim.simulate_week_detailed(params, bms, occ, constant_weather(t), cfg, t0=t)
         out = res.output
         np.testing.assert_allclose(t_int(out), t, rtol=0, atol=1e-9)
@@ -222,7 +222,7 @@ class TestSteadyState:
             t_ventilation_day=[0.0] * 7, vol_ventilation_day=[1.0] * 7,
             t_clim_red_day=[30] * 7,
         )
-        occ = constant_occ(8, 18, 0)
+        occ = constant_occ(8, 18)
         out = rcsim.simulate_week(params, bms, occ, constant_weather(0.0), cfg, t0=sp)
         g_win, g_inf, g_om, g_gnd, g_ma = hand_conductances(params, cfg)
         g_vent = cfg.air_heat_capacity_kj_m3k * 1.0 * cfg.volume_m3 / 3600.0
@@ -240,7 +240,7 @@ class TestSteadyState:
 class TestSimulationContracts:
     def _episode(self, **overrides):
         params = default_building(**overrides)
-        return params, default_bms(), constant_occ(8, 18, params.nb_occupants)
+        return params, default_bms(), constant_occ(8, 18)
 
     def test_energy_balance_per_hour(self):
         params, bms, occ = self._episode()
@@ -361,70 +361,93 @@ def reference_hour0_heat(params, bms, occ, weather, t0, cfg=rcsim.DEFAULT_RC_CON
     return y[2]  # kWh over one hour = mean kW
 
 
+# Seed-11 episodes (of 0..299 on generate_pool(0, 30)) whose hour 0 starts with
+# the heater exactly on its saturation level at t0 = 20 °C.
+ON_LEVEL_EPISODES = (1, 35, 91, 116, 140, 197, 214)
+
+
+def _corpus_episode(i):
+    params, bms, occ, week = sample_episode_config(
+        sc.DEFAULT_SCHEMA, 30, substream(11, "episode", i))
+    return params, bms, occ, generate_pool(0, 30)[week]
+
+
 class TestFineStepReference:
-    """Hour-0 heating against an independent RK4 integration of the same law.
-
-    The case is episode 1 of the seed-11 corpus: a 100 kW heater, a 22 °C
-    reduced Monday setpoint and t0 = 20 °C, so the first hour starts with the
-    heater exactly on its saturation level (50 kW/K × 2 K = 100 kW).
-    """
-
-    def _case(self):
-        params, bms, occ, week = sample_episode_config(
-            sc.DEFAULT_SCHEMA, 30, substream(11, "episode", 1))
-        assert params.power_VCV_kW_heat == 100.0 and bms.t_heat_red_day[0] == 22.0
-        return params, bms, occ, generate_pool(0, 30)[week]
+    """Hour-0 heating against an independent RK4 integration of the same law."""
 
     def test_reference_agrees_when_hour_starts_off_the_saturation_level(self):
-        params, bms, occ, weather = self._case()
+        # a 100 kW heater and a 22 °C reduced Monday setpoint: saturated from 20 °C down
+        params, bms, occ, weather = _corpus_episode(1)
+        assert params.power_VCV_kW_heat == 100.0 and bms.t_heat_red_day[0] == 22.0
         for t0 in (19.0, 19.5, 20.5, 21.0):
             sim = channel(rcsim.simulate_week(params, bms, occ, weather, t0=t0), "Q_HEAT_OFFICE")[0]
             ref = reference_hour0_heat(params, bms, occ, weather, t0)
             assert sim == pytest.approx(ref, rel=1e-4), t0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a segment that starts exactly on the saturation level stays saturated until "
-        "the next sub-step boundary: 100 / 78.57 / 76.40 kW with 1 / 6 / 200 sub-steps"))
-    def test_hour_starting_on_the_saturation_level_matches_reference(self):
-        params, bms, occ, weather = self._case()
+    @pytest.mark.parametrize("episode", ON_LEVEL_EPISODES)
+    def test_hour_starting_on_the_saturation_level_matches_reference(self, episode):
+        params, bms, occ, weather = _corpus_episode(episode)
+        cfg = rcsim.DEFAULT_RC_CONFIG
+        demand = rcsim.hvac_control(20.0, 0, bms, gain=cfg.hvac_gain_kw_k,
+                                    heat_cap=params.power_VCV_kW_heat)
+        assert demand.heat_kw == params.power_VCV_kW_heat > 0  # saturated at t0 ...
+        assert 20.0 == demand.setpoint - demand.heat_kw / cfg.hvac_gain_kw_k  # ... exactly on the level
         sim = channel(rcsim.simulate_week(params, bms, occ, weather, t0=20.0), "Q_HEAT_OFFICE")[0]
         ref = reference_hour0_heat(params, bms, occ, weather, 20.0)
-        assert ref == pytest.approx(76.40, abs=0.01)
-        assert sim == pytest.approx(ref, rel=1e-4)
+        assert sim == pytest.approx(ref, rel=1e-9)
 
 
-GOLDEN_SHA256 = "5a68aeb1e5f17a4a9693f9efe1125dd2070364d5be15fa150fdb7ba1a417746c"
+# sha256 over the golden runs that start off any control level, recorded before
+# the segment loop reused cached propagators and crossing endpoints; the
+# boundary rule for segments that start on a level left it unchanged.
+GOLDEN_SHA256 = "b7b84da63de3e8683d7630a59402108fb917904a248580e18125f1e4cd20ed89"
+# sha256 over the golden runs whose hour 0 starts on the heater's saturation
+# level, recorded with the boundary rule applied at every segment start.
+ON_LEVEL_SHA256 = "0fa2c9465f7a25ba7b3609f6e902367650877d49b619b92563cd01c1622c8b07"
 
 
 def _golden_cases():
-    """(params, bms, occ, weather, cfg, t0) runs the golden digest covers."""
+    """(starts_on_level, params, bms, occ, weather, cfg, t0) runs the digests cover."""
     pool = generate_pool(0, 30)
     episodes = [sample_episode_config(sc.DEFAULT_SCHEMA, 30, substream(11, "episode", i))
                 for i in range(200)]
-    cases = [(p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, 20.0) for p, b, o, w in episodes]
-    p, b, o, w = episodes[1]  # starts on the heater's saturation level at t0 = 20
-    cases += [(p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, t0) for t0 in (19.0, 19.5, 20.0, 20.5, 21.0)]
+    cases = [(i, p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, 20.0)
+             for i, (p, b, o, w) in enumerate(episodes)]
+    p, b, o, w = episodes[1]
+    cases += [(1, p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, t0)
+              for t0 in (19.0, 19.5, 20.0, 20.5, 21.0)]
     for substeps in (1, 12):
         cfg = rcsim.RcModelConfig(substeps=substeps)
-        cases += [(p, b, o, pool[w], cfg, 20.0) for p, b, o, w in episodes[:4]]
-    return cases
+        cases += [(i, p, b, o, pool[w], cfg, 20.0) for i, (p, b, o, w) in enumerate(episodes[:4])]
+    return [(i in ON_LEVEL_EPISODES and t0 == 20.0, p, b, o, w, cfg, t0)
+            for i, p, b, o, w, cfg, t0 in cases]
 
 
-def test_simulator_output_is_pinned_bit_for_bit():
-    """sha256 of every output, both traces and the ledger over a fixed corpus.
-
-    The digest was recorded before the segment loop reused cached
-    propagators and crossing endpoints; any change to the float operations
-    or their order moves it (and so would a libm whose exp or log rounds
-    differently). The corpus includes episode 1, which starts on the
-    heater's saturation level, hours with control events, and sub-step
-    counts other than the default.
-    """
+def _golden_digest(on_level: bool) -> str:
     digest = hashlib.sha256()
-    for params, bms, occ, weather, cfg, t0 in _golden_cases():
+    for starts_on_level, params, bms, occ, weather, cfg, t0 in _golden_cases():
+        if starts_on_level != on_level:
+            continue
         res = rcsim.simulate_week_detailed(params, bms, occ, weather, cfg, t0)
         ledger = res.ledger
         for arr in (res.output.data, res.t_air, res.t_mass, ledger.air_delta, ledger.air_flux,
                     ledger.mass_delta, ledger.mass_flux):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    assert digest.hexdigest() == GOLDEN_SHA256
+    return digest.hexdigest()
+
+
+def test_simulator_output_is_pinned_bit_for_bit():
+    """sha256 of every output, both traces and the ledger over a fixed corpus.
+
+    Any change to the float operations or their order moves it (and so would
+    a libm whose exp or log rounds differently). The corpus covers hours with
+    control events, episode 1 at start temperatures next to its saturation
+    level, and sub-step counts other than the default.
+    """
+    assert _golden_digest(on_level=False) == GOLDEN_SHA256
+
+
+def test_runs_starting_on_the_saturation_level_are_pinned_bit_for_bit():
+    """The same digest over episodes 1, 35, 91, 116, 140 and 197 at t0 = 20 °C,
+    and episode 1 at 1 and 12 sub-steps."""
+    assert _golden_digest(on_level=True) == ON_LEVEL_SHA256

@@ -45,7 +45,7 @@ def synthetic_weather(rng):
 
 class TestVariableSpec:
     def test_grid_levels_counts_both_endpoints(self):
-        spec = sc.VariableSpec("x", 0.0, 1.0, 0.25, "static")
+        spec = sc.VariableSpec("x", 0.0, 1.0, 0.25)
         assert spec.n_levels == 5
         u = np.linspace(0.0, 1.0, spec.n_levels)
         np.testing.assert_allclose(sc.decode_unit_box([spec] * spec.n_levels, u),
@@ -53,18 +53,18 @@ class TestVariableSpec:
 
     def test_span_must_be_multiple_of_step(self):
         with pytest.raises(sc.SchemaError):
-            sc.VariableSpec("x", 0.0, 1.0, 0.3, "static")
+            sc.VariableSpec("x", 0.0, 1.0, 0.3)
 
     def test_step_must_be_positive(self):
         with pytest.raises(sc.SchemaError):
-            sc.VariableSpec("x", 0.0, 1.0, 0.0, "static")
+            sc.VariableSpec("x", 0.0, 1.0, 0.0)
 
     def test_min_le_max(self):
         with pytest.raises(sc.SchemaError):
-            sc.VariableSpec("x", 2.0, 1.0, 0.5, "static")
+            sc.VariableSpec("x", 2.0, 1.0, 0.5)
 
     def test_sample_lands_on_grid(self):
-        spec = sc.VariableSpec("x", 20.0, 24.0, 0.5, "daily")
+        spec = sc.VariableSpec("x", 20.0, 24.0, 0.5)
         rng = stream(7, "spec-sample")
         draws = np.array([spec.sample(rng) for _ in range(500)])
         assert draws.min() >= spec.min and draws.max() <= spec.max
@@ -74,7 +74,7 @@ class TestVariableSpec:
         assert len(np.unique(draws)) == spec.n_levels
 
     def test_quantize_snaps_and_clips(self):
-        spec = sc.VariableSpec("x", 0.0, 10.0, 1.0, "static")
+        spec = sc.VariableSpec("x", 0.0, 10.0, 1.0)
         u = [0.34, 0.36, 0.25, 0.75, -0.5, 2.5]
         got = sc.decode_unit_box([spec] * len(u), u)
         np.testing.assert_array_equal(got, [3.0, 4.0, 2.0, 8.0, 0.0, 10.0])  # 2.5, 7.5 to even
@@ -108,7 +108,7 @@ class TestSchema:
             s.name for s in sc.BUILDING_SPECS]
         assert [f.name for f in dataclasses.fields(sc.BmsSchedule)] == [
             s.name for s in sc.BMS_SPECS]
-        assert [f.name for f in dataclasses.fields(sc.OccupancySchedule)][:2] == [
+        assert [f.name for f in dataclasses.fields(sc.OccupancySchedule)] == [
             s.name for s in sc.OCCUPANCY_SPECS]
 
     def test_vol_ventilation_grid_keeps_published_endpoints(self):
@@ -150,7 +150,7 @@ class TestSchedules:
         assert x[25, j] == 22.5  # Tuesday
 
     def test_occupancy_fraction_window_and_weekend(self):
-        occ = constant_occ(8, 18, 1500)
+        occ = constant_occ(8, 18)
         f = sc.expand_daily(occ)
         assert f.shape == (168,)
         assert f[8] == 1.0 and f[17] == 1.0  # hour 17 covers [17, 18)
@@ -165,35 +165,45 @@ class TestSchedules:
                 start, end = rng.uniform(7, 9, 5), rng.uniform(17, 20, 5)
             else:
                 start, end = rng.integers(7, 10, 5), rng.integers(17, 21, 5)
-            occ = sc.OccupancySchedule(tuple(start), tuple(end), 1500)
-            horizon = 168 * (1 + i % 2)
-            want = np.zeros(horizon)
-            for h in range(horizon):
-                d, hod = h // 24 % 7, h % 24
+            occ = sc.OccupancySchedule(tuple(start), tuple(end))
+            want = np.zeros(168)
+            for h in range(168):
+                d, hod = h // 24, h % 24
                 if d < 5 and occ.start_occupation[d] <= hod < occ.end_occupation[d]:
                     want[h] = 1.0
-            np.testing.assert_array_equal(sc.expand_daily(occ, horizon), want)
-
-    def test_expand_rejects_partial_days(self):
-        with pytest.raises(sc.SchemaError):
-            sc.expand_daily(default_bms(), horizon=100)
+            np.testing.assert_array_equal(sc.expand_daily(occ), want)
 
 
 class TestEpisode:
     def test_assembled_width_matches_schema(self):
         rng = stream(3, "weather")
         ep = sc.make_episode(default_building(), default_bms(),
-                             constant_occ(8, 18, 1400),
+                             constant_occ(8, 18),
                              synthetic_weather(rng))
         assert ep.inputs.shape == (168, 37)
         assert ep.targets is None
-        assert ep.occupied_mask.dtype == bool
-        assert ep.occupied_mask.sum() == 50
+
+    def test_occupied_hours_follow_the_occupancy_window(self):
+        rng = stream(6, "weather")
+        occ = sc.OccupancySchedule((7, 8, 9, 8, 7), (17, 18, 20, 19, 17))
+        week = sc.assemble_inputs(default_building(), default_bms(), occ, synthetic_weather(rng))
+        hours = sc.occupied_hours(week)
+        assert hours.dtype == bool
+        np.testing.assert_array_equal(hours, sc.expand_daily(occ) > 0)
+        assert hours.sum() == 10 + 10 + 11 + 11 + 10 and not hours[120:].any()  # weekend
+        # batches of weeks keep their leading axes
+        np.testing.assert_array_equal(sc.occupied_hours(np.stack([week, week])), [hours, hours])
+
+    def test_occupied_hours_reject_inputs_of_another_shape(self):
+        with pytest.raises(sc.SchemaError, match="inputs must be"):
+            sc.occupied_hours(np.zeros((168, 36)))
+        with pytest.raises(sc.SchemaError, match="inputs must be"):
+            sc.occupied_hours(np.zeros((24, 37)))
 
     def test_static_channels_constant_over_time(self):
         rng = stream(4, "weather")
         ep = sc.make_episode(default_building(), default_bms(),
-                             constant_occ(8, 18, 1400),
+                             constant_occ(8, 18),
                              synthetic_weather(rng))
         static = ep.inputs[:, :17]
         assert np.all(static == static[0])
@@ -201,7 +211,7 @@ class TestEpisode:
     def test_inputs_are_read_only(self):
         rng = stream(5, "weather")
         ep = sc.make_episode(default_building(), default_bms(),
-                             constant_occ(8, 18, 1400),
+                             constant_occ(8, 18),
                              synthetic_weather(rng))
         with pytest.raises(ValueError):
             ep.inputs[0, 0] = 1.0
@@ -239,7 +249,7 @@ class TestNormStats:
         xs, ys = [], []
         for i in range(n_episodes):
             ep = sc.make_episode(default_building(), default_bms(),
-                                 constant_occ(8, 18, 1400),
+                                 constant_occ(8, 18),
                                  synthetic_weather(rng))
             xs.append(ep.inputs)
             ys.append(rng.standard_normal((168, 8)) * 40 + 100)
@@ -261,12 +271,12 @@ class TestNormStats:
 
     def test_ranged_channels_use_declared_bounds(self):
         stats, _, _ = self._fit()
-        i = stats.input_names.index("t_heat_conf_day")
+        i = sc.DEFAULT_SCHEMA.input_channel_names.index("t_heat_conf_day")
         assert stats.input_lo[i] == 22 and stats.input_hi[i] == 24
 
     def test_weather_channels_use_train_min_max(self):
         stats, xs, _ = self._fit()
-        j = stats.input_names.index("TAMB")
+        j = sc.DEFAULT_SCHEMA.input_channel_names.index("TAMB")
         col = np.concatenate([x[:, j] for x in xs])
         assert stats.input_lo[j] == col.min()
         assert stats.input_hi[j] == col.max()
@@ -278,7 +288,7 @@ class TestNormStats:
         # every episode used identical static params -> those channels untouched
         # by range (they use schema bounds), so force a degenerate weather channel
         xs2 = [x.copy() for x in xs]
-        j = stats.input_names.index("RHUM")
+        j = sc.DEFAULT_SCHEMA.input_channel_names.index("RHUM")
         for x in xs2:
             x[:, j] = 55.0
         ys = [np.ones((168, 8))] * len(xs2)
@@ -304,7 +314,7 @@ class TestBuildingCaseIO:
     def test_case_round_trip(self):
         params = default_building()
         bms = default_bms()
-        occ = constant_occ(8, 18, params.nb_occupants)
+        occ = constant_occ(8, 18)
         # the {"params", "bms", "occ"} layout of a building.json
         d = json.loads(json.dumps({"params": params.to_dict(), "bms": bms.to_dict(),
                                    "occ": occ.to_dict()}))

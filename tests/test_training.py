@@ -18,6 +18,7 @@ from bemopt.schema import (
     T_INT_INDEX,
     NormStats,
     VariableSpec,
+    expand_daily,
 )
 from bemopt.rcsim import NumericalError, simulate_week
 from bemopt.seeding import stream, substream
@@ -66,7 +67,7 @@ def test_split_counts_too_small():
 
 def test_grid_draw_frequencies_uniform():
     # three-atom grid; each frequency within 3 sigma of 1/3 at n=10000
-    spec = VariableSpec("window", 7, 9, 1, "daily")
+    spec = VariableSpec("window", 7, 9, 1)
     rng = stream(42, "freq-check")
     draws = np.array([spec.sample(rng) for _ in range(10_000)])
     sigma = math.sqrt((1 / 3) * (2 / 3) / 10_000)
@@ -106,16 +107,18 @@ def test_labels_match_oracle(pool):
 
 def test_occupancy_window_sampling(pool):
     rng = stream(3, "occ-check")
-    params, bms, occ, _ = tr.sample_episode_config(DEFAULT_SCHEMA, len(pool), rng)
+    _, _, occ, _ = tr.sample_episode_config(DEFAULT_SCHEMA, len(pool), rng)
     assert all(7 <= s <= 9 for s in occ.start_occupation)
     assert all(17 <= e <= 20 for e in occ.end_occupation)
-    assert occ.max_occupants == params.nb_occupants
 
 
-def test_masks_match_occupancy_channel(small_dataset):
+def test_masks_match_occupancy_channel(small_dataset, pool):
+    # each episode's occupied hours are its sampled weekday window, redrawn here
     ds = small_dataset
-    occ_col = DEFAULT_SCHEMA.input_channel_names.index("occupancy_fraction")
-    np.testing.assert_array_equal(ds.masks, ds.inputs[:, :, occ_col] > 0)
+    for i in range(ds.n_episodes):
+        _, _, occ, _ = tr.sample_episode_config(
+            DEFAULT_SCHEMA, len(pool), substream(ds.seed, "episode", i))
+        np.testing.assert_array_equal(ds.masks[i], expand_daily(occ) > 0)
 
 
 def test_dataset_save_is_byte_identical(small_dataset, tmp_path):
@@ -168,7 +171,7 @@ def test_parallel_labeling_matches_serial(pool):
     # 40 episodes are three chunks of the pool's chunksize 16, so both workers label
     a = tr.sample_dataset(pool, 40, seed=7, jobs=1)
     b = tr.sample_dataset(pool, 40, seed=7, jobs=2)
-    for name in ("inputs", "targets", "masks", "weather_index"):
+    for name in ("inputs", "targets", "weather_index"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.splits.keys() == b.splits.keys()
     for name in a.splits:
@@ -243,10 +246,7 @@ def test_loss_episode_permutation_invariant():
 def _toy_norm(rng):
     mean = rng.normal(size=8) * 5
     std = rng.uniform(0.5, 3.0, size=8)
-    return NormStats(
-        np.zeros(1), np.ones(1), mean, std, ("x",),
-        tuple(DEFAULT_SCHEMA.output_channels),
-    )
+    return NormStats(np.zeros(1), np.ones(1), mean, std)
 
 
 def test_training_loss_matches_scalar_oracle():
@@ -460,7 +460,6 @@ def test_divergence_raises_naming_the_epoch(pool):
     corrupted = tr.Dataset(
         inputs=ds.inputs,
         targets=ds.targets.copy(),
-        masks=ds.masks,
         weather_index=ds.weather_index,
         splits=ds.splits,
         norm=ds.norm,  # fitted before the corruption below
