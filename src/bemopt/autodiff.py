@@ -42,8 +42,9 @@ class Tensor:
 
     Leaves are created with parameter() or constant(); interior nodes are
     created by the ops below and hold (parent, vjp) pairs.  grad is only
-    populated on nodes reachable from the backward() root that require
-    gradients.
+    populated on leaves reachable from the backward() root that require
+    gradients: backward() consumes the graph, so interior nodes hold no grad
+    and no parents once it returns.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps")
@@ -71,7 +72,12 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph.
 
-        self must be scalar-valued (the usual loss root).
+        self must be scalar-valued (the usual loss root).  Single use: the
+        sweep consumes the graph.  Once a node's VJPs have run, its .grad is
+        dropped and its parents and VJPs are cut, so each forward
+        intermediate is freed as soon as nothing upstream needs it; only
+        leaves keep their accumulated .grad.  A second call on the same root
+        finds no graph behind it and changes no leaf grad.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar root, got shape {self.data.shape}")
@@ -91,7 +97,9 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        # pop rather than iterate, so the list holds no node already swept
+        while order:
+            node = order.pop()
             g = node.grad
             for p, vjp in zip(node._parents, node._vjps):
                 if not p.requires_grad or vjp is None:
@@ -101,6 +109,9 @@ class Tensor:
                     p.grad = contrib
                 else:
                     p.grad = p.grad + contrib
+            if node._parents:
+                node.grad = None
+                node._parents = node._vjps = ()
 
 
 def parameter(data) -> Tensor:
@@ -376,10 +387,15 @@ def windowed_attention(q, k, v, delta: int, return_weights: bool = False):
         return np.lib.stride_tricks.as_strided(
             x[:, :, W - 1:], (B, T, W, 1), (s0, s1, s1 - s2, s2), writeable=False)
 
+    def zero_padded(w):
+        """Zero [B, T+2*delta, w] buffer and its [B, T, w] interior view."""
+        buf = np.zeros((B, T + 2 * delta, w))
+        return buf, buf[:, delta:delta + T]
+
     def pad(x):
-        out = np.zeros((B, T + 2 * delta, x.shape[2]))
-        out[:, delta:delta + T] = x
-        return out
+        buf, inner = zero_padded(x.shape[2])
+        inner[...] = x
+        return buf
 
     # slots whose absolute position falls outside the sequence are banned
     pos = np.arange(T)[:, None] + np.arange(W)[None, :] - delta
@@ -389,17 +405,19 @@ def windowed_attention(q, k, v, delta: int, return_weights: bool = False):
     scores = (fwd_window(k_pad) @ qd[:, :, :, None])[..., 0] + boundary
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
-    pi = e / e.sum(axis=-1, keepdims=True)
+    # the per-slot factors pi and ds are written straight into zero-padded
+    # buffers: the backward reads them back through the reversed window
+    # (scatter-free gathers) without a padded copy
+    pi_pad, pi = zero_padded(W)
+    np.divide(e, e.sum(axis=-1, keepdims=True), out=pi)
     out = (pi[:, :, None, :] @ fwd_window(v_pad))[:, :, 0, :]
 
     def grad_all(g):
         dpi = (fwd_window(v_pad) @ g[:, :, :, None])[..., 0]
-        ds = pi * (dpi - np.sum(pi * dpi, axis=-1, keepdims=True))
+        ds_pad, ds = zero_padded(W)
+        np.multiply(pi, dpi - np.sum(pi * dpi, axis=-1, keepdims=True), out=ds)
         dq = (ds[:, :, None, :] @ fwd_window(k_pad))[:, :, 0, :]
-        # scatter-free gathers: pad the per-slot factors alongside q/g and
-        # read them back through the reversed window
-        ds_pad, g_pad, q_pad = pad(ds), pad(g), pad(qd)
-        pi_pad = pad(pi)
+        g_pad, q_pad = pad(g), pad(qd)
         dk = (rev_window(ds_pad).swapaxes(2, 3) @ fwd_window(q_pad))[:, :, 0, :]
         dv = (rev_window(pi_pad).swapaxes(2, 3) @ fwd_window(g_pad))[:, :, 0, :]
         return dq, dk, dv

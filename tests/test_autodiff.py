@@ -5,9 +5,15 @@ evaluation for softmax, central differences for every gradient, and an
 inline re-statement of the Adam recurrences for the optimizer trajectory.
 """
 
+import ctypes
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bemopt
 from bemopt import autodiff as ad
 from bemopt.seeding import stream
 
@@ -187,6 +193,32 @@ class TestGradCheck:
         y = ad.add(ad.square(x), ad.square(x))  # d/dx = 8
         ad.mean(y).backward()
         np.testing.assert_allclose(x.grad, [8.0], rtol=1e-12)
+
+    def test_backward_consumes_the_graph(self):
+        """Interior nodes, the attention node's cached sweep included, keep
+        no grad, parents or VJP closures; the leaves keep their grads."""
+        rng = stream(7, "consume")
+        q, k, v = (ad.parameter(rng.normal(size=(2, 6, 3))) for _ in range(3))
+        att = ad.windowed_attention(q, k, v, delta=2)
+        sq = ad.square(att)
+        root = ad.mean(sq)
+        root.backward()
+        for node in (att, sq, root):
+            assert node.grad is None
+            assert node._parents == () and node._vjps == ()
+        for leaf in (q, k, v):
+            assert leaf.grad.shape == leaf.shape and np.abs(leaf.grad).sum() > 0
+
+    def test_second_backward_on_a_consumed_root_changes_no_leaf_grad(self):
+        # d/dx mean((2x)^2) = 8x/n; summing the first pass's interior grads
+        # again used to leave x.grad at 4x that
+        x = ad.parameter([1.0, -2.0, 3.0])
+        root = ad.mean(ad.square(ad.mul(x, 2.0)))
+        root.backward()
+        first = x.grad.copy()
+        np.testing.assert_allclose(first, 8.0 * x.data / 3.0, rtol=1e-15)
+        root.backward()
+        np.testing.assert_array_equal(x.grad, first)
 
 
 def dense_window_reference(q, k, v, delta):
@@ -396,6 +428,59 @@ class TestAdam:
         st = ad.AdamState([p], lr=0.1)
         with pytest.raises(ValueError, match="shape"):
             ad.adam_step([p], [np.zeros(3)], st)
+
+
+def _unloadable(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# A 48-row `predict` at the acceptance config after two warm-up calls; prints
+# the minor page faults of the third call.
+_FAULT_PROBE = """
+import resource
+import bemopt.model as mdl
+import bemopt.training as tr
+from bemopt.schema import DEFAULT_SCHEMA
+from bemopt.seeding import stream
+from bemopt.weather import generate_pool
+
+cfg = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in, d_emb=32, r=4, v_width=4, h=4,
+                          n_layers=3, delta=12)
+ds = tr.sample_dataset(generate_pool(3, 2), 48, seed=5)
+params = mdl.init_transformer(cfg, stream(1, "transformer-init"))
+for _ in range(2):
+    tr.predict(params, cfg, "transformer", ds.inputs, ds.norm)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+tr.predict(params, cfg, "transformer", ds.inputs, ds.norm)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_warm_predict_reuses_heap_pages(self):
+        """Without the policy glibc trims the heap between batches and the
+        third call faults ~8k pages in again. Runs in a fresh process, so
+        the heap history of earlier tests cannot hide that."""
+        src = os.path.dirname(os.path.dirname(bemopt.__file__))
+        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 500
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _unloadable],
+                             ids=["no-mallopt", "no-libc"])
+    def test_policy_is_a_no_op_without_mallopt(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert bemopt._set_heap_policy() is None
 
 
 class TestContainer:

@@ -1,9 +1,12 @@
 """Trainer tests: sampling determinism, loss arithmetic, metrics, fit loop."""
 
+import gc
+import hashlib
 import json
 import math
 import os
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,10 @@ from bemopt.weather import generate_pool
 
 TINY = mdl.MetamodelConfig(
     d_in=DEFAULT_SCHEMA.d_in, d_emb=8, r=2, v_width=2, h=2, n_layers=2, delta=3
+)
+# the acceptance gates' model (tests/test_acceptance.py) and the benchmark's
+ACCEPTANCE = mdl.MetamodelConfig(
+    d_in=DEFAULT_SCHEMA.d_in, d_emb=32, r=4, v_width=4, h=4, n_layers=3, delta=12
 )
 
 
@@ -503,3 +510,62 @@ def test_out_dir_artifacts_roundtrip(pool, tmp_path):
         tr.predict(res.params, TINY, "transformer", vx, ds.norm),
     )
     assert os.path.exists(tmp_path / "run" / "history.csv")
+
+
+# ---------------------------------------------------------------------------
+# the training run at the acceptance config, pinned bit for bit
+
+
+@pytest.fixture(scope="module")
+def golden_corpus():
+    return tr.sample_dataset(generate_pool(3, 4), 72, seed=5)
+
+
+def _train_golden(ds):
+    return tr.train(ds, config=ACCEPTANCE, epochs=2, batch_size=32, lr=3e-3, seed=1)
+
+
+# sha256 of the final parameters (param_list order, float64 bytes) and of the
+# history values (one float64 row per epoch, _HISTORY_COLUMNS order)
+GOLDEN_PARAMS_SHA256 = "565d741be441013366eac2f1a107254786484adfd64b5b8f9ab7d54f1391ae91"
+GOLDEN_HISTORY_SHA256 = "c4af35ee1654391ec45b0ec8fba946ce51716ba4c8013d3f25cf0d3a9e8bf99a"
+
+
+def test_training_is_bit_identical_to_the_golden_run(golden_corpus):
+    """Any change to a float operation of the forward, the backward or Adam
+    moves these digests; the surrogate-accuracy gate sees such drift only
+    after a 10-minute run, and then as noise in R²."""
+    res = _train_golden(golden_corpus)
+    h = hashlib.sha256()
+    for p in mdl.param_list(res.params):
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    history = np.array([[row[c] for c in tr._HISTORY_COLUMNS] for row in res.history],
+                       dtype=np.float64)
+    assert h.hexdigest() == GOLDEN_PARAMS_SHA256
+    assert hashlib.sha256(history.tobytes()).hexdigest() == GOLDEN_HISTORY_SHA256
+
+
+def test_training_peak_memory_stays_near_one_graph(golden_corpus):
+    """train() holds at most one step's graph at a time: backward frees it as
+    it sweeps, so step k+1's forward never coexists with step k's graph
+    (which used to put the traced peak at ~2.5 graphs)."""
+    ds = golden_corpus
+    sel = ds.splits["train"][:32]
+    params = mdl.init_transformer(ACCEPTANCE, stream(1, "transformer-init"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pred = mdl.transformer_forward(
+            params, ACCEPTANCE, ad.constant(ds.norm.normalize_inputs(ds.inputs[sel])))
+        graph = tr.training_loss(pred, ds.norm.normalize_targets(ds.targets[sel]), ds.norm)
+        graph_bytes = tracemalloc.get_traced_memory()[0] - base
+        del pred, graph
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _train_golden(ds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * graph_bytes, f"train peak {peak / graph_bytes:.2f} graphs"
