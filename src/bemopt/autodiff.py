@@ -346,7 +346,7 @@ def merge_heads(x, heads: int) -> Tensor:
     return _result(out, (x,), (grad_x,))
 
 
-def windowed_attention(q, k, v, delta: int, return_weights: bool = False):
+def windowed_attention(q, k, v, delta: int):
     """Scaled-window attention: position t attends to t-delta .. t+delta.
 
     q, k are [B, T, r]; v is [B, T, c]; the result is [B, T, c].  Scores are
@@ -355,9 +355,6 @@ def windowed_attention(q, k, v, delta: int, return_weights: bool = False):
     sequence boundaries.  Equivalent to dense attention under a band mask
     but costs O(T * delta) instead of O(T^2), and positions outside the
     band are unreachable by construction.
-
-    With return_weights=True also returns the [B, T, 2*delta+1] weight
-    array (slot w holds the weight on offset w - delta), for diagnostics.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     qd, kd, vd = q.data, k.data, v.data
@@ -434,10 +431,7 @@ def windowed_attention(q, k, v, delta: int, return_weights: bool = False):
             return cache["val"][i]
         return vjp
 
-    result = _result(out, (q, k, v), (part(0), part(1), part(2)))
-    if return_weights:
-        return result, pi
-    return result
+    return _result(out, (q, k, v), (part(0), part(1), part(2)))
 
 
 def layer_norm(x, gamma, beta) -> Tensor:

@@ -6,7 +6,6 @@ surrogate maps each candidate to predicted sensor series and the cost is
 one minus the mean coefficient of determination over the two channels.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,7 +23,6 @@ from .schema import (
     WEEKDAYS,
     BmsSchedule,
     BuildingParams,
-    NormStats,
     OccupancySchedule,
     SchemaError,
     assemble_inputs,
@@ -43,7 +41,6 @@ __all__ = [
     "SensorTrace",
     "FreeVariable",
     "CalibrationSpace",
-    "FrozenModel",
     "cost_from_series",
     "calibrate",
     "CalibrationReport",
@@ -412,39 +409,6 @@ class CalibrationSpace:
 # cost
 
 
-@dataclass(frozen=True)
-class FrozenModel:
-    """A trained surrogate with everything needed to run it."""
-
-    params: dict
-    config: mdl.MetamodelConfig
-    kind: str
-    norm: NormStats
-
-    @classmethod
-    def load(cls, path) -> "FrozenModel":
-        """Read a checkpoint; one that does not fit the variable declaration
-        or carries unusable normalization stats raises ValueError."""
-        params, cfg, kind, meta = mdl.load_model(path)
-        widths = (DEFAULT_SCHEMA.d_in, DEFAULT_SCHEMA.d_out)
-        if (cfg.d_in, cfg.d_out) != widths:
-            raise ValueError(f"{path}: model widths ({cfg.d_in}, {cfg.d_out}) do not match "
-                             f"the declaration {widths}")
-        try:
-            norm = NormStats.from_dict(meta["norm"])
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"{path}: missing or malformed normalization stats "
-                             f"({type(e).__name__}: {e})") from None
-        return cls(params, cfg, kind, norm)
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.params):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(self.params[name].data, dtype="<f8").tobytes())
-        return h.hexdigest()
-
-
 def cost_from_series(pred_t, pred_q, trace: SensorTrace) -> float:
     """1 - (R2_T + R2_Q)/2 between predicted series and the trace."""
     return 1.0 - 0.5 * (r2_score(trace.t_int, pred_t) + r2_score(trace.q_heat, pred_q))
@@ -482,7 +446,7 @@ class CalibrationReport:
 
 def calibrate(
     space: CalibrationSpace,
-    model: FrozenModel,
+    model: mdl.FrozenModel,
     traces,
     weathers,
     budget: int = 500,

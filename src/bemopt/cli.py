@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from . import model as mdl
-from .calibration import CalibrationSpace, FrozenModel, SensorTrace, calibrate
+from .calibration import CalibrationSpace, SensorTrace, calibrate
 from .pareto import (
     BmsSpace,
     NsgaConfig,
@@ -43,9 +43,9 @@ from .training import (
     metrics,
     predict,
     sample_dataset,
+    save_history_csv,
     split_counts,
     train,
-    write_train_artifacts,
 )
 from .weather import generate_pool, load_pool, load_week, save_pool
 
@@ -277,12 +277,17 @@ def cmd_train(args, section) -> int:
         ),
     )
 
+    model = result.model
     os.makedirs(args.out, exist_ok=True)
-    for path in write_train_artifacts(args.out, result, ds.norm, args.seed):
-        manifest.add_output(path)
+    model_path = os.path.join(args.out, "model.bin")
+    model.save(model_path)
+    manifest.add_output(model_path)
+    history_path = os.path.join(args.out, "history.csv")
+    save_history_csv(history_path, result.history)
+    manifest.add_output(history_path)
     test_inputs, test_targets, test_masks = ds.split_arrays("test")
     test_report = metrics(
-        predict(result.params, result.config, result.kind, test_inputs, ds.norm),
+        predict(model.params, model.config, model.kind, test_inputs, model.norm),
         test_targets,
         test_masks,
     )
@@ -290,7 +295,7 @@ def cmd_train(args, section) -> int:
     _write_json(
         metrics_path,
         {
-            "kind": result.kind,
+            "kind": model.kind,
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,
             "epochs": epochs,
@@ -369,7 +374,7 @@ def cmd_calibrate(args, section) -> int:
     manifest = RunManifest("calibrate", args.seed)
     manifest.add_input(args.model)
     try:
-        model = FrozenModel.load(args.model)
+        model = mdl.FrozenModel.load(args.model)
     except (ValueError, OSError) as e:
         raise CliError(EXIT_INPUT, f"cannot load model {args.model}: {e}") from None
     manifest.add_input(args.base)
@@ -430,7 +435,6 @@ def cmd_calibrate(args, section) -> int:
                 "bms": cal_bms.to_dict(),
                 "occ": cal_occ.to_dict(),
             },
-            "model_checksum": model.checksum(),
             "budget": budget,
             "seed": args.seed,
         },
@@ -453,7 +457,7 @@ def cmd_optimize(args, section) -> int:
     manifest = RunManifest("optimize", args.seed)
     manifest.add_input(args.model)
     try:
-        model = FrozenModel.load(args.model)
+        model = mdl.FrozenModel.load(args.model)
     except (ValueError, OSError) as e:
         raise CliError(EXIT_INPUT, f"cannot load model {args.model}: {e}") from None
     manifest.add_input(args.calibrated)

@@ -9,18 +9,24 @@ sequence; its keys and values come from the encoder output.
 
 Residual connections, layer normalization, and a fixed sinusoidal position
 signal keep the stack trainable; initialization is uniform at 1/sqrt(fan_in).
+
+`FrozenModel` pairs trained weights with their config and the normalization
+of the corpus they were fitted on, and is the one reader and writer of the
+checkpoint file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
+from .schema import DEFAULT_SCHEMA, NormStats
 
-_CONFIG_KEYS = ("d_in", "d_out", "d_emb", "r", "v_width", "h",
-                "n_layers", "delta", "pos_scale")
+# amplitude of the sinusoidal position signal added to the embedded inputs
+POS_SCALE = 0.3
 
 
 class ModelError(RuntimeError):
@@ -40,15 +46,12 @@ class MetamodelConfig:
     h: int = 8          # attention heads
     n_layers: int = 4   # total attention steps (encoder layers + 1 decoder)
     delta: int = 12     # attention half-window, hours
-    pos_scale: float = 0.3
 
     def __post_init__(self):
-        for name in ("d_in", "d_out", "d_emb", "r", "v_width", "h", "n_layers", "delta"):
+        for name in _CONFIG_KEYS:
             val = getattr(self, name)
             if not isinstance(val, int) or val < 1:
                 raise ValueError(f"MetamodelConfig.{name} must be a positive int, got {val!r}")
-        if self.pos_scale < 0:
-            raise ValueError(f"MetamodelConfig.pos_scale must be >= 0, got {self.pos_scale}")
 
     @property
     def ffn_width(self) -> int:
@@ -58,13 +61,18 @@ class MetamodelConfig:
         return {k: getattr(self, k) for k in _CONFIG_KEYS}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MetamodelConfig":
+    def from_dict(cls, d: Mapping) -> "MetamodelConfig":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"MetamodelConfig: want an object, got a {type(d).__name__}")
         unknown = set(d) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"MetamodelConfig: unknown fields {sorted(unknown)}")
         if "d_in" not in d:
             raise ValueError("MetamodelConfig: missing required field 'd_in'")
         return cls(**d)
+
+
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(MetamodelConfig))
 
 
 def positional_encoding(length: int, d_emb: int) -> np.ndarray:
@@ -144,7 +152,7 @@ def attention_block(params: dict, cfg: MetamodelConfig, q_src, kv_src, prefix: s
 def transformer_forward(params: dict, cfg: MetamodelConfig, x) -> ad.Tensor:
     """[batch, time, d_in] normalized inputs -> [batch, time, d_out]."""
     z = embed(params, cfg, x)
-    pos = cfg.pos_scale * positional_encoding(z.data.shape[1], cfg.d_emb)
+    pos = POS_SCALE * positional_encoding(z.data.shape[1], cfg.d_emb)
     z = ad.add(z, ad.constant(np.broadcast_to(pos, z.data.shape)))
     queries = z
     for i in range(cfg.n_layers - 1):
@@ -184,39 +192,62 @@ def forward_for(kind: str):
     return FORWARDS[kind]
 
 
-def param_list(params: dict) -> list:
-    return list(params.values())
+@dataclasses.dataclass(frozen=True)
+class FrozenModel:
+    """A trained surrogate with everything needed to run it.
 
+    Construction checks that `kind` names an architecture and that the
+    parameter names and shapes are the ones it builds from `config`. The
+    checkpoint `model.bin` is written by `save` and read by `load` alone;
+    its meta holds exactly `kind`, `config` and `norm`.
+    """
 
-def save_model(path, params: dict, cfg: MetamodelConfig, kind: str,
-               extra_meta: dict | None = None) -> None:
-    if kind not in FORWARDS:
-        raise ValueError(f"unknown model kind {kind!r}, want one of {sorted(FORWARDS)}")
-    meta = {"kind": kind, "config": cfg.to_dict()}
-    if extra_meta:
-        meta.update(extra_meta)
-    ad.save_tensors(path, {name: t.data for name, t in params.items()}, meta=meta)
+    params: dict
+    config: MetamodelConfig
+    kind: str
+    norm: NormStats
 
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in FORWARDS:
+            raise ValueError(f"unknown model kind {self.kind!r}, want one of {sorted(FORWARDS)}")
+        fresh = INITS[self.kind](self.config, np.random.default_rng(0))
+        if set(self.params) != set(fresh):
+            missing = sorted(set(fresh) - set(self.params))
+            extra = sorted(set(self.params) - set(fresh))
+            raise ValueError(f"parameter names do not match the architecture "
+                             f"(missing {missing}, unexpected {extra})")
+        wrong = [f"{name} {self.params[name].data.shape} (want {p.data.shape})"
+                 for name, p in fresh.items() if self.params[name].data.shape != p.data.shape]
+        if wrong:
+            raise ValueError(f"parameter shapes do not match the config: {', '.join(wrong)}")
 
-def load_model(path):
-    """Returns (params dict of trainable Tensors, config, kind, meta)."""
-    tensors, meta = ad.load_tensors(path)
-    try:
-        kind = meta["kind"]
-        cfg = MetamodelConfig.from_dict(meta["config"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: model meta missing {exc}") from exc
-    if kind not in FORWARDS:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
-    params = {name: ad.parameter(arr) for name, arr in tensors.items()}
-    fresh = INITS[kind](cfg, np.random.default_rng(0))
-    if set(params) != set(fresh):
-        missing = sorted(set(fresh) - set(params))
-        extra = sorted(set(params) - set(fresh))
-        raise ValueError(f"{path}: parameter names do not match the architecture "
-                         f"(missing {missing}, unexpected {extra})")
-    wrong = [f"{name} {params[name].data.shape} (want {p.data.shape})"
-             for name, p in fresh.items() if params[name].data.shape != p.data.shape]
-    if wrong:
-        raise ValueError(f"{path}: parameter shapes do not match the config: {', '.join(wrong)}")
-    return params, cfg, kind, meta
+    def save(self, path) -> None:
+        meta = {"kind": self.kind, "config": self.config.to_dict(), "norm": self.norm.to_dict()}
+        ad.save_tensors(path, {name: p.data for name, p in self.params.items()}, meta=meta)
+
+    @classmethod
+    def load(cls, path) -> "FrozenModel":
+        """Read a checkpoint. A malformed container or meta, weights that do
+        not fit the config, widths other than the variable declaration's, or
+        unusable normalization stats raise one ValueError naming the path."""
+        tensors, meta = ad.load_tensors(path)
+        try:
+            if not isinstance(meta, Mapping):
+                raise ValueError(f"model meta is a {type(meta).__name__}, not an object")
+            missing = [key for key in ("kind", "config") if key not in meta]
+            if missing:
+                raise ValueError(f"model meta missing {missing}")
+            cfg = MetamodelConfig.from_dict(meta["config"])
+            widths = (DEFAULT_SCHEMA.d_in, DEFAULT_SCHEMA.d_out)
+            if (cfg.d_in, cfg.d_out) != widths:
+                raise ValueError(f"model widths ({cfg.d_in}, {cfg.d_out}) do not match "
+                                 f"the declaration {widths}")
+            try:
+                norm = NormStats.from_dict(meta["norm"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"missing or malformed normalization stats "
+                                 f"({type(e).__name__}: {e})") from None
+            params = {name: ad.parameter(arr) for name, arr in tensors.items()}
+            return cls(params, cfg, meta["kind"], norm)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None

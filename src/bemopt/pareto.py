@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import FrozenModel
+from .model import FrozenModel
 from .schema import (
     BMS_SPECS,
     DAY_NAMES,

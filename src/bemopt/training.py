@@ -487,9 +487,7 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
 
 @dataclass
 class TrainResult:
-    params: dict
-    config: object
-    kind: str
+    model: mdl.FrozenModel  # the best-validation weights, with the corpus norm
     history: list
     best_epoch: int
     best_val_loss: float
@@ -550,7 +548,7 @@ def train(
     yn = norm.normalize_targets(dataset.targets)
 
     params = mdl.INITS[kind](config, stream(seed, kind + "-init"))
-    plist = mdl.param_list(params)
+    plist = list(params.values())
     state = ad.AdamState(plist, lr=lr)
 
     val_inputs, val_targets, val_masks = dataset.split_arrays("val")
@@ -615,32 +613,10 @@ def train(
         p.data = best_snapshot[name]
 
     return TrainResult(
-        params=params,
-        config=config,
-        kind=kind,
+        model=mdl.FrozenModel(params, config, kind, norm),
         history=history,
         best_epoch=best_epoch,
         best_val_loss=best_val,
         report=best_report,
     )
 
-
-def write_train_artifacts(out_dir, result: TrainResult, norm: NormStats, seed: int) -> list:
-    """model.bin + history.csv for a finished run; returns the paths written."""
-    os.makedirs(out_dir, exist_ok=True)
-    model_path = os.path.join(out_dir, "model.bin")
-    mdl.save_model(
-        model_path,
-        result.params,
-        result.config,
-        result.kind,
-        extra_meta={
-            "best_epoch": result.best_epoch,
-            "best_val_loss": result.best_val_loss,
-            "seed": seed,
-            "norm": norm.to_dict(),
-        },
-    )
-    history_path = os.path.join(out_dir, "history.csv")
-    save_history_csv(history_path, result.history)
-    return [model_path, history_path]

@@ -17,7 +17,6 @@ import bemopt.autodiff as ad
 import bemopt.model as mdl
 from bemopt.calibration import (
     CalibrationSpace,
-    FrozenModel,
     SensorTrace,
     calibrate,
     cma_minimize,
@@ -72,10 +71,8 @@ def surrogates(corpus):
 
 
 @pytest.fixture(scope="module")
-def frozen(corpus, surrogates):
-    _, ds = corpus
-    tf, _ = surrogates
-    return FrozenModel(tf.params, tf.config, tf.kind, ds.norm)
+def frozen(surrogates):
+    return surrogates[0].model
 
 
 def twin_trace(params, bms, occ, weather, plant_seed: int, k: int) -> SensorTrace:
@@ -99,7 +96,7 @@ def test_1_full_loss_gradient_matches_finite_differences():
     yn = ds.norm.normalize_targets(ds.targets[:1, :24])
     err = ad.grad_check(
         lambda: training_loss(mdl.transformer_forward(p, cfg, xn), yn, ds.norm)[0],
-        mdl.param_list(p),
+        list(p.values()),
     )
     elapsed = time.monotonic() - t0
     verdict(1, "loss gradient vs central differences", err < 1e-4 and elapsed < 60,

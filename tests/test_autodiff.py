@@ -301,13 +301,19 @@ class TestWindowedAttention:
         assert abs(out.data[0, 1, 0] - expect) < 1e-12
 
     def test_weights_sum_to_one_and_respect_band(self):
+        # with one-hot values v[b, s] = e_s, out[b, t, s] is the weight of
+        # query t on position s
+        B, T, delta = 2, 15, 4
         rng = stream(33, "ws")
-        q = ad.constant(rng.normal(size=(2, 15, 3)))
-        k = ad.constant(rng.normal(size=(2, 15, 3)))
-        v = ad.constant(rng.normal(size=(2, 15, 2)))
-        _, pi = ad.windowed_attention(q, k, v, delta=4, return_weights=True)
+        q = ad.constant(rng.normal(size=(B, T, 3)))
+        k = ad.constant(rng.normal(size=(B, T, 3)))
+        v = ad.constant(np.broadcast_to(np.eye(T), (B, T, T)))
+        pi = ad.windowed_attention(q, k, v, delta=delta).data
         np.testing.assert_allclose(pi.sum(axis=-1), 1.0, atol=1e-12)
-        assert pi[:, 0, :4].max() == 0.0  # slots before the sequence start
+        t, s = np.indices((T, T))
+        outside = np.abs(s - t) > delta
+        assert np.all(pi[:, outside] == 0.0)
+        assert np.all(pi[:, ~outside] > 0.0)
 
     def test_shape_errors(self):
         q = ad.constant(np.ones((1, 5, 2)))

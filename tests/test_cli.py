@@ -11,8 +11,9 @@ import pytest
 
 import bemopt
 import bemopt.autodiff as ad
-from bemopt.calibration import FrozenModel, SensorTrace
+from bemopt.calibration import SensorTrace
 from bemopt.cli import main
+from bemopt.model import FrozenModel
 from bemopt.rcsim import simulate_week
 from bemopt.schema import (
     DEFAULT_SCHEMA,
@@ -194,7 +195,9 @@ def test_twin_rerun_byte_identical(pipeline):
 
 def test_calibrate_artifacts(pipeline):
     doc = read_json(pipeline["cal"] / "calibration.json")
-    assert doc["model_checksum"] == FrozenModel.load(pipeline["model"] / "model.bin").checksum()
+    assert "model_checksum" not in doc
+    model = str(pipeline["model"] / "model.bin")
+    assert read_json(pipeline["cal"] / "run.json")["inputs"][model] == sha256(model)
     r = doc["report"]
     assert r["generations"] == 3
     assert len(doc["best_x01"]) == 2 == len(r["names"])
@@ -341,11 +344,11 @@ def _trailing_bytes_model(pipeline, tmp):
 
 def _edited_model(pipeline, tmp, command, edit):
     """`command` on a copy of the pipeline's checkpoint whose tensors and
-    meta went through `edit`."""
+    meta went through `edit`, which edits in place or returns a new meta."""
     path = tmp / "input"
     tensors, meta = ad.load_tensors(pipeline["model"] / "model.bin")
-    edit(tensors, meta)
-    ad.save_tensors(path, tensors, meta=meta)
+    replaced = edit(tensors, meta)
+    ad.save_tensors(path, tensors, meta=meta if replaced is None else replaced)
     return _argv(pipeline, tmp, command, "--model", str(path))
 
 
@@ -366,6 +369,28 @@ def _model_narrower_than_declaration(pipeline, tmp):
         meta["config"]["d_in"] -= 1
         tensors["emb.W"] = tensors["emb.W"][:, :-1]
     return _edited_model(pipeline, tmp, "optimize", edit)
+
+
+def _model_kind_is_a_list(pipeline, tmp):
+    def edit(tensors, meta):
+        meta["kind"] = [meta["kind"]]
+    return _edited_model(pipeline, tmp, "calibrate", edit)
+
+
+def _model_config_is_a_list(pipeline, tmp):
+    def edit(tensors, meta):  # the field names, so only the mapping check catches it
+        meta["config"] = list(meta["config"])
+    return _edited_model(pipeline, tmp, "calibrate", edit)
+
+
+def _model_meta_is_not_an_object(pipeline, tmp):
+    return _edited_model(pipeline, tmp, "calibrate", lambda tensors, meta: [meta])
+
+
+def _model_config_with_pos_scale(pipeline, tmp):
+    def edit(tensors, meta):  # as written before the position scale became a constant
+        meta["config"]["pos_scale"] = 0.3
+    return _edited_model(pipeline, tmp, "calibrate", edit)
 
 
 def _nan_norm_std(pipeline, tmp):
@@ -589,6 +614,10 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_nan_weights_model, 4),
     (_config_narrower_than_tensors, 3),
     (_model_narrower_than_declaration, 3),
+    (_model_kind_is_a_list, 3),
+    (_model_config_is_a_list, 3),
+    (_model_meta_is_not_an_object, 3),
+    (_model_config_with_pos_scale, 3),
     (_nan_norm_std, 3),
     (_short_norm_mean, 3),
     (_manifest_missing_splits, 3),

@@ -1,5 +1,6 @@
 """Architecture tests: config plumbing, attention locality, baselines, IO."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,16 +8,29 @@ import pytest
 
 from bemopt import autodiff as ad
 from bemopt import model as md
-from bemopt.schema import NormStats
+from bemopt.schema import DEFAULT_SCHEMA, NormStats
 from bemopt.seeding import stream
 from bemopt.training import predict
 
 TINY = md.MetamodelConfig(d_in=3, d_out=2, d_emb=4, r=2, v_width=2, h=2,
                           n_layers=2, delta=2)
+# a checkpoint must match the variable declaration's widths
+CKPT = md.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in, d_emb=4, r=2, v_width=2, h=2,
+                          n_layers=2, delta=2)
 
 
 def tiny_params(seed=0, cfg=TINY):
     return md.init_transformer(cfg, stream(seed, "init"))
+
+
+def identity_norm(cfg):
+    return NormStats(np.zeros(cfg.d_in), np.ones(cfg.d_in), np.zeros(cfg.d_out),
+                     np.ones(cfg.d_out))
+
+
+def ckpt_model(seed, kind="transformer"):
+    return md.FrozenModel(md.INITS[kind](CKPT, stream(seed, "init")), CKPT, kind,
+                          identity_norm(CKPT))
 
 
 class TestConfig:
@@ -196,7 +210,7 @@ class TestTransformerForward:
         rng = stream(11, "x")
         x = rng.random((1, 6, 3))
         tgt = ad.constant(rng.normal(size=(1, 6, 2)))
-        params = md.param_list(p)
+        params = list(p.values())
         err = ad.grad_check(
             lambda: ad.mean(ad.square(ad.sub(md.transformer_forward(p, cfg, x), tgt))),
             params)
@@ -215,8 +229,7 @@ def test_predict_raises_once_on_a_nonfinite_weight(kind):
     """`predict` is the one finiteness check of inference: a NaN or inf weight
     in any layer raises ModelError, and no numpy warning comes before it."""
     x = stream(10, "x").random((2, 8, TINY.d_in))
-    norm = NormStats(np.zeros(TINY.d_in), np.ones(TINY.d_in), np.zeros(TINY.d_out),
-                     np.ones(TINY.d_out))
+    norm = identity_norm(TINY)
     for name in POISONED_WEIGHTS[kind]:
         for bad in (np.nan, np.inf):
             p = md.INITS[kind](TINY, stream(10, "init"))
@@ -252,49 +265,81 @@ class TestFfnBaseline:
         tgt = ad.constant(rng.normal(size=(1, 5, 2)))
         err = ad.grad_check(
             lambda: ad.mean(ad.square(ad.sub(md.ffn_forward(p, cfg, x), tgt))),
-            md.param_list(p))
+            list(p.values()))
         assert err < 1e-4
 
 
 class TestModelIO:
     def test_round_trip_preserves_predictions(self, tmp_path):
-        cfg = TINY
-        p = tiny_params(15)
+        m = ckpt_model(15)
         path = tmp_path / "model.bin"
-        md.save_model(path, p, cfg, "transformer", extra_meta={"note": "t"})
-        back, cfg2, kind, meta = md.load_model(path)
-        assert kind == "transformer" and cfg2 == cfg and meta["note"] == "t"
-        x = stream(15, "x").random((1, 7, 3))
-        np.testing.assert_array_equal(md.transformer_forward(p, cfg, x).data,
-                                      md.transformer_forward(back, cfg2, x).data)
+        m.save(path)
+        back = md.FrozenModel.load(path)
+        assert back.kind == "transformer" and back.config == CKPT
+        assert back.norm.to_dict() == m.norm.to_dict()
+        x = stream(15, "x").random((1, 7, CKPT.d_in))
+        np.testing.assert_array_equal(md.transformer_forward(m.params, CKPT, x).data,
+                                      md.transformer_forward(back.params, back.config, x).data)
+
+    def test_meta_holds_kind_config_and_norm_only(self, tmp_path):
+        path = tmp_path / "model.bin"
+        ckpt_model(15).save(path)
+        _, meta = ad.load_tensors(path)
+        assert set(meta) == {"kind", "config", "norm"}
+        assert set(meta["config"]) == {f.name for f in dataclasses.fields(md.MetamodelConfig)}
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        cfg = TINY
-        p = tiny_params(16)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        md.save_model(a, p, cfg, "transformer")
-        md.save_model(b, p, cfg, "transformer")
+        ckpt_model(16).save(a)
+        ckpt_model(16).save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_ffn_round_trip(self, tmp_path):
-        cfg = md.MetamodelConfig(d_in=5, d_out=3)
-        p = md.init_ffn(cfg, stream(17, "init"))
+        m = ckpt_model(17, "ffn")
         path = tmp_path / "ffn.bin"
-        md.save_model(path, p, cfg, "ffn")
-        back, cfg2, kind, _ = md.load_model(path)
-        x = stream(17, "x").random((2, 6, 5))
-        np.testing.assert_array_equal(md.ffn_forward(p, cfg, x).data,
-                                      md.ffn_forward(back, cfg2, x).data)
+        m.save(path)
+        back = md.FrozenModel.load(path)
+        assert back.kind == "ffn"
+        x = stream(17, "x").random((2, 6, CKPT.d_in))
+        np.testing.assert_array_equal(md.ffn_forward(m.params, CKPT, x).data,
+                                      md.ffn_forward(back.params, back.config, x).data)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="kind"):
-            md.save_model(tmp_path / "x.bin", tiny_params(), TINY, "lstm")
+    def test_unknown_kind_rejected(self):
+        for kind in ("lstm", ["transformer"]):
+            with pytest.raises(ValueError, match="kind"):
+                md.FrozenModel(tiny_params(), TINY, kind, identity_norm(TINY))
 
     def test_name_mismatch_rejected(self, tmp_path):
-        cfg = TINY
-        p = tiny_params(18)
+        m = ckpt_model(18)
+        p = dict(m.params)
         del p["dec.ffn.b2"]
-        path = tmp_path / "bad.bin"
-        md.save_model(path, p, cfg, "transformer")
         with pytest.raises(ValueError, match="missing"):
-            md.load_model(path)
+            md.FrozenModel(p, CKPT, "transformer", m.norm)
+        path = tmp_path / "model.bin"
+        m.save(path)
+        tensors, meta = ad.load_tensors(path)
+        del tensors["dec.ffn.b2"]
+        ad.save_tensors(path, tensors, meta=meta)
+        with pytest.raises(ValueError, match="missing"):
+            md.FrozenModel.load(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta: meta["config"].update(delta="2"), "delta"),
+    (lambda meta: meta["config"].update(pos_scale=0.3), r"unknown fields \['pos_scale'\]"),
+    (lambda meta: meta.pop("config"), "missing"),
+    (lambda meta: meta.update(norm=[]), "normalization"),
+    (lambda meta: meta["norm"].update(target_std="wide"), "normalization"),
+])
+def test_malformed_meta_raises_one_value_error_naming_the_path(tmp_path, edit, match):
+    """Wrong JSON types or fields in the meta are bad input, not a crash:
+    each case raises ValueError (so the CLI exits 3), never a TypeError.
+    tests/test_cli.py covers a list for the meta, `kind` or `config`."""
+    path = tmp_path / "model.bin"
+    ckpt_model(19).save(path)
+    tensors, meta = ad.load_tensors(path)
+    edit(meta)
+    ad.save_tensors(path, tensors, meta=meta)
+    with pytest.raises(ValueError, match=match) as info:
+        md.FrozenModel.load(path)
+    assert str(info.value).startswith(f"{path}: ")

@@ -7,7 +7,6 @@ import pytest
 
 import bemopt.model as mdl
 import bemopt.pareto as par
-from bemopt.calibration import FrozenModel
 from bemopt.schema import (
     DEFAULT_SCHEMA,
     HEAT_AGGREGATE_INDICES,
@@ -68,8 +67,8 @@ def pool():
 def pieces(pool):
     ds = sample_dataset(pool, 3, seed=6, counts=(1, 1, 1))
     params, _, occ, _ = sample_episode_config(DEFAULT_SCHEMA, len(pool), substream(6, "episode", 0))
-    model = FrozenModel(mdl.init_transformer(TINY, stream(7, "opt-model")), TINY,
-                        "transformer", ds.norm)
+    model = mdl.FrozenModel(mdl.init_transformer(TINY, stream(7, "opt-model")), TINY,
+                            "transformer", ds.norm)
     return params, occ, model
 
 

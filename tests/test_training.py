@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import math
-import os
 import signal
 import tracemalloc
 from dataclasses import replace
@@ -419,7 +418,7 @@ def overfit_run(pool):
 def test_overfit_memorizes_ten_episodes(overfit_run):
     ds, idx, cfg, res = overfit_run
     assert res.best_val_loss < 0.45 * res.history[0]["val_loss"]
-    pred = tr.predict(res.params, cfg, "transformer", ds.inputs[idx], ds.norm)
+    pred = tr.predict(res.model.params, cfg, "transformer", ds.inputs[idx], ds.norm)
     rep = tr.metrics(pred, ds.targets[idx], ds.masks[idx])
     assert rep.r2_t.mean > 0.98
     assert rep.r2_q.mean > 0.98
@@ -438,8 +437,10 @@ def test_train_determinism(pool, tmp_path):
     runs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
+        out.mkdir()
         runs.append(tr.train(ds, "transformer", TINY, epochs=2, batch_size=4, seed=21))
-        tr.write_train_artifacts(out, runs[-1], ds.norm, 21)
+        runs[-1].model.save(out / "model.bin")
+        tr.save_history_csv(out / "history.csv", runs[-1].history)
     a, b = runs
     assert a.best_epoch == b.best_epoch
     for ra, rb in zip(a.history, b.history):
@@ -458,7 +459,7 @@ def test_best_checkpoint_selection(pool):
     assert res.history[res.best_epoch]["val_loss"] == res.best_val_loss
     # the returned parameters reproduce the recorded best validation loss
     vx, vy, _ = ds.split_arrays("val")
-    pred = tr.predict(res.params, TINY, "transformer", vx, ds.norm)
+    pred = tr.predict(res.model.params, TINY, "transformer", vx, ds.norm)
     assert tr.loss(pred, vy) == pytest.approx(res.best_val_loss, abs=1e-12)
 
 
@@ -499,17 +500,16 @@ def test_train_validates_model_widths(small_dataset):
 def test_out_dir_artifacts_roundtrip(pool, tmp_path):
     ds = tr.sample_dataset(pool, 8, seed=4, counts=(6, 1, 1))
     res = tr.train(ds, "transformer", TINY, epochs=2, batch_size=4, seed=21)
-    tr.write_train_artifacts(tmp_path / "run", res, ds.norm, 21)
-    params, cfg, kind, meta = mdl.load_model(tmp_path / "run" / "model.bin")
-    assert kind == "transformer" and cfg == TINY
-    assert meta["best_epoch"] == res.best_epoch
-    assert tuple(meta["norm"]["target_mean"]) == tuple(ds.norm.target_mean)
+    assert res.model.norm is ds.norm
+    res.model.save(tmp_path / "model.bin")
+    back = mdl.FrozenModel.load(tmp_path / "model.bin")
+    assert back.kind == "transformer" and back.config == TINY
+    assert tuple(back.norm.target_mean) == tuple(ds.norm.target_mean)
     vx = ds.inputs[ds.splits["val"]]
     np.testing.assert_array_equal(
-        tr.predict(params, cfg, kind, vx, ds.norm),
-        tr.predict(res.params, TINY, "transformer", vx, ds.norm),
+        tr.predict(back.params, back.config, back.kind, vx, back.norm),
+        tr.predict(res.model.params, TINY, "transformer", vx, ds.norm),
     )
-    assert os.path.exists(tmp_path / "run" / "history.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def _train_golden(ds):
     return tr.train(ds, config=ACCEPTANCE, epochs=2, batch_size=32, lr=3e-3, seed=1)
 
 
-# sha256 of the final parameters (param_list order, float64 bytes) and of the
+# sha256 of the final parameters (insertion order, float64 bytes) and of the
 # history values (one float64 row per epoch, _HISTORY_COLUMNS order)
 GOLDEN_PARAMS_SHA256 = "565d741be441013366eac2f1a107254786484adfd64b5b8f9ab7d54f1391ae91"
 GOLDEN_HISTORY_SHA256 = "c4af35ee1654391ec45b0ec8fba946ce51716ba4c8013d3f25cf0d3a9e8bf99a"
@@ -537,7 +537,7 @@ def test_training_is_bit_identical_to_the_golden_run(golden_corpus):
     after a 10-minute run, and then as noise in R²."""
     res = _train_golden(golden_corpus)
     h = hashlib.sha256()
-    for p in mdl.param_list(res.params):
+    for p in res.model.params.values():
         h.update(np.ascontiguousarray(p.data).tobytes())
     history = np.array([[row[c] for c in tr._HISTORY_COLUMNS] for row in res.history],
                        dtype=np.float64)
