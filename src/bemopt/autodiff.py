@@ -1,11 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small define-by-run engine: every operation returns a new Tensor holding the
-numpy result plus closures that push gradients back to its parents.  The op
-set is deliberately tiny (matmul, elementwise arithmetic, relu, softmax,
-log1p, sqrt, square, mean, slice, layer_norm) but each op supports
-the batched 3-D layouts the sequence model needs, so a full training step
-runs as a handful of large BLAS calls instead of thousands of small ones.
+numpy result and, when an operand needs a gradient, a graph node whose
+closures push gradients back to the operands' nodes.  The op set is
+deliberately tiny (matmul, elementwise arithmetic, relu, softmax, log1p,
+sqrt, square, mean, slice, layer_norm) but each op supports the batched 3-D
+layouts the sequence model needs, so a full training step runs as a handful
+of large BLAS calls instead of thousands of small ones.
+
+The graph holds no Tensor and no forward result that no backward reads.  A
+node keeps its grad, its parents' nodes and one VJP closure per parent that
+requires a gradient, and each closure captures only the arrays and shapes
+its backward formula reads (mul keeps the other operand, log1p and square
+their input, layer_norm its normalized input, inverse scale and gamma).  So
+once the forward drops an interior Tensor, its array is freed unless a VJP
+needs it.
 
 Broadcasting is restricted to scalars and trailing row vectors (bias adds,
 per-channel scale/shift).  Everything is float64; gradient checks against
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -37,24 +47,53 @@ def _as_array(x) -> np.ndarray:
     return a
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping needed for backward().
+class _Node:
+    """The backward bookkeeping of one grad-requiring Tensor, and no array.
 
-    Leaves are created with parameter() or constant(); interior nodes are
-    created by the ops below and hold (parent, vjp) pairs.  grad is only
-    populated on leaves reachable from the backward() root that require
-    gradients: backward() consumes the graph, so interior nodes hold no grad
-    and no parents once it returns.
+    _parents are the nodes of the operands that require a gradient and
+    _vjps their VJP closures, in operand order; a leaf has neither.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps")
+    __slots__ = ("grad", "_parents", "_vjps")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _vjps=()):
-        self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, parents=(), vjps=()):
         self.grad = None
-        self._parents = _parents
-        self._vjps = _vjps
+        self._parents = parents
+        self._vjps = vjps
+
+
+class Tensor:
+    """A float64 array plus, if it requires a gradient, its graph node.
+
+    Leaves are created with parameter() or constant(); interior Tensors are
+    created by the ops below.  A constant has no node.  The node holds .grad
+    and the links to the operands' nodes, never a Tensor, so the graph
+    keeps a forward result alive only where a VJP closure captured it.
+    grad is only populated on leaves reachable from the backward() root
+    that require gradients: backward() consumes the graph, so interior
+    nodes hold no grad and no parents once it returns.
+    """
+
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
+        self._node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ValueError("a constant Tensor holds no gradient")
 
     @property
     def shape(self):
@@ -74,16 +113,19 @@ class Tensor:
 
         self must be scalar-valued (the usual loss root).  Single use: the
         sweep consumes the graph.  Once a node's VJPs have run, its .grad is
-        dropped and its parents and VJPs are cut, so each forward
-        intermediate is freed as soon as nothing upstream needs it; only
-        leaves keep their accumulated .grad.  A second call on the same root
-        finds no graph behind it and changes no leaf grad.
+        dropped and its parents and VJPs are cut, so each array a VJP kept
+        is freed as soon as nothing upstream needs it; only leaves keep
+        their accumulated .grad.  A second call on the same root finds no
+        graph behind it and changes no leaf grad.  A constant root has no
+        graph and nothing to do.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar root, got shape {self.data.shape}")
+        if self._node is None:
+            return
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -94,16 +136,14 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+                if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self._node.grad = np.ones_like(self.data)
         # pop rather than iterate, so the list holds no node already swept
         while order:
             node = order.pop()
             g = node.grad
             for p, vjp in zip(node._parents, node._vjps):
-                if not p.requires_grad or vjp is None:
-                    continue
                 contrib = vjp(g)
                 if p.grad is None:
                     p.grad = contrib
@@ -131,9 +171,14 @@ def _coerce(x) -> Tensor:
 
 
 def _result(data, parents, vjps) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjps=tuple(vjps))
-    return Tensor(data)
+    """A Tensor over data whose node links only the parents that require a
+    gradient; the VJPs of the others are dropped with what they captured."""
+    out = Tensor(data)
+    links = [(p._node, vjp) for p, vjp in zip(parents, vjps) if p._node is not None]
+    if links:
+        nodes, kept = zip(*links)
+        out._node = _Node(nodes, kept)
+    return out
 
 
 def zero_grads(params) -> None:
@@ -166,31 +211,33 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     return np.sum(g, axis=axes).reshape(shape)
 
 
-def _binary(a, b, fwd, da, db, name: str) -> Tensor:
+def _operands(a, b, name: str):
     a, b = _coerce(a), _coerce(b)
     if not (_broadcast_ok(a.shape, b.shape) or _broadcast_ok(b.shape, a.shape)):
         raise ValueError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
-    out = fwd(a.data, b.data)
-    vjps = (
-        lambda g: _reduce_to(da(g, a.data, b.data), a.shape),
-        lambda g: _reduce_to(db(g, a.data, b.data), b.shape),
-    )
-    return _result(out, (a, b), vjps)
+    return a, b
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g, "add")
+    a, b = _operands(a, b, "add")
+    sa, sb = a.shape, b.shape
+    return _result(a.data + b.data, (a, b),
+                   (lambda g: _reduce_to(g, sa), lambda g: _reduce_to(g, sb)))
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g, "sub")
+    a, b = _operands(a, b, "sub")
+    sa, sb = a.shape, b.shape
+    return _result(a.data - b.data, (a, b),
+                   (lambda g: _reduce_to(g, sa), lambda g: _reduce_to(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+    a, b = _operands(a, b, "mul")
+    x, y = a.data, b.data
+    sa, sb = a.shape, b.shape
+    return _result(x * y, (a, b),
+                   (lambda g: _reduce_to(g * y, sa), lambda g: _reduce_to(g * x, sb)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +317,8 @@ def softmax(x, mask: np.ndarray | None = None) -> Tensor:
 
 def log1p(x) -> Tensor:
     x = _coerce(x)
-    out = np.log1p(x.data)
-    return _result(out, (x,), (lambda g: g / (1.0 + x.data),))
+    xd = x.data
+    return _result(np.log1p(xd), (x,), (lambda g: g / (1.0 + xd),))
 
 
 def sqrt(x) -> Tensor:
@@ -282,17 +329,18 @@ def sqrt(x) -> Tensor:
 
 def square(x) -> Tensor:
     x = _coerce(x)
-    return _result(x.data * x.data, (x,), (lambda g: g * 2.0 * x.data,))
+    xd = x.data
+    return _result(xd * xd, (x,), (lambda g: g * 2.0 * xd,))
 
 
 def mean(x) -> Tensor:
     """Mean over every element, a scalar."""
     x = _coerce(x)
     out = np.mean(x.data, axis=tuple(range(x.data.ndim)))
-    n = x.data.size
+    shape, n = x.data.shape, x.data.size
 
     def grad_x(g):
-        return np.broadcast_to(g, x.data.shape) / n
+        return np.broadcast_to(g, shape) / n
 
     return _result(out, (x,), (grad_x,))
 
@@ -304,9 +352,10 @@ def slice_last(x, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= w):
         raise ValueError(f"slice_last: [{start}:{stop}] out of range for width {w}")
     out = x.data[..., start:stop]
+    shape = x.data.shape
 
     def grad_x(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[..., start:stop] = g
         return full
 
@@ -445,10 +494,11 @@ def layer_norm(x, gamma, beta) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _EPS_LN)
     xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
+    gd = gamma.data
+    out = xhat * gd + beta.data
 
     def grad_x(g):
-        gg = g * gamma.data
+        gg = g * gd
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
         return inv * (gg - m1 - xhat * m2)
@@ -574,33 +624,43 @@ def load_tensors(path):
     A malformed container raises one ValueError naming the path: a wrong
     magic, a short header length field, a header that is not the JSON
     index, or a payload whose size differs from the sum of the tensor sizes
-    (truncated, or followed by trailing bytes).
+    (truncated, or followed by trailing bytes).  Each tensor is read
+    straight from the file into its own array, so loading holds the
+    payload once.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a tensor container (magic {raw[:4]!r})")
-    if len(raw) < 8:
-        raise ValueError(f"{path}: truncated header length field ({len(raw) - 4} of 4 bytes)")
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    try:
-        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-        meta = header["meta"]
-        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
-                   for e in header["tensors"]]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: header is not a tensor index ({type(e).__name__}: {e})") from None
-    payload = memoryview(raw)[8 + hlen:]
-    want = 8 * sum(math.prod(shape) for _, shape, _ in entries)
-    if len(payload) < want:
-        raise ValueError(f"{path}: truncated payload ({len(payload)} of {want} bytes)")
-    if len(payload) > want:
-        raise ValueError(f"{path}: {len(payload) - want} trailing bytes after the payload")
-    out = {}
-    end = 0
-    for name, shape, off in entries:
-        if off != end:
-            raise ValueError(f"{path}: tensor {name!r} at offset {off}, want {end}")
-        end = off + 8 * math.prod(shape)
-        out[name] = np.frombuffer(payload[off:end], dtype="<f8").reshape(shape).astype(np.float64)
+        magic = f.read(4)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: not a tensor container (magic {magic!r})")
+        field = f.read(4)
+        if len(field) < 4:
+            raise ValueError(f"{path}: truncated header length field ({len(field)} of 4 bytes)")
+        (hlen,) = struct.unpack("<I", field)
+        size = os.fstat(f.fileno()).st_size
+        try:
+            header = json.loads(f.read(min(hlen, max(size - 8, 0))).decode("utf-8"))
+            meta = header["meta"]
+            entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                       for e in header["tensors"]]
+            if any(d < 0 for _, shape, _ in entries for d in shape):
+                raise ValueError("negative dimension")
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: header is not a tensor index ({type(e).__name__}: {e})") from None
+        have = max(size - 8 - hlen, 0)
+        want = 8 * sum(math.prod(shape) for _, shape, _ in entries)
+        if have < want:
+            raise ValueError(f"{path}: truncated payload ({have} of {want} bytes)")
+        if have > want:
+            raise ValueError(f"{path}: {have - want} trailing bytes after the payload")
+        out = {}
+        end = 0
+        for name, shape, off in entries:
+            if off != end:
+                raise ValueError(f"{path}: tensor {name!r} at offset {off}, want {end}")
+            arr = np.empty(shape, dtype="<f8")
+            got = f.readinto(arr.reshape(-1).view(np.uint8))
+            end = off + arr.nbytes
+            if got != arr.nbytes:
+                raise ValueError(f"{path}: truncated payload ({off + got} of {want} bytes)")
+            out[name] = arr.astype(np.float64, copy=False)
     return out, meta

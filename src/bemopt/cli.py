@@ -364,6 +364,15 @@ def _parse_free(text: str):
     return free
 
 
+def _load_model(path) -> mdl.FrozenModel:
+    try:
+        return mdl.FrozenModel.load(path)
+    except ValueError as e:  # the loader's message starts with the path
+        raise CliError(EXIT_INPUT, f"cannot load model {e}") from None
+    except OSError as e:
+        raise CliError(EXIT_INPUT, f"cannot load model {path}: {e.strerror or e}") from None
+
+
 def cmd_calibrate(args, section) -> int:
     budget = _pick(args, section, "budget", 500, int)
     sigma0 = _pick(args, section, "sigma0", 0.3, float)
@@ -373,10 +382,7 @@ def cmd_calibrate(args, section) -> int:
         raise CliError(EXIT_INPUT, f"sigma0 must be finite and > 0, got {sigma0}")
     manifest = RunManifest("calibrate", args.seed)
     manifest.add_input(args.model)
-    try:
-        model = mdl.FrozenModel.load(args.model)
-    except (ValueError, OSError) as e:
-        raise CliError(EXIT_INPUT, f"cannot load model {args.model}: {e}") from None
+    model = _load_model(args.model)
     manifest.add_input(args.base)
     params, bms, occ = _load_building_file(args.base)
     try:
@@ -456,10 +462,7 @@ def cmd_optimize(args, section) -> int:
         raise CliError(EXIT_INPUT, f"tolerance must be finite, got {tolerance}")
     manifest = RunManifest("optimize", args.seed)
     manifest.add_input(args.model)
-    try:
-        model = mdl.FrozenModel.load(args.model)
-    except (ValueError, OSError) as e:
-        raise CliError(EXIT_INPUT, f"cannot load model {args.model}: {e}") from None
+    model = _load_model(args.model)
     manifest.add_input(args.calibrated)
     params, baseline_bms, occ = _load_building_file(args.calibrated, "calibrated")
     weather = _load_weather_week(args.weather, args.week)

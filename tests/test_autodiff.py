@@ -6,9 +6,12 @@ inline re-statement of the Adam recurrences for the optimizer trajectory.
 """
 
 import ctypes
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -57,7 +60,7 @@ class TestForwardValues:
 
     def test_constant_graph_builds_no_parents(self):
         y = ad.mul(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
-        assert not y.requires_grad and y._parents == ()
+        assert not y.requires_grad and y._node is None
 
 
 class TestGradCheck:
@@ -203,8 +206,9 @@ class TestGradCheck:
         sq = ad.square(att)
         root = ad.mean(sq)
         root.backward()
-        for node in (att, sq, root):
-            assert node.grad is None
+        for t in (att, sq, root):
+            node = t._node
+            assert t.grad is None and node.grad is None
             assert node._parents == () and node._vjps == ()
         for leaf in (q, k, v):
             assert leaf.grad.shape == leaf.shape and np.abs(leaf.grad).sum() > 0
@@ -219,6 +223,95 @@ class TestGradCheck:
         np.testing.assert_allclose(first, 8.0 * x.data / 3.0, rtol=1e-15)
         root.backward()
         np.testing.assert_array_equal(x.grad, first)
+
+
+def _captured(obj, seen=None):
+    """Everything reachable from obj through closure cells, nested
+    functions and containers: what a VJP closure keeps alive."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if callable(obj) and getattr(obj, "__closure__", None):
+        inner = [cell.cell_contents for cell in obj.__closure__]
+    elif isinstance(obj, dict):
+        inner = list(obj.values())
+    elif isinstance(obj, (tuple, list)):
+        inner = list(obj)
+    else:
+        inner = []
+    for item in inner:
+        yield from _captured(item, seen)
+
+
+def _tape_ops():
+    rng = stream(8, "tape")
+
+    def p(*shape):
+        return ad.parameter(rng.normal(size=shape))
+
+    return {
+        "add": lambda: ad.add(p(2, 3, 4), p(4)),
+        "sub": lambda: ad.sub(p(3, 4), p(3, 4)),
+        "mul": lambda: ad.mul(p(3, 4), p(3, 4)),
+        "matmul_2d": lambda: ad.matmul(p(3, 4), p(5, 4), transpose_b=True),
+        "matmul_3d_by_2d": lambda: ad.matmul(p(2, 3, 4), p(4, 5)),
+        "matmul_3d": lambda: ad.matmul(p(2, 3, 4), p(2, 4, 5)),
+        "relu": lambda: ad.relu(p(3, 4)),
+        "softmax": lambda: ad.softmax(p(3, 4)),
+        "log1p": lambda: ad.log1p(ad.parameter(rng.random((3, 4)))),
+        "sqrt": lambda: ad.sqrt(ad.parameter(rng.random((3, 4)) + 0.5)),
+        "square": lambda: ad.square(p(3, 4)),
+        "mean": lambda: ad.mean(p(3, 4)),
+        "slice_last": lambda: ad.slice_last(p(2, 3, 4), 1, 3),
+        "split_heads": lambda: ad.split_heads(p(2, 3, 4), 2),
+        "merge_heads": lambda: ad.merge_heads(p(4, 3, 2), 2),
+        "windowed_attention": lambda: ad.windowed_attention(p(2, 6, 3), p(2, 6, 3), p(2, 6, 2), 2),
+        "layer_norm": lambda: ad.layer_norm(p(2, 3, 4), p(4), p(4)),
+    }
+
+
+class TestTape:
+    """The graph keeps the arrays the VJPs read, never a Tensor."""
+
+    @pytest.mark.parametrize("op", list(_tape_ops()))
+    def test_vjp_closures_capture_no_tensor(self, op):
+        out = _tape_ops()[op]()
+        vjps = out._node._vjps
+        assert vjps and all(callable(f) for f in vjps)
+        held = [type(obj).__name__ for f in vjps for obj in _captured(f)
+                if isinstance(obj, ad.Tensor)]
+        assert held == [], f"{op} closures hold {held}"
+
+    def test_constant_operand_gets_no_vjp(self):
+        # mul(q, scale) keeps the scale for q's gradient, and nothing of q
+        q = ad.parameter(stream(9, "scale").normal(size=(3, 4)))
+        scale = ad.constant(0.5)
+        y = ad.mul(q, scale)
+        assert y._node._parents == (q._node,) and len(y._node._vjps) == 1
+        arrays = [obj for obj in _captured(y._node._vjps[0]) if isinstance(obj, np.ndarray)]
+        assert any(a is scale.data for a in arrays)
+        assert not any(a is q.data for a in arrays)
+
+    def test_unread_forward_result_is_freed_before_backward(self):
+        """relu(add(matmul(x, W), b)) reads nothing of the matmul output in
+        its backward, so dropping the Tensor frees the array."""
+        rng = stream(10, "free")
+        x = ad.constant(rng.normal(size=(2, 5, 3)))
+        W = ad.parameter(rng.normal(size=(3, 4)))
+        b = ad.parameter(rng.normal(size=(4,)))
+        h = ad.matmul(x, W)
+        h_data = weakref.ref(h.data)
+        root = ad.mean(ad.relu(ad.add(h, b)))
+        del h
+        gc.collect()
+        assert h_data() is None
+        root.backward()
+        z = x.data.reshape(10, 3) @ W.data + b.data
+        dz = (z > 0.0) / z.size
+        np.testing.assert_allclose(W.grad, x.data.reshape(10, 3).T @ dz, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, dz.sum(axis=0), rtol=1e-12)
 
 
 def dense_window_reference(q, k, v, delta):
@@ -529,6 +622,47 @@ class TestContainer:
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
             ad.load_tensors(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw, h: raw[:6], "truncated header length field (2 of 4 bytes)"),
+        (lambda raw, h: raw[:8 + h] + raw[8 + h + 8:], "truncated payload (72 of 80 bytes)"),
+        (lambda raw, h: raw + b"\0" * 8, "8 trailing bytes after the payload"),
+        (lambda raw, h: raw.replace(b'"offset": 48', b'"offset": 40'),
+         "tensor 'b' at offset 40, want 48"),
+        (lambda raw, h: raw.replace(b'"meta"', b'"mota"'),
+         "header is not a tensor index (KeyError: 'meta')"),
+        # a 4 GiB header length on a small file: read what is there, allocate no more
+        (lambda raw, h: raw[:4] + b"\xff\xff\xff\xff" + raw[8:8 + h],
+         "truncated payload (0 of 80 bytes)"),
+    ], ids=["length-field", "truncated", "trailing", "offset", "header", "header-length"])
+    def test_malformed_container_message(self, tmp_path, corrupt, message):
+        path = tmp_path / "t.bin"
+        ad.save_tensors(path, {"a": np.zeros((2, 3)), "b": np.ones(4)}, meta={"k": 1})
+        raw = path.read_bytes()
+        path.write_bytes(corrupt(raw, int.from_bytes(raw[4:8], "little")))
+        with pytest.raises(ValueError) as info:
+            ad.load_tensors(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        """Each tensor is read into its own array, with no whole-file copy
+        beside the arrays (reading the file, then converting, held 2x)."""
+        rng = stream(5, "ntc-peak")
+        tensors = {"w": rng.normal(size=(256, 1024)), "b": rng.normal(size=(1024,)),
+                   "x": rng.normal(size=(3, 128, 512))}
+        payload = sum(a.nbytes for a in tensors.values())
+        path = tmp_path / "big.bin"
+        ad.save_tensors(path, tensors)
+        del tensors
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back, _ = ad.load_tensors(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in back.values()) == payload
+        assert peak <= 1.25 * payload, f"load peak {peak / payload:.2f}x the payload"
 
     def test_save_is_deterministic(self, tmp_path):
         t = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}

@@ -655,6 +655,10 @@ def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"bemopt {argv[0]}: "), err
+    # a broken checkpoint is named once, though its loader's message names it too
+    models = [value for flag, value in zip(argv, argv[1:]) if flag == "--model"]
+    if code == 3 and models[-1:] == [str(tmp_path / "input")]:
+        assert err[0].count(models[-1]) == 1, err
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 

@@ -569,3 +569,23 @@ def test_training_peak_memory_stays_near_one_graph(golden_corpus):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * graph_bytes, f"train peak {peak / graph_bytes:.2f} graphs"
+
+
+def test_one_step_graph_holds_only_what_backward_reads(golden_corpus):
+    """A B=32 acceptance-config forward plus loss holds at most 64 MiB: the
+    graph keeps the arrays its VJPs read, not every forward result through
+    the Tensors that made them (that held ~109 MiB)."""
+    ds = golden_corpus
+    sel = ds.splits["train"][:32]
+    params = mdl.init_transformer(ACCEPTANCE, stream(1, "transformer-init"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pred = mdl.transformer_forward(
+            params, ACCEPTANCE, ad.constant(ds.norm.normalize_inputs(ds.inputs[sel])))
+        graph = tr.training_loss(pred, ds.norm.normalize_targets(ds.targets[sel]), ds.norm)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * 2**20, f"one-step graph holds {held / 2**20:.1f} MiB"
