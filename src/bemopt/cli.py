@@ -85,7 +85,7 @@ class RunManifest:
         try:
             self.inputs[str(path)] = _sha256(path)
         except OSError as e:
-            raise CliError(EXIT_INPUT, f"cannot read input {path}: {e}") from None
+            raise CliError(EXIT_INPUT, f"cannot read input {path}: {e.strerror or e}") from None
 
     def add_output(self, path) -> None:
         self.outputs[str(path)] = _sha256(path)
@@ -113,7 +113,7 @@ def _load_json(path) -> dict:
         with open(path) as f:
             return json.load(f)
     except OSError as e:
-        raise CliError(EXIT_INPUT, f"cannot read {path}: {e}") from None
+        raise CliError(EXIT_INPUT, f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {e}") from None
 

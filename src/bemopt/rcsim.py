@@ -22,25 +22,34 @@ hour from the air temperature at the hour start, which makes heating and
 cooling mutually exclusive within any hour by construction. The latched
 branch then acts as an exact continuous proportional controller.
 
-Cost: each linear system caches its propagator over one full sub-step
-(the modal exponentials and their integrals at ``dt``), and the fixed
-point, levels and HVAC flux of each regime are set once per hour, so a
-sub-step without a control event evaluates no exponential. The crossing
-search gets the segment's end temperatures from the propagation it
-already did and bisects only where it finds a sign change. The float
-operations and their order are those of the plain per-segment solution,
-so the cached and the recomputed forms give the same bits
-(`tests/test_rcsim.py` pins a digest of every output).
+Cost, per week: everything the schedule and the weather alone set
+(setpoints, cooling threshold, ventilation, supply temperature, AHU
+loads; `week_schedule`) is computed for all 168 hours in one pass, and
+one open/closed linear-system pair is built per distinct ventilation
+conductance, each with its propagator over one full sub-step (the modal
+exponentials and their integrals at ``dt``). Per hour: the latch (the
+proportional law at the hour-start air temperature) and the fixed point,
+levels and HVAC flux of each regime. Per segment: a sub-step without a
+control event evaluates no exponential, and the crossing search gets the
+segment's end temperatures from the propagation it already did. It
+takes the log of the interior extremum only where the two modal slopes
+have opposite signs, and builds its knots and bisects only where a level
+lies between two of them. The float operations and their order are those
+of the plain per-segment solution, so the cached and the recomputed
+forms give the same bits (`tests/test_rcsim.py` pins a digest of every
+output).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .schema import (
+    BMS_SPECS,
     HOURS_PER_DAY,
     HOURS_PER_WEEK,
     BmsSchedule,
@@ -119,71 +128,56 @@ def _check_state(hour: int, t_air: float, t_mass: float) -> None:
         raise NumericalError(hour, f"T_air={t_air:.2f} outside sanity band [{T_SANITY_LO}, {T_SANITY_HI}]")
 
 
-@dataclass(frozen=True)
-class HvacDemand:
-    heat_kw: float
-    cool_kw: float
-    setpoint: float  # the setpoint the active branch tracks
+_HOUR_OF_DAY = np.arange(HOURS_PER_WEEK) % HOURS_PER_DAY
 
 
-def _scheduled(hour_of_day: float, start: float, end: float) -> bool:
-    return start <= hour_of_day < end
+class WeekSchedule(NamedTuple):
+    """What the schedule and the weather alone set, one value per hour."""
+
+    heat_sp: list[float]  # heating setpoint (°C)
+    cool_threshold: list[float]  # cooling engages above it (°C)
+    g_vent: list[float]  # supply-air conductance (kW/K), 0.0 while the AHU is off
+    t_vent: list[float]  # supply-air temperature (°C)
+    q_ahu_h: list[float]  # AHU heating load (kW)
+    q_ahu_c: list[float]  # AHU cooling load (kW)
 
 
-def hvac_control(
-    t: float,
-    hour: int,
-    bms: BmsSchedule,
-    gain: float = 50.0,
-    heat_cap: float = math.inf,
-    cool_cap: float = math.inf,
-    deadband: float = 0.5,
-) -> HvacDemand:
-    """Proportional heating/cooling demand at one hour of the week.
+def week_schedule(
+    bms: BmsSchedule, weather: WeatherSeries, cfg: RcModelConfig = DEFAULT_RC_CONFIG
+) -> WeekSchedule:
+    """The 168 hours' setpoints, ventilation and AHU loads.
 
-    Setpoints follow the schedule (comfort value inside [start, end),
-    reduced value outside). Cooling engages only above
+    Setpoints follow the schedule (comfort value inside the window, reduced
+    value outside). Cooling engages only above
     max(cooling setpoint, heating setpoint + deadband), so the two bands
-    can never overlap even when the schedules would cross.
+    can never overlap even when the schedules would cross. While
+    ventilation is scheduled, the AHU tempers outside air to the supply
+    setpoint.
     """
-    day = (hour // HOURS_PER_DAY) % 7
-    hod = hour % HOURS_PER_DAY
-    heat_sp = (
-        bms.t_heat_conf_day[day]
-        if _scheduled(hod, bms.start_heat_day[day], bms.end_heat_day[day])
-        else bms.t_heat_red_day[day]
-    )
-    cool_sp = (
-        bms.t_clim_conf_day[day]
-        if _scheduled(hod, bms.start_clim_day[day], bms.end_clim_day[day])
-        else bms.t_clim_red_day[day]
-    )
-    cool_threshold = max(cool_sp, heat_sp + deadband)
-    heat = min(max(gain * (heat_sp - t), 0.0), heat_cap)
-    cool = min(max(gain * (t - cool_threshold), 0.0), cool_cap)
-    return HvacDemand(heat, cool, cool_threshold if cool > 0 else heat_sp)
+    hourly = dict(zip((spec.name for spec in BMS_SPECS), expand_daily(bms).T))
+
+    def in_window(name: str) -> np.ndarray:
+        """Whether each hour lies in its day's window: start inclusive, end exclusive."""
+        return (hourly[f"start_{name}_day"] <= _HOUR_OF_DAY) & (_HOUR_OF_DAY < hourly[f"end_{name}_day"])
+
+    heat_sp = np.where(in_window("heat"), hourly["t_heat_conf_day"], hourly["t_heat_red_day"])
+    cool_sp = np.where(in_window("clim"), hourly["t_clim_conf_day"], hourly["t_clim_red_day"])
+    floor = heat_sp + cfg.deadband_k
+    cool_threshold = np.where(floor > cool_sp, floor, cool_sp)  # max(cool_sp, floor)
+    ventilated = in_window("ventilation")
+    g_on = cfg.air_heat_capacity_kj_m3k * hourly["vol_ventilation_day"] * cfg.volume_m3 / 3600.0
+    g_vent = np.where(ventilated, g_on, 0.0)
+    t_vent = hourly["t_ventilation_day"]
+    lift = t_vent - weather.tamb
+    heating = lift > 0
+    q_ahu_h = np.where(ventilated & heating, g_vent * lift, 0.0)
+    q_ahu_c = np.where(ventilated & ~heating, -g_vent * lift, 0.0)
+    return WeekSchedule(*(a.tolist() for a in (heat_sp, cool_threshold, g_vent, t_vent, q_ahu_h, q_ahu_c)))
 
 
-def _ventilation(day: int, hod: int, bms: BmsSchedule, cfg: RcModelConfig) -> float | None:
-    """Supply-air conductance (kW/K) while the AHU is scheduled, else None."""
-    if not _scheduled(hod, bms.start_ventilation_day[day], bms.end_ventilation_day[day]):
-        return None
-    return cfg.air_heat_capacity_kj_m3k * bms.vol_ventilation_day[day] * cfg.volume_m3 / 3600.0
-
-
-def ahu_load(
-    hour: int, bms: BmsSchedule, weather: WeatherSeries, cfg: RcModelConfig = DEFAULT_RC_CONFIG
-) -> tuple[float, float]:
-    """(Q_AHU_H, Q_AHU_C) in kW: tempering outside air to the supply setpoint."""
-    day = (hour // HOURS_PER_DAY) % 7
-    g_vent = _ventilation(day, hour % HOURS_PER_DAY, bms, cfg)
-    if g_vent is None:
-        return 0.0, 0.0
-    tamb = float(weather.tamb[hour])
-    lift = bms.t_ventilation_day[day] - tamb
-    if lift > 0:
-        return g_vent * lift, 0.0
-    return 0.0, -g_vent * lift
+def proportional(gain: float, error: float, cap: float) -> float:
+    """Demand (kW) of the proportional law: gain × error, clipped to [0, cap]."""
+    return min(max(gain * error, 0.0), cap)
 
 
 @dataclass
@@ -258,24 +252,36 @@ class _LinearSystem:
         return -(self.ai11 * ba + self.ai12 * bm), -(self.ai21 * ba + self.ai22 * bm)
 
 
-def _earliest_crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level):
-    """First (time, level) in (0, s_max] where T_air hits one of ``levels``.
+def _interior_extremum(c1, c2, l1, l2, xsa, s_max):
+    """(s, T_air(s)) at the extremum of T_air inside (0, s_max), or None.
 
-    T_air(s) = xsa + c1·exp(l1·s) + c2·exp(l2·s) has at most one interior
-    extremum; splitting there gives monotone pieces on which a sign change
-    pins the root for bisection. The caller passes the end values
-    ``ta_start`` = T_air(0) and ``ta_end`` = T_air(s_max) it already has, so
-    a segment without a sign change costs no exponential. ``skip_level``
-    marks a boundary the segment starts on: its residual at s=0 is rounding
-    noise, so the departure sign is probed just inside instead.
+    T_air(s) = xsa + c1·exp(l1·s) + c2·exp(l2·s) has at most one; it has
+    one only where the modal slopes c1·l1 and c2·l2 have opposite signs.
     """
-    exp = math.exp
     alpha, beta = c1 * l1, c2 * l2
-    knots = [(0.0, ta_start), (s_max, ta_end)]
     if alpha != 0.0 and beta != 0.0 and alpha * beta < 0:
         s_ext = math.log(-beta / alpha) / (l1 - l2)
         if 0.0 < s_ext < s_max:
-            knots.insert(1, (s_ext, xsa + c1 * exp(l1 * s_ext) + c2 * exp(l2 * s_ext)))
+            return s_ext, xsa + c1 * math.exp(l1 * s_ext) + c2 * math.exp(l2 * s_ext)
+    return None
+
+
+def _earliest_crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level):
+    """First (time, level) in (0, s_max] where T_air hits one of ``levels``.
+
+    Splitting T_air at its interior extremum gives monotone pieces on which
+    a sign change pins the root for bisection. The caller passes the end
+    values ``ta_start`` = T_air(0) and ``ta_end`` = T_air(s_max) it already
+    has, so a segment without a sign change costs no exponential beyond the
+    extremum's. ``skip_level`` marks a boundary the segment starts on: its
+    residual at s=0 is rounding noise, so the departure sign is probed just
+    inside instead.
+    """
+    exp = math.exp
+    knots = [(0.0, ta_start), (s_max, ta_end)]
+    extremum = _interior_extremum(c1, c2, l1, l2, xsa, s_max)
+    if extremum:
+        knots.insert(1, extremum)
     best = None
     for level in levels:
         for (lo, ta_lo), (hi, ta_hi) in zip(knots, knots[1:]):
@@ -305,6 +311,31 @@ def _earliest_crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, ski
                 best = (s_hit, level)
             break  # earlier piece wins for this level
     return best
+
+
+def _crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level):
+    """`_earliest_crossing`, with a cheap answer where no level is crossed.
+
+    A segment that starts off every level is bisected only on a piece
+    (between its ends and its interior extremum) whose end values bracket a
+    level; without one, the search returns None. The same knots and sign
+    tests decide that here, before any list is built, so the answer is the
+    full search's. A segment that starts on a level takes the full search.
+    """
+    if skip_level is None:
+        extremum = _interior_extremum(c1, c2, l1, l2, xsa, s_max)
+        for level in levels:
+            f_start, f_end = ta_start - level, ta_end - level
+            if extremum is None:
+                if f_start != 0.0 and not f_start * f_end > 0:
+                    break
+            else:
+                f_ext = extremum[1] - level
+                if (f_start != 0.0 and not f_start * f_ext > 0) or not f_ext * f_end > 0:
+                    break
+        else:
+            return None
+    return _earliest_crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level)
 
 
 def simulate_week_detailed(
@@ -346,18 +377,14 @@ def simulate_week_detailed(
     cap_heat = float(params.power_VCV_kW_heat)
     cap_cool = float(params.power_VCV_kW_clim)
 
-    systems: dict[tuple[float, bool], _LinearSystem] = {}
-
     def system(g_vent: float, closed_loop: bool) -> _LinearSystem:
-        key = (round(g_vent, 9), closed_loop)
-        if key not in systems:
-            a11 = -(g_win + g_inf + g_vent + g_ma) / c_air
-            if closed_loop:
-                a11 -= gain / c_air
-            systems[key] = _LinearSystem(
-                a11, g_ma / c_air, g_ma / c_mass, -(g_ma + g_om + g_gnd) / c_mass, dt
-            )
-        return systems[key]
+        a11 = -(g_win + g_inf + g_vent + g_ma) / c_air
+        if closed_loop:
+            a11 -= gain / c_air
+        return _LinearSystem(a11, g_ma / c_air, g_ma / c_mass, -(g_ma + g_om + g_gnd) / c_mass, dt)
+
+    schedule = week_schedule(bms, weather, cfg)
+    pair_of = {g_vent: (system(g_vent, False), system(g_vent, True)) for g_vent in set(schedule.g_vent)}
 
     occupied_h = expand_daily(occ).tolist()
     tamb_h = weather.tamb.tolist()
@@ -379,12 +406,9 @@ def simulate_week_detailed(
     t_air_trace, t_mass_trace = [ta], [tm]
     tg = cfg.ground_temp_c
 
-    for hour in range(HOURS_PER_WEEK):
-        day = hour // HOURS_PER_DAY
-        hod = hour % HOURS_PER_DAY
+    for hour, (heat_sp, cool_threshold, g_vent, t_vent, q_ahu_h, q_ahu_c) in enumerate(zip(*schedule)):
+        sys_open, sys_closed = pair_of[g_vent]
         tamb = tamb_h[hour]
-        t_vent = bms.t_ventilation_day[day]
-        g_vent = _ventilation(day, hod, bms, cfg) or 0.0
 
         occupied = occupied_h[hour]
         is_occ = occupied > 0
@@ -400,25 +424,22 @@ def simulate_week_detailed(
         bm = (g_om * tamb + g_gnd * tg + q_mass) / c_mass
 
         # the HVAC branch is latched from the air temperature at the hour start
-        demand = hvac_control(
-            ta, hour, bms, gain=gain, heat_cap=cap_heat, cool_cap=cap_cool, deadband=cfg.deadband_k
-        )
-        sp = demand.setpoint
-        if demand.heat_kw > 0:
+        heat = proportional(gain, heat_sp - ta, cap_heat)
+        cool = proportional(gain, ta - cool_threshold, cap_cool)
+        sp = cool_threshold if cool > 0 else heat_sp
+        if heat > 0:
             mode, cap = 1, cap_heat
-        elif demand.cool_kw > 0:
+        elif cool > 0:
             mode, cap = -1, cap_cool
         else:
             mode, cap = 0, 0.0
 
-        sys_open = system(g_vent, False)
         # per regime (indexed by _OFF, _ACTIVE, _SAT): system, fixed point,
         # constant HVAC flux and the levels where the regime ends
         xs_open = sys_open.fixed_point(ba_open, bm)
         if mode == 0:
             regimes = ((sys_open, *xs_open, 0.0, ()),)
         else:
-            sys_closed = system(g_vent, True)
             # temperature levels where the latched branch changes regime
             level_off = sp
             level_sat = sp - cap / gain if mode == 1 else sp + cap / gain
@@ -473,7 +494,7 @@ def simulate_week_detailed(
                 e1, e2, g1, g2 = prop_dt if s_left == dt else _propagator(l1, l2, s_left)
                 xa = xsa + c1 * e1 + c2 * e2
                 hit = (
-                    _earliest_crossing(c1, c2, l1, l2, xsa, s_left, xsa + c1 + c2, xa, levels, on_level)
+                    _crossing(c1, c2, l1, l2, xsa, s_left, xsa + c1 + c2, xa, levels, on_level)
                     if levels
                     else None
                 )
@@ -522,7 +543,6 @@ def simulate_week_detailed(
                     ta = xa
 
         _check_state(hour, ta, tm)
-        q_ahu_h, q_ahu_c = ahu_load(hour, bms, weather, cfg)
         air_delta.append(c_air * (ta - ta0_h))
         mass_delta.append(c_mass * (tm - tm0_h))
         air_flux.append(air_sum)

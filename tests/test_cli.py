@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -581,6 +582,14 @@ def _calibrated_block_without_occ(pipeline, tmp):
     return _argv(pipeline, tmp, "optimize", "--calibrated", str(path))
 
 
+def _missing_model(pipeline, tmp):
+    return _argv(pipeline, tmp, "calibrate", "--model", str(tmp / "nope" / "model.bin"))
+
+
+def _missing_calibrated(pipeline, tmp):
+    return _argv(pipeline, tmp, "optimize", "--calibrated", str(tmp / "nope" / "calibration.json"))
+
+
 def _report_dir(pipeline, tmp, name, doc):
     """A run directory with the pipeline's metrics, calibration and chosen
     artifacts, the one called `name` replaced by `doc`."""
@@ -645,6 +654,8 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_trace_with_duplicate_hour, 3),
     (_heat_window_start_not_before_end, 3),
     (_calibrated_block_without_occ, 3),
+    (_missing_model, 3),
+    (_missing_calibrated, 3),
     (_report_metrics_without_best_epoch, 3),
     (_report_chosen_is_a_list, 3),
 ])
@@ -655,10 +666,12 @@ def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"bemopt {argv[0]}: "), err
-    # a broken checkpoint is named once, though its loader's message names it too
-    models = [value for flag, value in zip(argv, argv[1:]) if flag == "--model"]
-    if code == 3 and models[-1:] == [str(tmp_path / "input")]:
-        assert err[0].count(models[-1]) == 1, err
+    # a checkpoint or calibration the row broke or removed is named once,
+    # though its loader's message or the OSError names it too
+    for flag in ("--model", "--calibrated"):
+        given = [value for f, value in zip(argv, argv[1:]) if f == flag]
+        if code == 3 and given and Path(given[-1]).is_relative_to(tmp_path):
+            assert err[0].count(given[-1]) == 1, err
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -69,69 +70,83 @@ def quiet_building(**overrides):
 OCC = constant_occ(8, 18)
 
 
+INF = math.inf
+
+
+def setpoints(bms, hour):
+    """(heating setpoint, cooling threshold) at one hour of `week_schedule`."""
+    table = rcsim.week_schedule(bms, constant_weather(10.0))
+    return table.heat_sp[hour], table.cool_threshold[hour]
+
+
+def ahu(bms, weather, hour, cfg=rcsim.DEFAULT_RC_CONFIG):
+    """(Q_AHU_H, Q_AHU_C) at one hour of `week_schedule`."""
+    table = rcsim.week_schedule(bms, weather, cfg)
+    return table.q_ahu_h[hour], table.q_ahu_c[hour]
+
+
 class TestHvacControl:
+    """The setpoint schedule (`week_schedule`) and the proportional law."""
+
     def test_zero_demand_at_setpoint(self):
-        bms = default_bms()
-        d = rcsim.hvac_control(22.0, 30, bms)  # Tuesday 06:00, outside heat window
-        assert d.heat_kw == 0.0 and d.cool_kw == 0.0
+        heat_sp, cool_threshold = setpoints(default_bms(), 30)  # Tuesday 06:00, outside heat window
+        assert rcsim.proportional(50.0, heat_sp - 22.0, INF) == 0.0
+        assert rcsim.proportional(50.0, 22.0 - cool_threshold, INF) == 0.0
 
     def test_setpoint_outside_heat_schedule_is_reduced(self):
         bms = default_bms(start_heat_day=7, end_heat_day=18, t_heat_red_day=18, t_heat_conf_day=22)
-        d = rcsim.hvac_control(10.0, 5, bms)  # Monday 05:00
-        assert d.setpoint == 18.0
-        d = rcsim.hvac_control(10.0, 7, bms)  # window start is inclusive
-        assert d.setpoint == 22.0
-        d = rcsim.hvac_control(10.0, 18, bms)  # window end is exclusive
-        assert d.setpoint == 18.0
+        assert setpoints(bms, 5)[0] == 18.0  # Monday 05:00
+        assert setpoints(bms, 7)[0] == 22.0  # window start is inclusive
+        assert setpoints(bms, 18)[0] == 18.0  # window end is exclusive
 
     def test_demand_clipped_to_cap(self):
-        bms = default_bms(t_heat_conf_day=22)
-        d = rcsim.hvac_control(12.0, 8, bms, gain=100.0, heat_cap=800.0)
-        assert d.heat_kw == 800.0  # min(100 kW/°C × 10 °C, 800 kW)
-        d = rcsim.hvac_control(12.0, 8, bms, gain=100.0, heat_cap=2000.0)
-        assert d.heat_kw == 1000.0
+        heat_sp, _ = setpoints(default_bms(t_heat_conf_day=22), 8)
+        assert rcsim.proportional(100.0, heat_sp - 12.0, 800.0) == 800.0  # min(100 kW/°C × 10 °C, 800 kW)
+        assert rcsim.proportional(100.0, heat_sp - 12.0, 2000.0) == 1000.0
 
     def test_deadband_separates_bands(self):
         # cooling comfort setpoint below heating comfort: threshold must shift
         bms = default_bms(t_clim_conf_day=20, t_heat_conf_day=24)
-        hour = 9  # inside both windows on Monday
-        d = rcsim.hvac_control(24.2, hour, bms, deadband=0.5)
-        assert d.heat_kw == 0.0 and d.cool_kw == 0.0
-        d = rcsim.hvac_control(25.0, hour, bms, gain=50.0, deadband=0.5)
-        assert d.cool_kw == pytest.approx(50.0 * (25.0 - 24.5))
-        assert d.setpoint == 24.5
-        d = rcsim.hvac_control(23.0, hour, bms, gain=50.0)
-        assert d.heat_kw == pytest.approx(50.0) and d.cool_kw == 0.0
+        heat_sp, cool_threshold = setpoints(bms, 9)  # inside both windows on Monday
+        assert rcsim.proportional(50.0, heat_sp - 24.2, INF) == 0.0
+        assert rcsim.proportional(50.0, 24.2 - cool_threshold, INF) == 0.0
+        assert rcsim.proportional(50.0, 25.0 - cool_threshold, INF) == pytest.approx(50.0 * (25.0 - 24.5))
+        assert cool_threshold == 24.5
+        assert rcsim.proportional(50.0, heat_sp - 23.0, INF) == pytest.approx(50.0)
+        assert rcsim.proportional(50.0, 23.0 - cool_threshold, INF) == 0.0
 
     def test_at_most_one_branch_active(self):
-        bms = default_bms()
+        table = rcsim.week_schedule(default_bms(), constant_weather(10.0))
         rng = stream(2, "hvac-prop")
         for _ in range(200):
             t = rng.uniform(10, 35)
             hour = int(rng.integers(0, 168))
-            d = rcsim.hvac_control(t, hour, bms)
-            assert min(d.heat_kw, d.cool_kw) == 0.0
-            assert d.heat_kw >= 0.0 and d.cool_kw >= 0.0
+            heat = rcsim.proportional(50.0, table.heat_sp[hour] - t, INF)
+            cool = rcsim.proportional(50.0, t - table.cool_threshold[hour], INF)
+            assert min(heat, cool) == 0.0
+            assert heat >= 0.0 and cool >= 0.0
 
 
 class TestAhuLoad:
+    """The AHU load formula (`week_schedule`)."""
+
     def test_no_lift_no_load(self):
         bms = default_bms(t_ventilation_day=18)
         w = constant_weather(18.0)
-        assert rcsim.ahu_load(10, bms, w) == (0.0, 0.0)
+        assert ahu(bms, w, 10) == (0.0, 0.0)
 
     def test_zero_outside_schedule(self):
         bms = default_bms(start_ventilation_day=8, end_ventilation_day=19, t_ventilation_day=21)
         w = constant_weather(5.0)
-        assert rcsim.ahu_load(7, bms, w) == (0.0, 0.0)
-        assert rcsim.ahu_load(19, bms, w) == (0.0, 0.0)
-        assert rcsim.ahu_load(10, bms, w)[0] > 0.0
+        assert ahu(bms, w, 7) == (0.0, 0.0)
+        assert ahu(bms, w, 19) == (0.0, 0.0)
+        assert ahu(bms, w, 10)[0] > 0.0
 
     def test_hand_computed_heating_load(self):
         cfg = rcsim.DEFAULT_RC_CONFIG
         bms = default_bms(t_ventilation_day=20, vol_ventilation_day=1.0)
         w = constant_weather(10.0)
-        q_h, q_c = rcsim.ahu_load(9, bms, w, cfg)
+        q_h, q_c = ahu(bms, w, 9, cfg)
         expected = cfg.air_heat_capacity_kj_m3k * 1.0 * cfg.volume_m3 / 3600.0 * (20.0 - 10.0)
         assert q_h == pytest.approx(expected, rel=1e-12)
         assert q_c == 0.0
@@ -140,10 +155,86 @@ class TestAhuLoad:
         cfg = rcsim.DEFAULT_RC_CONFIG
         bms = default_bms(t_ventilation_day=20, vol_ventilation_day=1.0)
         w = constant_weather(30.0)
-        q_h, q_c = rcsim.ahu_load(9, bms, w, cfg)
+        q_h, q_c = ahu(bms, w, 9, cfg)
         expected = cfg.air_heat_capacity_kj_m3k * cfg.volume_m3 / 3600.0 * 10.0
         assert q_c == pytest.approx(expected, rel=1e-12)
         assert q_h == 0.0
+
+
+def hour_by_hour(bms, weather, hour, cfg):
+    """One hour of `week_schedule`, each rule applied to that hour alone."""
+    day, hod = divmod(hour, 24)
+
+    def scheduled(start, end):
+        return start[day] <= hod < end[day]
+
+    heat_sp = (bms.t_heat_conf_day if scheduled(bms.start_heat_day, bms.end_heat_day)
+               else bms.t_heat_red_day)[day]
+    cool_sp = (bms.t_clim_conf_day if scheduled(bms.start_clim_day, bms.end_clim_day)
+               else bms.t_clim_red_day)[day]
+    t_vent = bms.t_ventilation_day[day]
+    g_vent, q_h, q_c = 0.0, 0.0, 0.0
+    if scheduled(bms.start_ventilation_day, bms.end_ventilation_day):
+        g_vent = cfg.air_heat_capacity_kj_m3k * bms.vol_ventilation_day[day] * cfg.volume_m3 / 3600.0
+        lift = t_vent - float(weather.tamb[hour])
+        if lift > 0:
+            q_h = g_vent * lift
+        else:
+            q_c = -g_vent * lift
+    return heat_sp, max(cool_sp, heat_sp + cfg.deadband_k), g_vent, t_vent, q_h, q_c
+
+
+def random_bms(rng):
+    """Daily windows with whole- and half-hour bounds, and bands that may cross."""
+    def window():
+        start = rng.integers(0, 40, 7) / 2.0
+        return start, start + rng.integers(1, 49 - 2 * start) / 2.0
+
+    (s_c, e_c), (s_h, e_h), (s_v, e_v) = window(), window(), window()
+    t_heat_red = rng.integers(30, 44, 7) / 2.0
+    return sc.BmsSchedule(
+        start_clim_day=s_c, end_clim_day=e_c,
+        t_clim_red_day=rng.integers(44, 60, 7) / 2.0, t_clim_conf_day=rng.integers(38, 52, 7) / 2.0,
+        start_heat_day=s_h, end_heat_day=e_h,
+        t_heat_red_day=t_heat_red, t_heat_conf_day=t_heat_red + rng.integers(0, 12, 7) / 2.0,
+        start_ventilation_day=s_v, end_ventilation_day=e_v,
+        t_ventilation_day=rng.integers(36, 52, 7) / 2.0, vol_ventilation_day=rng.uniform(0.7, 1.7, 7),
+    )
+
+
+def test_week_schedule_equals_the_hour_by_hour_rules():
+    cfg = rcsim.DEFAULT_RC_CONFIG
+    rng = stream(13, "week-schedule")
+    first_last = set()  # (window, "first"/"last") hours met inside a window
+    branches = set()
+    for _ in range(40):
+        bms = random_bms(rng)
+        weather = synthetic_weather(rng)
+        data = weather.data.copy()
+        # some hours have no lift at all: the AHU's cooling branch at zero
+        tamb = data[:, sc.WEATHER_CHANNELS.index("TAMB")]
+        tamb[::7] = np.repeat(bms.t_ventilation_day, 24)[::7]
+        weather = sc.WeatherSeries(data)
+        table = rcsim.week_schedule(bms, weather, cfg)
+        assert all(len(column) == 168 for column in table)
+        for hour in range(168):
+            want = hour_by_hour(bms, weather, hour, cfg)
+            got = tuple(column[hour] for column in table)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (hour, got, want)
+            day, hod = divmod(hour, 24)
+            for name in ("clim", "heat", "ventilation"):
+                start = getattr(bms, f"start_{name}_day")[day]
+                end = getattr(bms, f"end_{name}_day")[day]
+                if hod == start:
+                    first_last.add((name, "first"))
+                if hod < end <= hod + 1 and hod >= start:
+                    first_last.add((name, "last"))
+            branches.add(("threshold is the deadband floor", want[1] == want[0] + cfg.deadband_k))
+            if want[2]:
+                branches.add(("ahu", "heat" if want[4] else "cool" if want[5] else "none"))
+    assert len(first_last) == 6
+    assert {("threshold is the deadband floor", True), ("threshold is the deadband floor", False),
+            ("ahu", "heat"), ("ahu", "cool"), ("ahu", "none")} <= branches
 
 
 class TestEquilibrium:
@@ -388,13 +479,86 @@ class TestFineStepReference:
     def test_hour_starting_on_the_saturation_level_matches_reference(self, episode):
         params, bms, occ, weather = _corpus_episode(episode)
         cfg = rcsim.DEFAULT_RC_CONFIG
-        demand = rcsim.hvac_control(20.0, 0, bms, gain=cfg.hvac_gain_kw_k,
-                                    heat_cap=params.power_VCV_kW_heat)
-        assert demand.heat_kw == params.power_VCV_kW_heat > 0  # saturated at t0 ...
-        assert 20.0 == demand.setpoint - demand.heat_kw / cfg.hvac_gain_kw_k  # ... exactly on the level
+        heat_sp = rcsim.week_schedule(bms, weather, cfg).heat_sp[0]
+        heat_kw = rcsim.proportional(cfg.hvac_gain_kw_k, heat_sp - 20.0, params.power_VCV_kW_heat)
+        assert heat_kw == params.power_VCV_kW_heat > 0  # saturated at t0 ...
+        assert 20.0 == heat_sp - heat_kw / cfg.hvac_gain_kw_k  # ... exactly on the level
         sim = channel(rcsim.simulate_week(params, bms, occ, weather, t0=20.0), "Q_HEAT_OFFICE")[0]
         ref = reference_hour0_heat(params, bms, occ, weather, 20.0)
         assert sim == pytest.approx(ref, rel=1e-9)
+
+
+def random_segment(rng, kind):
+    """Arguments of one crossing search: T_air(s) = xsa + c1·exp(l1·s) + c2·exp(l2·s)
+    on (0, s_max], and one or two levels.
+
+    ``interior``: both ends lie on one side of the first level and the
+    interior extremum on the other. ``on_level``: the segment starts on it.
+    """
+    l1 = -rng.uniform(0.05, 5.0)
+    l2 = l1 - rng.uniform(0.5, 80.0)
+    s_max = rng.uniform(1e-3, 1.0 / 6.0)
+    xsa = rng.uniform(5.0, 35.0)
+    c1 = rng.normal(0.0, 3.0)
+    if kind == "interior":
+        s_ext = rng.uniform(0.1, 0.9) * s_max  # choose c2 so that T_air' vanishes here
+        c2 = -c1 * l1 * math.exp((l1 - l2) * s_ext) / l2
+    else:
+        c2 = rng.normal(0.0, 3.0)
+
+    def ta(s):
+        return xsa + c1 * math.exp(l1 * s) + c2 * math.exp(l2 * s)
+
+    ta_start, ta_end = xsa + c1 + c2, ta(s_max)
+    skip_level = None
+    if kind == "interior":
+        t_ext = ta(s_ext)
+        near = min((ta_start, ta_end), key=lambda t: abs(t - t_ext))
+        level = t_ext + rng.uniform(0.05, 0.95) * (near - t_ext)
+        assert (ta_start - level) * (ta_end - level) > 0 and (t_ext - level) * (near - level) < 0
+    elif kind == "on_level":
+        level = skip_level = ta_start
+    else:
+        level = rng.uniform(min(ta_start, ta_end) - 1.0, max(ta_start, ta_end) + 1.0)
+    levels = (level,) if rng.random() < 0.5 else (level, rng.uniform(xsa - 10.0, xsa + 10.0))
+    return (c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level)
+
+
+def test_crossing_screen_returns_what_the_full_search_returns():
+    rng = stream(17, "crossing-screen")
+    hits = {"interior": 0, "on_level": 0, "random": 0}
+    misses = 0
+    for kind in ("interior", "on_level", "random") * 700:
+        args = random_segment(rng, kind)
+        want = rcsim._earliest_crossing(*args)
+        assert rcsim._crossing(*args) == want, (kind, args)
+        if want is None:
+            misses += 1
+        else:
+            hits[kind] += 1
+    # every interior case crosses its first level, which a screen that looks
+    # only at the segment's ends would miss
+    assert hits["interior"] == 700
+    assert min(hits.values()) > 0 and misses > 0
+
+
+def test_crossing_screen_on_simulated_segments(monkeypatch):
+    """Every search of three simulated weeks, one starting on a saturation level."""
+    calls = []
+    screened = rcsim._crossing
+
+    def record(*args):
+        calls.append(args)
+        return screened(*args)
+
+    monkeypatch.setattr(rcsim, "_crossing", record)
+    for episode in (1, 2, 3):
+        params, bms, occ, weather = _corpus_episode(episode)
+        rcsim.simulate_week(params, bms, occ, weather)
+    assert any(args[-1] is not None for args in calls)
+    results = [screened(*args) for args in calls]
+    assert results == [rcsim._earliest_crossing(*args) for args in calls]
+    assert any(r is not None for r in results)
 
 
 # sha256 over the golden runs that start off any control level, recorded before
