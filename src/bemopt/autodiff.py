@@ -30,6 +30,8 @@ import struct
 
 import numpy as np
 
+from .schema import SchemaError
+
 __all__ = [
     "Tensor", "parameter", "constant", "zero_grads",
     "matmul", "add", "sub", "mul", "relu", "softmax", "log1p", "sqrt",
@@ -621,7 +623,7 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
 def load_tensors(path):
     """Returns (ordered name->array dict, meta dict).
 
-    A malformed container raises one ValueError naming the path: a wrong
+    A malformed container raises one SchemaError naming the path: a wrong
     magic, a short header length field, a header that is not the JSON
     index, or a payload whose size differs from the sum of the tensor sizes
     (truncated, or followed by trailing bytes).  Each tensor is read
@@ -631,10 +633,10 @@ def load_tensors(path):
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
-            raise ValueError(f"{path}: not a tensor container (magic {magic!r})")
+            raise SchemaError(f"{path}: not a tensor container (magic {magic!r})")
         field = f.read(4)
         if len(field) < 4:
-            raise ValueError(f"{path}: truncated header length field ({len(field)} of 4 bytes)")
+            raise SchemaError(f"{path}: truncated header length field ({len(field)} of 4 bytes)")
         (hlen,) = struct.unpack("<I", field)
         size = os.fstat(f.fileno()).st_size
         try:
@@ -645,22 +647,22 @@ def load_tensors(path):
             if any(d < 0 for _, shape, _ in entries for d in shape):
                 raise ValueError("negative dimension")
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: header is not a tensor index ({type(e).__name__}: {e})") from None
+            raise SchemaError(f"{path}: header is not a tensor index ({type(e).__name__}: {e})") from None
         have = max(size - 8 - hlen, 0)
         want = 8 * sum(math.prod(shape) for _, shape, _ in entries)
         if have < want:
-            raise ValueError(f"{path}: truncated payload ({have} of {want} bytes)")
+            raise SchemaError(f"{path}: truncated payload ({have} of {want} bytes)")
         if have > want:
-            raise ValueError(f"{path}: {have - want} trailing bytes after the payload")
+            raise SchemaError(f"{path}: {have - want} trailing bytes after the payload")
         out = {}
         end = 0
         for name, shape, off in entries:
             if off != end:
-                raise ValueError(f"{path}: tensor {name!r} at offset {off}, want {end}")
+                raise SchemaError(f"{path}: tensor {name!r} at offset {off}, want {end}")
             arr = np.empty(shape, dtype="<f8")
             got = f.readinto(arr.reshape(-1).view(np.uint8))
             end = off + arr.nbytes
             if got != arr.nbytes:
-                raise ValueError(f"{path}: truncated payload ({off + got} of {want} bytes)")
+                raise SchemaError(f"{path}: truncated payload ({off + got} of {want} bytes)")
             out[name] = arr.astype(np.float64, copy=False)
     return out, meta

@@ -29,6 +29,8 @@ from .schema import (
     decode_unit_box,
     heat_aggregate_of,
     occupied_hours,
+    read_hourly_csv,
+    write_hourly_csv,
 )
 from .seeding import stream
 from .training import T_INT_INDEX, episode_errors, predict, r2_score
@@ -222,6 +224,9 @@ def _costs(evaluate, xs: np.ndarray) -> np.ndarray:
 # sensor traces
 
 
+TRACE_COLUMNS = ("t_int", "q_heat")
+
+
 @dataclass(frozen=True)
 class SensorTrace:
     """One week of building-level observations: mean indoor temperature
@@ -231,12 +236,12 @@ class SensorTrace:
     q_heat: np.ndarray  # (168,) kW
 
     def __post_init__(self):
-        for name in ("t_int", "q_heat"):
+        for name in TRACE_COLUMNS:
             a = np.asarray(getattr(self, name), dtype=np.float64)
             if a.shape != (HOURS_PER_WEEK,):
-                raise ValueError(f"{name}: want ({HOURS_PER_WEEK},), got {a.shape}")
+                raise SchemaError(f"{name}: want ({HOURS_PER_WEEK},), got {a.shape}")
             if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name}: non-finite values")
+                raise SchemaError(f"{name}: non-finite values")
             a = a.copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -248,36 +253,16 @@ class SensorTrace:
         return cls(targets[:, T_INT_INDEX], heat_aggregate_of(targets))
 
     def save_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("hour,t_int,q_heat\n")
-            for h in range(HOURS_PER_WEEK):
-                f.write(f"{h},{float(self.t_int[h])!r},{float(self.q_heat[h])!r}\n")
+        write_hourly_csv(path, TRACE_COLUMNS, np.column_stack([self.t_int, self.q_heat]))
 
     @classmethod
     def load_csv(cls, path) -> "SensorTrace":
-        """Read `save_csv` output; every hour 0..167 must appear exactly once."""
-        rows = {}
-        with open(path) as f:
-            header = f.readline().strip()
-            if header != "hour,t_int,q_heat":
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
-                parts = line.split(",")
-                try:
-                    h = int(parts[0])
-                    values = float(parts[1]), float(parts[2])
-                except (IndexError, ValueError) as e:
-                    raise ValueError(f"{path} line {lineno}: {e}") from None
-                if h in rows or not 0 <= h < HOURS_PER_WEEK:
-                    why = "repeated" if h in rows else f"outside 0..{HOURS_PER_WEEK - 1}"
-                    raise ValueError(f"{path} line {lineno}: hour {h} {why}")
-                rows[h] = values
-        if len(rows) != HOURS_PER_WEEK:
-            raise ValueError(f"{path}: {len(rows)} rows, want {HOURS_PER_WEEK}")
-        t, q = np.array([rows[h] for h in range(HOURS_PER_WEEK)]).T
-        return cls(t, q)
+        """Read `save_csv` output (see `schema.read_hourly_csv`)."""
+        t, q = read_hourly_csv(path, TRACE_COLUMNS).T
+        try:
+            return cls(t, q)
+        except SchemaError as e:
+            raise SchemaError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

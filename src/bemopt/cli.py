@@ -14,6 +14,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from . import model as mdl
 from .calibration import CalibrationSpace, SensorTrace, calibrate
@@ -35,11 +37,11 @@ from .schema import (
     SchemaError,
     assemble_inputs,
     heat_aggregate_of,
+    write_hourly_csv,
 )
 from .seeding import substream
 from .training import (
     Dataset,
-    TrainingError,
     metrics,
     predict,
     sample_dataset,
@@ -133,7 +135,7 @@ def _load_building_file(path, block=None):
             BmsSchedule.from_dict(doc["bms"]),
             OccupancySchedule.from_dict(doc["occ"]),
         )
-    except (KeyError, TypeError, SchemaError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CliError(EXIT_INPUT, f"{path}: bad building description: {e}") from None
 
 
@@ -147,22 +149,14 @@ def _parse_weeks(text: str) -> list:
     return weeks
 
 
-def _weather_path(directory, week: int) -> str:
-    return os.path.join(directory, f"week_{week:04d}.csv")
-
-
 def _trace_path(directory, week: int) -> str:
     return os.path.join(directory, f"trace_w{week:04d}.csv")
 
 
-def _load_weather_week(directory, week: int):
-    path = _weather_path(directory, week)
-    if not os.path.exists(path):
-        raise CliError(EXIT_INPUT, f"missing weather file {path}")
-    try:
-        return load_week(path)
-    except SchemaError as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
+def _load_weather_week(manifest, directory, week: int):
+    path = os.path.join(directory, f"week_{week:04d}.csv")
+    manifest.add_input(path)
+    return load_week(path)
 
 
 def _progress(msg: str) -> None:
@@ -188,10 +182,7 @@ def cmd_sample(args, section) -> int:
         raise CliError(EXIT_USAGE, "--episodes is required")
     if args.jobs < 1:
         raise CliError(EXIT_INPUT, f"jobs must be >= 1, got {args.jobs}")
-    try:
-        split_counts(episodes)  # before a weather pool is generated and written
-    except ValueError as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
+    split_counts(episodes)  # before a weather pool is generated and written
 
     manifest = RunManifest("sample", args.seed)
     generated = []
@@ -206,26 +197,20 @@ def cmd_sample(args, section) -> int:
                 "pass --weather-weeks N to generate a pool there",
             )
         generated = save_pool(args.weather, generate_pool(weather_seed, weather_weeks))
-    try:
-        pool = load_pool(args.weather)
-    except SchemaError as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
+    for name in sorted(os.listdir(args.weather)):
+        if name.endswith(".csv"):
+            (manifest.add_output if generated else manifest.add_input)(
+                os.path.join(args.weather, name)
+            )
+    pool = load_pool(args.weather)
     if weather_weeks is not None and len(pool) != weather_weeks:
         raise CliError(
             EXIT_INPUT,
             f"weather directory {args.weather} holds {len(pool)} weeks, "
             f"--weather-weeks says {weather_weeks}",
         )
-    for name in sorted(os.listdir(args.weather)):
-        if name.endswith(".csv"):
-            (manifest.add_output if generated else manifest.add_input)(
-                os.path.join(args.weather, name)
-            )
 
-    try:
-        ds = sample_dataset(pool, episodes, seed=args.seed, jobs=args.jobs)
-    except (SchemaError, ValueError) as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
+    ds = sample_dataset(pool, episodes, seed=args.seed, jobs=args.jobs)
     ds.save(args.out)
     manifest.add_output(os.path.join(args.out, "arrays.bin"))
     manifest.add_output(os.path.join(args.out, "manifest.json"))
@@ -249,19 +234,9 @@ def cmd_train(args, section) -> int:
                  if section.get(k) is not None}
     manifest = RunManifest("train", args.seed)
     for name in ("arrays.bin", "manifest.json"):
-        path = os.path.join(args.dataset, name)
-        if not os.path.exists(path):
-            raise CliError(EXIT_INPUT, f"dataset file {path} is missing")
-        manifest.add_input(path)
-    try:
-        ds = Dataset.load(args.dataset)
-    except (TrainingError, ValueError) as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
-
-    try:
-        config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in, **overrides) if overrides else None
-    except ValueError as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
+        manifest.add_input(os.path.join(args.dataset, name))
+    ds = Dataset.load(args.dataset)
+    config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in, **overrides) if overrides else None
 
     result = train(
         ds,
@@ -321,15 +296,14 @@ def cmd_twin(args, section) -> int:
 
     weeks = _parse_weeks(args.weeks) if args.weeks else None
     if weeks is None:
-        names = sorted(n for n in os.listdir(args.weather) if n.endswith(".csv"))
-        weeks = list(range(len(names)))
+        names = os.listdir(args.weather) if os.path.isdir(args.weather) else []
+        weeks = list(range(sum(n.endswith(".csv") for n in names)))
         if not weeks:
             raise CliError(EXIT_INPUT, f"no weather files in {args.weather}")
 
     traces = []  # every week is read and simulated before anything is written
     for k in weeks:
-        weather = _load_weather_week(args.weather, k)
-        manifest.add_input(_weather_path(args.weather, k))
+        weather = _load_weather_week(manifest, args.weather, k)
         truth = SensorTrace.from_output(simulate_week(params, bms, occ, weather).data)
         rng = substream(args.seed, "twin-noise", k)
         t_noisy = truth.t_int + noise_t * rng.standard_normal(HOURS_PER_WEEK)
@@ -364,15 +338,6 @@ def _parse_free(text: str):
     return free
 
 
-def _load_model(path) -> mdl.FrozenModel:
-    try:
-        return mdl.FrozenModel.load(path)
-    except ValueError as e:  # the loader's message starts with the path
-        raise CliError(EXIT_INPUT, f"cannot load model {e}") from None
-    except OSError as e:
-        raise CliError(EXIT_INPUT, f"cannot load model {path}: {e.strerror or e}") from None
-
-
 def cmd_calibrate(args, section) -> int:
     budget = _pick(args, section, "budget", 500, int)
     sigma0 = _pick(args, section, "sigma0", 0.3, float)
@@ -382,31 +347,22 @@ def cmd_calibrate(args, section) -> int:
         raise CliError(EXIT_INPUT, f"sigma0 must be finite and > 0, got {sigma0}")
     manifest = RunManifest("calibrate", args.seed)
     manifest.add_input(args.model)
-    model = _load_model(args.model)
+    model = mdl.FrozenModel.load(args.model)
     manifest.add_input(args.base)
     params, bms, occ = _load_building_file(args.base)
-    try:
-        space = (
-            CalibrationSpace(_parse_free(args.free), params, bms, occ)
-            if args.free
-            else CalibrationSpace.default(params, bms, occ)
-        )
-    except SchemaError as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
+    space = (
+        CalibrationSpace(_parse_free(args.free), params, bms, occ)
+        if args.free
+        else CalibrationSpace.default(params, bms, occ)
+    )
 
     def load_split(weeks_text):
         traces, weathers = [], []
         for k in _parse_weeks(weeks_text):
             tpath = _trace_path(args.traces, k)
-            if not os.path.exists(tpath):
-                raise CliError(EXIT_INPUT, f"missing trace file {tpath}")
-            try:
-                traces.append(SensorTrace.load_csv(tpath))
-            except ValueError as e:
-                raise CliError(EXIT_INPUT, str(e)) from None
-            weathers.append(_load_weather_week(args.weather, k))
             manifest.add_input(tpath)
-            manifest.add_input(_weather_path(args.weather, k))
+            traces.append(SensorTrace.load_csv(tpath))
+            weathers.append(_load_weather_week(manifest, args.weather, k))
         return traces, weathers
 
     traces, weathers = load_split(args.weeks)
@@ -462,16 +418,12 @@ def cmd_optimize(args, section) -> int:
         raise CliError(EXIT_INPUT, f"tolerance must be finite, got {tolerance}")
     manifest = RunManifest("optimize", args.seed)
     manifest.add_input(args.model)
-    model = _load_model(args.model)
+    model = mdl.FrozenModel.load(args.model)
     manifest.add_input(args.calibrated)
     params, baseline_bms, occ = _load_building_file(args.calibrated, "calibrated")
-    weather = _load_weather_week(args.weather, args.week)
-    manifest.add_input(_weather_path(args.weather, args.week))
+    weather = _load_weather_week(manifest, args.weather, args.week)
 
-    try:
-        config = NsgaConfig(population=population, generations=generations)
-    except ValueError as e:
-        raise CliError(EXIT_INPUT, str(e)) from None
+    config = NsgaConfig(population=population, generations=generations)
     space = BmsSpace(params, occ)
     baseline = evaluate_settings(model, params, baseline_bms, occ, weather)
 
@@ -516,11 +468,8 @@ def cmd_optimize(args, section) -> int:
         assemble_inputs(params, chosen_bms, occ, weather), model.norm,
     )
     series_path = os.path.join(args.out, "chosen_timeseries.csv")
-    with open(series_path, "w") as f:
-        f.write("hour,t_pred,q_heat_pred\n")
-        q = heat_aggregate_of(pred)
-        for h in range(HOURS_PER_WEEK):
-            f.write(f"{h},{_fmt(pred[h, T_INT_INDEX])},{_fmt(q[h])}\n")
+    write_hourly_csv(series_path, ("t_pred", "q_heat_pred"),
+                     np.column_stack([pred[:, T_INT_INDEX], heat_aggregate_of(pred)]))
     for path in (front_path, hv_path, chosen_path, series_path):
         manifest.add_output(path)
     manifest.write(os.path.join(args.out, "run.json"))

@@ -23,7 +23,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .schema import DEFAULT_SCHEMA, NormStats
+from .schema import DEFAULT_SCHEMA, NormStats, SchemaError
 
 # amplitude of the sinusoidal position signal added to the embedded inputs
 POS_SCALE = 0.3
@@ -51,7 +51,7 @@ class MetamodelConfig:
         for name in _CONFIG_KEYS:
             val = getattr(self, name)
             if not isinstance(val, int) or val < 1:
-                raise ValueError(f"MetamodelConfig.{name} must be a positive int, got {val!r}")
+                raise SchemaError(f"MetamodelConfig.{name} must be a positive int, got {val!r}")
 
     @property
     def ffn_width(self) -> int:
@@ -63,12 +63,12 @@ class MetamodelConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "MetamodelConfig":
         if not isinstance(d, Mapping):
-            raise ValueError(f"MetamodelConfig: want an object, got a {type(d).__name__}")
+            raise SchemaError(f"MetamodelConfig: want an object, got a {type(d).__name__}")
         unknown = set(d) - set(_CONFIG_KEYS)
         if unknown:
-            raise ValueError(f"MetamodelConfig: unknown fields {sorted(unknown)}")
+            raise SchemaError(f"MetamodelConfig: unknown fields {sorted(unknown)}")
         if "d_in" not in d:
-            raise ValueError("MetamodelConfig: missing required field 'd_in'")
+            raise SchemaError("MetamodelConfig: missing required field 'd_in'")
         return cls(**d)
 
 
@@ -229,8 +229,8 @@ class FrozenModel:
     def load(cls, path) -> "FrozenModel":
         """Read a checkpoint. A malformed container or meta, weights that do
         not fit the config, widths other than the variable declaration's, or
-        unusable normalization stats raise one ValueError naming the path."""
-        tensors, meta = ad.load_tensors(path)
+        unusable normalization stats raise one SchemaError naming the path."""
+        tensors, meta = ad.load_tensors(path)  # a malformed container names the path
         try:
             if not isinstance(meta, Mapping):
                 raise ValueError(f"model meta is a {type(meta).__name__}, not an object")
@@ -250,4 +250,4 @@ class FrozenModel:
             params = {name: ad.parameter(arr) for name, arr in tensors.items()}
             return cls(params, cfg, meta["kind"], norm)
         except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+            raise SchemaError(f"{path}: {e}") from None

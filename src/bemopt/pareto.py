@@ -19,6 +19,7 @@ from .schema import (
     BmsSchedule,
     BuildingParams,
     OccupancySchedule,
+    SchemaError,
     WeatherSeries,
     assemble_inputs,
     decode_unit_box,
@@ -84,9 +85,9 @@ class NsgaConfig:
 
     def __post_init__(self):
         if self.population < 4 or self.population % 2:
-            raise ValueError(f"population must be even and >= 4, got {self.population}")
+            raise SchemaError(f"population must be even and >= 4, got {self.population}")
         if self.generations < 0:
-            raise ValueError(f"generations must be >= 0, got {self.generations}")
+            raise SchemaError(f"generations must be >= 0, got {self.generations}")
 
 
 class ParetoFront:

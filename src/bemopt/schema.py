@@ -5,11 +5,14 @@ speaks in terms of the types defined here: static building parameters,
 daily management-system and occupancy schedules, hourly weather, and the
 assembled per-week episode matrix. All containers are immutable after
 construction (arrays are marked read-only), so they can be shared freely
-across workers.
+across workers. `write_hourly_csv`/`read_hourly_csv` are the one on-disk
+form of a week of hourly values (weather weeks, sensor traces, predicted
+series), and `SchemaError` is the one exception for bad input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -40,7 +43,53 @@ HEAT_AGGREGATE_INDICES = tuple(OUTPUT_CHANNELS.index(c) for c in HEAT_AGGREGATE_
 
 
 class SchemaError(ValueError):
-    """A value or declaration violates the variable schema."""
+    """Input from outside the program is malformed or out of range."""
+
+
+def write_hourly_csv(path, columns: Sequence[str], data) -> None:
+    """Write a (168, k) array as a `hour,<columns>` header and one row per hour.
+
+    Cells are `repr` of Python floats, which read back bit for bit.
+    """
+    rows = np.asarray(data, dtype=np.float64).tolist()
+    lines = ["hour," + ",".join(columns)]
+    lines += [f"{h}," + ",".join(map(repr, row)) for h, row in enumerate(rows)]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def read_hourly_csv(path, columns: Sequence[str]) -> np.ndarray:
+    """Read a `write_hourly_csv` file into a (168, k) array.
+
+    The header must be exactly `hour,<columns>`, the hour column must read
+    0..167 in order, and each row holds one number per column; blank lines
+    are skipped. Any other file raises SchemaError naming the path (and the
+    line, where there is one).
+    """
+    want = "hour," + ",".join(columns)
+    with open(path) as f:
+        lines = f.read().split("\n")
+    if lines[0].strip() != want:
+        raise SchemaError(f"{path}: unexpected header {lines[0].strip()!r}, want {want!r}")
+    width = 1 + len(columns)
+    values = []  # row-major cells, one flat list
+    n_rows = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        if len(parts) != width:
+            raise SchemaError(f"{path}: line {lineno}: expected {width} fields")
+        if parts[0] != str(n_rows):
+            raise SchemaError(f"{path}: line {lineno}: hour {parts[0]!r}, expected {n_rows}")
+        try:
+            values += map(float, parts[1:])
+        except ValueError as e:
+            raise SchemaError(f"{path}: line {lineno}: {e}") from None
+        n_rows += 1
+    if n_rows != HOURS_PER_WEEK:
+        raise SchemaError(f"{path}: expected {HOURS_PER_WEEK} rows, got {n_rows}")
+    return np.array(values).reshape(n_rows, len(columns))
 
 
 @dataclass(frozen=True)
@@ -203,9 +252,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_BUILDING_FIELDS = tuple(s.name for s in BUILDING_SPECS)
+# the two night fractions and the four window-area fractions
+_PERCENT_FIELDS = tuple(name for name in _BUILDING_FIELDS if "percent" in name)
+
+
 @dataclass(frozen=True)
 class BuildingParams:
-    """Static geometric/thermal parameters, one per building-table row."""
+    """Static geometric/thermal parameters, one per building-table row.
+
+    Every value must be finite and >= 0, the capacitance > 0 and the
+    percentages <= 100.
+    """
 
     airchange_infiltration_vol_per_h: float
     capacitance_kJ_perdegreK_perm3: float
@@ -224,6 +282,16 @@ class BuildingParams:
     facade_2_window_area_percent: float
     facade_3_window_area_percent: float
     facade_4_window_area_percent: float
+
+    def __post_init__(self):
+        for name in _BUILDING_FIELDS:
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:  # NaN fails too
+                raise SchemaError(f"{name} must be finite and >= 0, got {v}")
+            if v > 100 and name in _PERCENT_FIELDS:
+                raise SchemaError(f"{name} must be <= 100, got {v}")
+        if self.capacitance_kJ_perdegreK_perm3 == 0:
+            raise SchemaError("capacitance_kJ_perdegreK_perm3 must be > 0, got 0")
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
@@ -266,7 +334,7 @@ _BMS_FIELDS = tuple(s.name for s in BMS_SPECS)
 
 @dataclass(frozen=True)
 class BmsSchedule:
-    """Management-system settings; every field holds 7 per-day values (Mon..Sun)."""
+    """Management-system settings; every field holds 7 finite per-day values (Mon..Sun)."""
 
     start_clim_day: tuple[float, ...]
     end_clim_day: tuple[float, ...]
@@ -286,7 +354,11 @@ class BmsSchedule:
             values = tuple(float(v) for v in getattr(self, name))
             if len(values) != DAYS_PER_WEEK:
                 raise SchemaError(f"{name}: expected {DAYS_PER_WEEK} daily values, got {len(values)}")
+            if not all(map(math.isfinite, values)):
+                raise SchemaError(f"{name}: values must be finite, got {list(values)}")
             object.__setattr__(self, name, values)
+        if min(self.vol_ventilation_day) < 0:
+            raise SchemaError(f"vol_ventilation_day must be >= 0, got {list(self.vol_ventilation_day)}")
         for day in range(DAYS_PER_WEEK):
             for start, end in (
                 ("start_clim_day", "end_clim_day"),

@@ -27,6 +27,7 @@ from .schema import (
     NormStats,
     OccupancySchedule,
     Schema,
+    SchemaError,
     heat_aggregate_of,
     make_episode,
     occupied_hours,
@@ -70,10 +71,6 @@ DATASET_MANIFEST = "manifest.json"
 MANIFEST_KEYS = ("schema", "seed", "n_weather", "splits", "norm")
 
 
-class TrainingError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # dataset sampling
 
@@ -81,12 +78,12 @@ class TrainingError(RuntimeError):
 def split_counts(n_total: int) -> tuple[int, int, int]:
     """Train/val/test counts; val and test round to nearest, train absorbs."""
     if n_total < 3:
-        raise ValueError(f"need at least 3 examples to split, got {n_total}")
+        raise SchemaError(f"need at least 3 examples to split, got {n_total}")
     n_val = max(1, round(n_total * SPLIT_RATIOS[1]))
     n_test = max(1, round(n_total * SPLIT_RATIOS[2]))
     n_train = n_total - n_val - n_test
     if n_train < 1:
-        raise ValueError(f"split of {n_total} leaves no training examples")
+        raise SchemaError(f"split of {n_total} leaves no training examples")
     return n_train, n_val, n_test
 
 
@@ -167,22 +164,20 @@ class Dataset:
     def load(cls, directory) -> "Dataset":
         """Read a saved corpus; a manifest that is incomplete, malformed or
         written for another variable declaration, or arrays that do not fit
-        it (see `_check_arrays`), raise TrainingError."""
+        it (see `_check_arrays`), raise SchemaError."""
         path = os.path.join(directory, DATASET_MANIFEST)
         try:
             with open(path) as f:
                 manifest = json.load(f)
-        except FileNotFoundError:
-            raise TrainingError(f"{directory}: no dataset manifest found") from None
         except json.JSONDecodeError as e:
-            raise TrainingError(f"{path}: manifest is not valid JSON ({e})") from None
+            raise SchemaError(f"{path}: manifest is not valid JSON ({e})") from None
         if not isinstance(manifest, dict):
-            raise TrainingError(f"{path}: manifest is not a JSON object")
+            raise SchemaError(f"{path}: manifest is not a JSON object")
         missing = [k for k in MANIFEST_KEYS if k not in manifest]
         if missing:
-            raise TrainingError(f"{path}: manifest lacks {', '.join(missing)}")
+            raise SchemaError(f"{path}: manifest lacks {', '.join(missing)}")
         if manifest["schema"] != DEFAULT_SCHEMA.to_dict():
-            raise TrainingError(f"{path}: stored schema differs from the variable declaration")
+            raise SchemaError(f"{path}: stored schema differs from the variable declaration")
         tensors, _ = ad.load_tensors(os.path.join(directory, DATASET_ARRAYS))
         try:
             ds = cls(
@@ -195,7 +190,7 @@ class Dataset:
                 n_weather=int(manifest["n_weather"]),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise TrainingError(f"{directory}: malformed dataset ({type(e).__name__}: {e})") from None
+            raise SchemaError(f"{directory}: malformed dataset ({type(e).__name__}: {e})") from None
         _check_arrays(directory, tensors, ds.splits)
         return ds
 
@@ -211,14 +206,14 @@ def _check_arrays(directory, tensors: dict, splits: dict) -> None:
     }
     for name, shape in shapes.items():
         if tensors[name].shape != shape:
-            raise TrainingError(f"{directory}: {name} has shape {tensors[name].shape}, want {shape}")
+            raise SchemaError(f"{directory}: {name} has shape {tensors[name].shape}, want {shape}")
         if not np.isfinite(tensors[name]).all():
-            raise TrainingError(f"{directory}: {name} holds non-finite values")
+            raise SchemaError(f"{directory}: {name} holds non-finite values")
     if sorted(splits) != ["test", "train", "val"]:
-        raise TrainingError(f"{directory}: splits are {sorted(splits)}, want train, val and test")
+        raise SchemaError(f"{directory}: splits are {sorted(splits)}, want train, val and test")
     for name, idx in splits.items():
         if idx.ndim != 1 or len(idx) == 0 or not ((idx >= 0) & (idx < n)).all():
-            raise TrainingError(f"{directory}: split {name} must list episodes in [0, {n})")
+            raise SchemaError(f"{directory}: split {name} must list episodes in [0, {n})")
 
 
 def sample_dataset(

@@ -1,11 +1,11 @@
 """Synthetic weekly weather traces and their on-disk CSV form.
 
 The sampler needs a pool of plausible weekly weather; real recordings can
-be dropped in as CSV files with the same seven channels. The synthetic
-generator draws a season at random, builds a diurnal temperature cycle
-with AR(1) synoptic noise, and derives the irradiance channels from a
-solar-elevation proxy modulated by cloud cover, keeping the identity
-IGLOB_H = IBEAM_H + IDIFF_H and DNI = IBEAM_N.
+be dropped in as hourly CSV files (`schema.write_hourly_csv`) with the same
+seven channels. The synthetic generator draws a season at random, builds a
+diurnal temperature cycle with AR(1) synoptic noise, and derives the
+irradiance channels from a solar-elevation proxy modulated by cloud cover,
+keeping the identity IGLOB_H = IBEAM_H + IDIFF_H and DNI = IBEAM_N.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ import os
 
 import numpy as np
 
-from .schema import HOURS_PER_WEEK, WEATHER_CHANNELS, SchemaError, WeatherSeries
+from .schema import (
+    HOURS_PER_WEEK,
+    WEATHER_CHANNELS,
+    SchemaError,
+    WeatherSeries,
+    read_hourly_csv,
+    write_hourly_csv,
+)
 from .seeding import substream
 
 
@@ -63,36 +70,16 @@ def generate_pool(seed: int, n_weeks: int) -> list[WeatherSeries]:
 
 
 def save_week(path, week: WeatherSeries) -> None:
-    lines = ["hour," + ",".join(WEATHER_CHANNELS)]
-    for h in range(HOURS_PER_WEEK):
-        # repr of a Python float round-trips exactly; numpy scalar repr does not parse
-        lines.append(str(h) + "," + ",".join(repr(float(v)) for v in week.data[h]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_hourly_csv(path, WEATHER_CHANNELS, week.data)
 
 
 def load_week(path) -> WeatherSeries:
-    """Read a week written by `save_week`: the hour column must read 0..167 in order."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if header != ["hour"] + list(WEATHER_CHANNELS):
-            raise SchemaError(f"{path}: unexpected weather header {header}")
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 1 + len(WEATHER_CHANNELS):
-                raise SchemaError(f"{path}: line {lineno}: expected {1 + len(WEATHER_CHANNELS)} fields")
-            if parts[0] != str(len(rows)):
-                raise SchemaError(f"{path}: line {lineno}: hour {parts[0]!r}, expected {len(rows)}")
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
-    if len(rows) != HOURS_PER_WEEK:
-        raise SchemaError(f"{path}: expected {HOURS_PER_WEEK} rows, got {len(rows)}")
-    return WeatherSeries(np.array(rows))
+    """Read a week written by `save_week` (see `schema.read_hourly_csv`)."""
+    data = read_hourly_csv(path, WEATHER_CHANNELS)
+    try:
+        return WeatherSeries(data)
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def save_pool(directory, weeks: list[WeatherSeries]) -> list[str]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -546,32 +547,89 @@ def _malformed_weather_csv(pipeline, tmp):
     return _edited_weather(pipeline, tmp, edit)
 
 
+def _hours_reversed(lines):
+    header, *rows = lines
+    return [header] + [f"{167 - h}," + row.split(",", 1)[1] for h, row in enumerate(rows)]
+
+
 def _weather_hours_reversed(pipeline, tmp):
-    def edit(lines):
-        header, *rows = lines
-        return [header] + [f"{167 - h}," + row.split(",", 1)[1] for h, row in enumerate(rows)]
-    return _edited_weather(pipeline, tmp, edit)
+    return _edited_weather(pipeline, tmp, _hours_reversed)
 
 
 def _missing_trace(pipeline, tmp):
     return _argv(pipeline, tmp, "calibrate", "--weeks", "0,2")
 
 
-def _trace_with_duplicate_hour(pipeline, tmp):
+def _edited_trace(pipeline, tmp, edit):
+    """`calibrate` on a copy of the pipeline's week-0 trace whose lines are
+    passed through `edit`."""
     traces = tmp / "traces"
     traces.mkdir()
-    rows = (pipeline["traces"] / "trace_w0000.csv").read_text().splitlines()
-    rows[8] = "6," + rows[8].split(",", 1)[1]  # hour 6 twice, no hour 7
-    (traces / "trace_w0000.csv").write_text("\n".join(rows) + "\n")
+    lines = (pipeline["traces"] / "trace_w0000.csv").read_text().splitlines()
+    (traces / "trace_w0000.csv").write_text("\n".join(edit(lines)) + "\n")
     return _argv(pipeline, tmp, "calibrate", "--traces", str(traces))
 
 
-def _heat_window_start_not_before_end(pipeline, tmp):
+def _trace_with_duplicate_hour(pipeline, tmp):
+    def edit(lines):
+        lines[8] = "6," + lines[8].split(",", 1)[1]  # hour 6 twice, no hour 7
+        return lines
+    return _edited_trace(pipeline, tmp, edit)
+
+
+def _trace_with_extra_field(pipeline, tmp):
+    def edit(lines):
+        lines[5] += ",junk"
+        return lines
+    return _edited_trace(pipeline, tmp, edit)
+
+
+def _trace_hours_reversed(pipeline, tmp):
+    return _edited_trace(pipeline, tmp, _hours_reversed)
+
+
+def _twin_without_weather_directory(pipeline, tmp):
+    argv = _argv(pipeline, tmp, "twin", "--weather", str(tmp / "nope"))
+    i = argv.index("--weeks")
+    return argv[:i] + argv[i + 2:]  # all weeks of the directory
+
+
+def _unknown_free_variable(pipeline, tmp):
+    return _argv(pipeline, tmp, "calibrate", "--free", "no_such_variable")
+
+
+def _odd_population(pipeline, tmp):
+    return _argv(pipeline, tmp, "optimize", "--pop", "5")
+
+
+def _edited_building(pipeline, tmp, section, name, value):
+    """`twin` on a copy of the pipeline's building.json with `section.name` set to `value`."""
     doc = read_json(pipeline["building"])
-    doc["bms"]["start_heat_day"] = list(doc["bms"]["end_heat_day"])
+    doc[section][name] = value
     path = tmp / "building.json"
     path.write_text(json.dumps(doc))
     return _argv(pipeline, tmp, "twin", "--building", str(path))
+
+
+def _heat_window_start_not_before_end(pipeline, tmp):
+    end = read_json(pipeline["building"])["bms"]["end_heat_day"]
+    return _edited_building(pipeline, tmp, "bms", "start_heat_day", end)
+
+
+def _zero_capacitance(pipeline, tmp):
+    return _edited_building(pipeline, tmp, "params", "capacitance_kJ_perdegreK_perm3", 0)
+
+
+def _negative_heating_power(pipeline, tmp):
+    return _edited_building(pipeline, tmp, "params", "power_VCV_kW_heat", -50)
+
+
+def _nan_heating_setpoint(pipeline, tmp):
+    return _edited_building(pipeline, tmp, "bms", "t_heat_conf_day", [math.nan] * 7)
+
+
+def _negative_ventilation_volume(pipeline, tmp):
+    return _edited_building(pipeline, tmp, "bms", "vol_ventilation_day", [-1.0] * 7)
 
 
 def _calibrated_block_without_occ(pipeline, tmp):
@@ -652,7 +710,16 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_weather_hours_reversed, 3),
     (_missing_trace, 3),
     (_trace_with_duplicate_hour, 3),
+    (_trace_with_extra_field, 3),
+    (_trace_hours_reversed, 3),
+    (_twin_without_weather_directory, 3),
+    (_unknown_free_variable, 3),
+    (_odd_population, 3),
     (_heat_window_start_not_before_end, 3),
+    (_zero_capacitance, 3),
+    (_negative_heating_power, 3),
+    (_nan_heating_setpoint, 3),
+    (_negative_ventilation_volume, 3),
     (_calibrated_block_without_occ, 3),
     (_missing_model, 3),
     (_missing_calibrated, 3),

@@ -131,6 +131,31 @@ class TestSchedules:
         with pytest.raises(sc.SchemaError, match="t_heat_conf_day"):
             default_bms(t_heat_red_day=22, t_heat_conf_day=21)
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("capacitance_kJ_perdegreK_perm3", 0, "must be > 0"),
+        ("power_VCV_kW_heat", -50, "must be finite and >= 0"),
+        ("nb_occupants", float("nan"), "must be finite and >= 0"),
+        ("nb_PCs", float("inf"), "must be finite and >= 0"),
+        ("facade_2_window_area_percent", 150, "must be <= 100"),
+        ("percent_PCs_night", 100.5, "must be <= 100"),
+    ])
+    def test_building_values_are_checked(self, name, value, match):
+        with pytest.raises(sc.SchemaError, match=f"{name} {match}"):
+            default_building(**{name: value})
+
+    def test_building_bounds_are_inclusive(self):
+        default_building(power_VCV_kW_heat=0, facade_1_window_area_percent=100,
+                         percent_light_night=100)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("t_heat_conf_day", float("nan"), "t_heat_conf_day: values must be finite"),
+        ("t_clim_red_day", float("inf"), "t_clim_red_day: values must be finite"),
+        ("vol_ventilation_day", -0.5, "vol_ventilation_day must be >= 0"),
+    ])
+    def test_bms_values_are_checked(self, name, value, match):
+        with pytest.raises(sc.SchemaError, match=match):
+            default_bms(**{name: value})
+
     def test_occupancy_bounds(self):
         with pytest.raises(sc.SchemaError, match=r"start_occupation\[mon\] outside \[7, 9\]"):
             constant_occ(6, 18)

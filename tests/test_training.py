@@ -19,6 +19,7 @@ from bemopt.schema import (
     HEAT_AGGREGATE_INDICES,
     T_INT_INDEX,
     NormStats,
+    SchemaError,
     VariableSpec,
     expand_daily,
 )
@@ -160,7 +161,7 @@ def test_dataset_load_rejects_splits_outside_the_corpus(small_dataset, tmp_path,
     doc = json.loads(path.read_text())
     doc["splits"].update(splits)
     path.write_text(json.dumps(doc))
-    with pytest.raises(tr.TrainingError, match=match):
+    with pytest.raises(SchemaError, match=match):
         tr.Dataset.load(tmp_path)
 
 
