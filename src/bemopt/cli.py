@@ -37,6 +37,7 @@ from .schema import (
     SchemaError,
     assemble_inputs,
     heat_aggregate_of,
+    make_output_dir,
     write_hourly_csv,
 )
 from .seeding import substream
@@ -237,6 +238,7 @@ def cmd_train(args, section) -> int:
         manifest.add_input(os.path.join(args.dataset, name))
     ds = Dataset.load(args.dataset)
     config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in, **overrides) if overrides else None
+    make_output_dir(args.out)  # before the epochs' progress lines, not after
 
     result = train(
         ds,
@@ -253,7 +255,6 @@ def cmd_train(args, section) -> int:
     )
 
     model = result.model
-    os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.bin")
     model.save(model_path)
     manifest.add_output(model_path)
@@ -309,7 +310,7 @@ def cmd_twin(args, section) -> int:
         t_noisy = truth.t_int + noise_t * rng.standard_normal(HOURS_PER_WEEK)
         q_noisy = truth.q_heat * (1.0 + noise_q * rng.standard_normal(HOURS_PER_WEEK))
         traces.append((k, SensorTrace(t_noisy, q_noisy)))
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     for k, trace in traces:
         path = _trace_path(args.out, k)
         trace.save_csv(path)
@@ -384,7 +385,7 @@ def cmd_calibrate(args, section) -> int:
     )
 
     cal_params, cal_bms, cal_occ = space.decode(best_x)
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     out_path = os.path.join(args.out, "calibration.json")
     _write_json(
         out_path,
@@ -433,7 +434,7 @@ def cmd_optimize(args, section) -> int:
     )
     chosen = select_equivalent_comfort(front, baseline, tolerance=tolerance)
 
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     front_path = os.path.join(args.out, "front.csv")
     with open(front_path, "w") as f:
         f.write("comfort,consumption," + ",".join(space.names) + "\n")

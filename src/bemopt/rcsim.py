@@ -37,7 +37,10 @@ have opposite signs, and builds its knots and bisects only where a level
 lies between two of them. The float operations and their order are those
 of the plain per-segment solution, so the cached and the recomputed
 forms give the same bits (`tests/test_rcsim.py` pins a digest of every
-output).
+output). Only the detailed path (`simulate_week_detailed`) computes the
+energy ledger (the mass-node integral and both flux sums per segment)
+and the node traces; `simulate_week` runs the same segment loop without
+them, so both paths give the same output bits.
 """
 
 from __future__ import annotations
@@ -338,14 +341,9 @@ def _crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level):
     return _earliest_crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level)
 
 
-def simulate_week_detailed(
-    params: BuildingParams,
-    bms: BmsSchedule,
-    occ: OccupancySchedule,
-    weather: WeatherSeries,
-    cfg: RcModelConfig = DEFAULT_RC_CONFIG,
-    t0: float = 20.0,
-) -> SimResult:
+def _simulate(params, bms, occ, weather, cfg, t0, detailed):
+    """One week's outputs; with ``detailed``, the `SimResult` that adds the
+    energy ledger and the node traces, which only the detailed path computes."""
     n_sub = int(cfg.substeps)
     dt = 1.0 / n_sub  # hours
 
@@ -399,11 +397,10 @@ def simulate_week_detailed(
     q_light_night = q_light_day * params.percent_light_night / 100.0
 
     rows = []
-    air_delta, air_flux, mass_delta, mass_flux = [], [], [], []
+    detail = []  # per hour: air and mass stored-energy change and flux, end temperatures
 
     ta = tm = float(t0)
     _check_state(0, ta, tm)
-    t_air_trace, t_mass_trace = [ta], [tm]
     tg = cfg.ground_temp_c
 
     for hour, (heat_sp, cool_threshold, g_vent, t_vent, q_ahu_h, q_ahu_c) in enumerate(zip(*schedule)):
@@ -506,7 +503,6 @@ def simulate_week_detailed(
                 c3, c4 = v21 * w1, v22 * w2
                 xm = xsm + c3 * e1 + c4 * e2
                 ia = xsa * s_seg + c1 * g1 + c2 * g2  # exact ∫T_air dt over the segment
-                im = xsm * s_seg + c3 * g1 + c4 * g2
 
                 if regime == _ACTIVE:
                     q_hvac_kwh = gain * (sp * s_seg - ia)  # ∫ gain·(sp − T) dt, signed
@@ -518,19 +514,21 @@ def simulate_week_detailed(
                     cool_kwh += -q_hvac_kwh
 
                 int_ta_h += ia
-                air_sum += (
-                    g_wi * (tamb * s_seg - ia)
-                    + g_vent * (t_vent * s_seg - ia)
-                    + g_ma * (im - ia)
-                    + q_air * s_seg
-                    + q_hvac_kwh
-                )
-                mass_sum += (
-                    g_ma * (ia - im)
-                    + g_om * (tamb * s_seg - im)
-                    + g_gnd * (tg * s_seg - im)
-                    + q_mass * s_seg
-                )
+                if detailed:
+                    im = xsm * s_seg + c3 * g1 + c4 * g2
+                    air_sum += (
+                        g_wi * (tamb * s_seg - ia)
+                        + g_vent * (t_vent * s_seg - ia)
+                        + g_ma * (im - ia)
+                        + q_air * s_seg
+                        + q_hvac_kwh
+                    )
+                    mass_sum += (
+                        g_ma * (ia - im)
+                        + g_om * (tamb * s_seg - im)
+                        + g_gnd * (tg * s_seg - im)
+                        + q_mass * s_seg
+                    )
 
                 tm = xm
                 s_left -= s_seg
@@ -543,12 +541,8 @@ def simulate_week_detailed(
                     ta = xa
 
         _check_state(hour, ta, tm)
-        air_delta.append(c_air * (ta - ta0_h))
-        mass_delta.append(c_mass * (tm - tm0_h))
-        air_flux.append(air_sum)
-        mass_flux.append(mass_sum)
-        t_air_trace.append(ta)
-        t_mass_trace.append(tm)
+        if detailed:
+            detail.append((c_air * (ta - ta0_h), air_sum, c_mass * (tm - tm0_h), mass_sum, ta, tm))
         rows.append((
             max(cool_kwh, 0.0),  # Q_AC_OFFICE: kWh over one hour = mean kW
             max(heat_kwh, 0.0),
@@ -560,8 +554,17 @@ def simulate_week_detailed(
             int_ta_h,  # hour-mean air temperature
         ))
 
-    ledger = EnergyLedger(*(np.array(v) for v in (air_delta, air_flux, mass_delta, mass_flux)))
-    return SimResult(SimOutput(np.array(rows)), ledger, np.array(t_air_trace), np.array(t_mass_trace))
+    output = SimOutput(np.array(rows))
+    if not detailed:
+        return output
+    air_delta, air_flux, mass_delta, mass_flux, t_air, t_mass = np.array(detail).T
+    start = float(t0)
+    return SimResult(
+        output,
+        EnergyLedger(air_delta, air_flux, mass_delta, mass_flux),
+        np.concatenate(([start], t_air)),
+        np.concatenate(([start], t_mass)),
+    )
 
 
 def simulate_week(
@@ -573,4 +576,17 @@ def simulate_week(
     t0: float = 20.0,
 ) -> SimOutput:
     """Simulate one week; see simulate_week_detailed for diagnostics."""
-    return simulate_week_detailed(params, bms, occ, weather, cfg, t0).output
+    return _simulate(params, bms, occ, weather, cfg, t0, detailed=False)
+
+
+def simulate_week_detailed(
+    params: BuildingParams,
+    bms: BmsSchedule,
+    occ: OccupancySchedule,
+    weather: WeatherSeries,
+    cfg: RcModelConfig = DEFAULT_RC_CONFIG,
+    t0: float = 20.0,
+) -> SimResult:
+    """`simulate_week`'s outputs plus the per-hour energy ledger and the
+    169 hour-boundary values of both node temperatures."""
+    return _simulate(params, bms, occ, weather, cfg, t0, detailed=True)

@@ -7,12 +7,14 @@ assembled per-week episode matrix. All containers are immutable after
 construction (arrays are marked read-only), so they can be shared freely
 across workers. `write_hourly_csv`/`read_hourly_csv` are the one on-disk
 form of a week of hourly values (weather weeks, sensor traces, predicted
-series), and `SchemaError` is the one exception for bad input.
+series), `make_output_dir` is the one place output directories are
+created, and `SchemaError` is the one exception for bad input.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -44,6 +46,18 @@ HEAT_AGGREGATE_INDICES = tuple(OUTPUT_CHANNELS.index(c) for c in HEAT_AGGREGATE_
 
 class SchemaError(ValueError):
     """Input from outside the program is malformed or out of range."""
+
+
+def make_output_dir(path) -> None:
+    """Create the directory ``path`` (and its parents) unless it exists.
+
+    A path that cannot be a directory, such as an existing regular file,
+    raises SchemaError naming it.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise SchemaError(f"cannot create output directory {path}: {e.strerror or e}") from None
 
 
 def write_hourly_csv(path, columns: Sequence[str], data) -> None:
@@ -116,10 +130,6 @@ class VariableSpec:
     def n_levels(self) -> int:
         """Number of points on the sampling grid (both endpoints included)."""
         return int(round((self.max - self.min) / self.step)) + 1
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """Uniform draw over the quantized grid."""
-        return float(self.min + self.step * rng.integers(0, self.n_levels))
 
 
 def decode_unit_box(specs: Sequence[VariableSpec], x01) -> np.ndarray:

@@ -7,6 +7,7 @@ loss and keeps the best-validation checkpoint.
 """
 
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -18,10 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .schema import (
+    DAYS_PER_WEEK,
     DEFAULT_SCHEMA,
     HEAT_AGGREGATE_INDICES,
     HOURS_PER_WEEK,
     T_INT_INDEX,
+    WEEKDAYS,
     BmsSchedule,
     BuildingParams,
     NormStats,
@@ -30,6 +33,7 @@ from .schema import (
     SchemaError,
     heat_aggregate_of,
     make_episode,
+    make_output_dir,
     occupied_hours,
 )
 from .rcsim import simulate_week
@@ -87,6 +91,21 @@ def split_counts(n_total: int) -> tuple[int, int, int]:
     return n_train, n_val, n_test
 
 
+@functools.cache
+def _episode_grid(schema: Schema):
+    """(n_levels, min, step) of each of an episode's grid draws, in draw order."""
+    specs = (
+        list(schema.building)
+        + [spec for spec in schema.bms for _ in range(DAYS_PER_WEEK)]
+        + [spec for spec in schema.occupancy for _ in range(WEEKDAYS)]
+    )
+    return (
+        [spec.n_levels for spec in specs],
+        np.array([spec.min for spec in specs], dtype=np.float64),
+        np.array([spec.step for spec in specs], dtype=np.float64),
+    )
+
+
 # Keeps its schema argument: perfbench/bench.py passes DEFAULT_SCHEMA positionally.
 def sample_episode_config(schema: Schema, n_weather: int, rng):
     """Draw one episode's free variables; returns (params, bms, occ, week index).
@@ -94,18 +113,23 @@ def sample_episode_config(schema: Schema, n_weather: int, rng):
     Draw order is part of the on-disk determinism contract: building
     statics in declaration order, then each daily variable as 7 draws
     Mon..Sun, then the weekday occupation window, then the weather index.
+    Each is a uniform level index on its grid, value = min + step × index.
+    All take one `rng.integers` call, which draws element by element
+    exactly as one scalar call per variable would.
     """
-    statics = [spec.sample(rng) for spec in schema.building]
-    params = BuildingParams.from_vector(statics)
-    daily = {}
-    for spec in schema.bms:
-        daily[spec.name] = tuple(spec.sample(rng) for _ in range(7))
-    bms = BmsSchedule(**daily)
-    start = tuple(schema.occupancy[0].sample(rng) for _ in range(5))
-    end = tuple(schema.occupancy[1].sample(rng) for _ in range(5))
-    occ = OccupancySchedule(start, end)
-    week = int(rng.integers(0, n_weather))
-    return params, bms, occ, week
+    n_levels, lo, step = _episode_grid(schema)
+    k = rng.integers(0, n_levels + [n_weather])
+    values = (lo + step * k[:-1]).tolist()
+    n_static, n_daily = len(schema.building), DAYS_PER_WEEK * len(schema.bms)
+    params = BuildingParams.from_vector(values[:n_static])
+    daily = values[n_static:n_static + n_daily]
+    bms = BmsSchedule(**{
+        spec.name: tuple(daily[i * DAYS_PER_WEEK:(i + 1) * DAYS_PER_WEEK])
+        for i, spec in enumerate(schema.bms)
+    })
+    window = values[n_static + n_daily:]
+    occ = OccupancySchedule(tuple(window[:WEEKDAYS]), tuple(window[WEEKDAYS:]))
+    return params, bms, occ, int(k[-1])
 
 
 def _label_one(args):
@@ -139,7 +163,7 @@ class Dataset:
         return self.inputs[idx], self.targets[idx], self.masks[idx]
 
     def save(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
+        make_output_dir(directory)
         ad.save_tensors(
             os.path.join(directory, DATASET_ARRAYS),
             {

@@ -19,6 +19,7 @@ from .schema import (
     WEATHER_CHANNELS,
     SchemaError,
     WeatherSeries,
+    make_output_dir,
     read_hourly_csv,
     write_hourly_csv,
 )
@@ -83,7 +84,7 @@ def load_week(path) -> WeatherSeries:
 
 
 def save_pool(directory, weeks: list[WeatherSeries]) -> list[str]:
-    os.makedirs(directory, exist_ok=True)
+    make_output_dir(directory)
     paths = []
     for i, week in enumerate(weeks):
         p = os.path.join(directory, f"week_{i:04d}.csv")

@@ -506,6 +506,36 @@ def _too_few_episodes_for_new_weather(pipeline, tmp):
                  "--weather-weeks", "2", "--episodes", "2")
 
 
+def _new_weather_directory_is_a_file(pipeline, tmp):
+    (tmp / "wx").write_text("")
+    return _argv(pipeline, tmp, "sample", "--weather", str(tmp / "wx"), "--weather-weeks", "2")
+
+
+def _out_is_a_file(pipeline, tmp, command, *extra):
+    (tmp / "out").write_text("")
+    return _argv(pipeline, tmp, command, *extra)
+
+
+def _sample_out_is_a_file(pipeline, tmp):
+    return _out_is_a_file(pipeline, tmp, "sample")
+
+
+def _twin_out_is_a_file(pipeline, tmp):
+    return _out_is_a_file(pipeline, tmp, "twin")
+
+
+def _train_out_is_a_file(pipeline, tmp):
+    return _out_is_a_file(pipeline, tmp, "train", "--config", str(pipeline["config"]))
+
+
+def _calibrate_out_is_a_file(pipeline, tmp):
+    return _out_is_a_file(pipeline, tmp, "calibrate", "--budget", "3")
+
+
+def _optimize_out_is_a_file(pipeline, tmp):
+    return _out_is_a_file(pipeline, tmp, "optimize")
+
+
 def _zero_sigma0(pipeline, tmp):
     return _argv(pipeline, tmp, "calibrate", "--sigma0", "0")
 
@@ -701,6 +731,12 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_negative_lr, 3),
     (_zero_jobs, 3),
     (_too_few_episodes_for_new_weather, 3),
+    (_new_weather_directory_is_a_file, 3),
+    (_sample_out_is_a_file, 3),
+    (_twin_out_is_a_file, 3),
+    (_train_out_is_a_file, 3),
+    (_calibrate_out_is_a_file, 3),
+    (_optimize_out_is_a_file, 3),
     (_zero_sigma0, 3),
     (_infinite_sigma0, 3),
     (_negative_budget, 3),

@@ -615,3 +615,27 @@ def test_runs_starting_on_the_saturation_level_are_pinned_bit_for_bit():
     """The same digest over episodes 1, 35, 91, 116, 140 and 197 at t0 = 20 °C,
     and episode 1 at 1 and 12 sub-steps."""
     assert _golden_digest(on_level=True) == ON_LEVEL_SHA256
+
+
+def test_both_simulator_paths_give_the_same_bits():
+    """`simulate_week` skips the ledger and the traces; its outputs are the
+    detailed path's, bit for bit, on every run either digest covers."""
+    for _, params, bms, occ, weather, cfg, t0 in _golden_cases():
+        fast = rcsim.simulate_week(params, bms, occ, weather, cfg, t0).data
+        detailed = rcsim.simulate_week_detailed(params, bms, occ, weather, cfg, t0).output.data
+        assert fast.tobytes() == detailed.tobytes()
+
+
+@pytest.mark.parametrize("heat_kw, weather, t0", [
+    (0, constant_weather(75.0, rhum=30.0), 59.0),  # driven out of the sanity band
+    (600, winter_weather(), float("nan")),  # non-finite start
+])
+def test_both_simulator_paths_fail_at_the_same_hour(heat_kw, weather, t0):
+    params = default_building(power_VCV_kW_heat=heat_kw, power_VCV_kW_clim=0)
+    bms, occ = default_bms(), constant_occ(8, 18)
+    errors = []
+    for simulate in (rcsim.simulate_week, rcsim.simulate_week_detailed):
+        with pytest.raises(rcsim.NumericalError) as err:
+            simulate(params, bms, occ, weather, t0=t0)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]

@@ -8,6 +8,7 @@ import pytest
 
 from bemopt import schema as sc
 from bemopt.seeding import stream
+from bemopt.training import sample_episode_config
 from tests.conftest import constant_bms, constant_occ
 
 
@@ -64,13 +65,14 @@ class TestVariableSpec:
             sc.VariableSpec("x", 2.0, 1.0, 0.5)
 
     def test_sample_lands_on_grid(self):
-        spec = sc.VariableSpec("x", 20.0, 24.0, 0.5)
+        spec = sc.DEFAULT_SCHEMA.spec("t_clim_conf_day")  # 20..24 in steps of 0.5
         rng = stream(7, "spec-sample")
-        draws = np.array([spec.sample(rng) for _ in range(500)])
+        draws = np.array([sample_episode_config(sc.DEFAULT_SCHEMA, 1, rng)[1].t_clim_conf_day
+                          for _ in range(500)]).ravel()
         assert draws.min() >= spec.min and draws.max() <= spec.max
         k = (draws - spec.min) / spec.step
         np.testing.assert_allclose(k, np.round(k), atol=1e-12)
-        # every grid point should appear in 500 draws over 9 levels
+        # every grid point should appear in 500 episodes' 3500 draws over 9 levels
         assert len(np.unique(draws)) == spec.n_levels
 
     def test_quantize_snaps_and_clips(self):

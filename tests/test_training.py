@@ -20,7 +20,6 @@ from bemopt.schema import (
     T_INT_INDEX,
     NormStats,
     SchemaError,
-    VariableSpec,
     expand_daily,
 )
 from bemopt.rcsim import NumericalError, simulate_week
@@ -73,14 +72,62 @@ def test_split_counts_too_small():
 
 
 def test_grid_draw_frequencies_uniform():
-    # three-atom grid; each frequency within 3 sigma of 1/3 at n=10000
-    spec = VariableSpec("window", 7, 9, 1)
+    """Every declared variable's draws over 10 000 episodes hit exactly its grid,
+    each level within 4 sigma of 1/n_levels (the weather index over 3 weeks too)."""
+    specs = DEFAULT_SCHEMA.building + DEFAULT_SCHEMA.bms + DEFAULT_SCHEMA.occupancy
+    grids = {spec.name: (spec.min + spec.step * np.arange(spec.n_levels)).tolist() for spec in specs}
+    grids["week"] = [0, 1, 2]
+    draws = {name: [] for name in grids}
     rng = stream(42, "freq-check")
-    draws = np.array([spec.sample(rng) for _ in range(10_000)])
-    sigma = math.sqrt((1 / 3) * (2 / 3) / 10_000)
-    for atom in (7.0, 8.0, 9.0):
-        freq = np.mean(draws == atom)
-        assert abs(freq - 1 / 3) < 3 * sigma, f"atom {atom}: {freq}"
+    for _ in range(10_000):
+        params, bms, occ, week = tr.sample_episode_config(DEFAULT_SCHEMA, 3, rng)
+        for name, value in params.to_dict().items():
+            draws[name].append(value)
+        for name, values in {**bms.to_dict(), **occ.to_dict()}.items():
+            draws[name] += values
+        draws["week"].append(week)
+    for name, grid in grids.items():
+        values = np.array(draws[name])
+        assert set(values.tolist()) == set(grid), name
+        p = 1 / len(grid)
+        sigma = math.sqrt(p * (1 - p) / len(values))
+        for level in grid:
+            freq = np.mean(values == level)
+            assert abs(freq - p) < 4 * sigma, f"{name} = {level}: {freq} over {len(values)} draws"
+
+
+def _scalar_episode_draws(schema, n_weather, rng):
+    """The former sampler, restated: one scalar `rng.integers` call per draw,
+    decoded as min + step × index, in the documented draw order."""
+    def draw(spec):
+        return float(spec.min + spec.step * rng.integers(0, spec.n_levels))
+
+    statics = [draw(spec) for spec in schema.building]
+    daily = {spec.name: [draw(spec) for _ in range(7)] for spec in schema.bms}
+    occ = {spec.name: [draw(spec) for _ in range(5)] for spec in schema.occupancy}
+    return statics, daily, occ, int(rng.integers(0, n_weather))
+
+
+def _episode_draws(schema, n_weather, rng):
+    params, bms, occ, week = tr.sample_episode_config(schema, n_weather, rng)
+    return params.as_vector().tolist(), bms.to_dict(), occ.to_dict(), week
+
+
+def test_episode_draws_equal_the_scalar_loop():
+    """One vector draw per episode gives the former per-variable draws bit for
+    bit and leaves the generator in the same state: on 1000 substreams, and on
+    500 episodes chained from one generator over pools of 1 to 40 weeks."""
+    for i in range(1000):
+        got_rng, want_rng = substream(23, "episode", i), substream(23, "episode", i)
+        got = _episode_draws(DEFAULT_SCHEMA, 30, got_rng)
+        assert got == _scalar_episode_draws(DEFAULT_SCHEMA, 30, want_rng), i
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, i
+    got_rng, want_rng = stream(23, "chained"), stream(23, "chained")
+    for i in range(500):
+        n_weather = 1 + i % 40
+        got = _episode_draws(DEFAULT_SCHEMA, n_weather, got_rng)
+        assert got == _scalar_episode_draws(DEFAULT_SCHEMA, n_weather, want_rng), i
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sampled_values_lie_on_grids(small_dataset):
