@@ -560,7 +560,8 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Per-parameter first/second moments plus the step counter."""
+    """Per-parameter first/second moments plus the step counter, and the
+    learning rate the next step uses (a schedule sets it between steps)."""
 
     def __init__(self, params, lr: float = 1e-3):
         self.lr = float(lr)

@@ -36,6 +36,7 @@ from .schema import (
     OccupancySchedule,
     SchemaError,
     assemble_inputs,
+    check_output_dir,
     heat_aggregate_of,
     make_output_dir,
     write_hourly_csv,
@@ -61,9 +62,9 @@ MODEL_CONFIG_FIELDS = ("d_emb", "r", "v_width", "h", "n_layers", "delta")
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A usage error: the command line lacks what the command needs (exit 2).
+
+    Bad input of every other kind raises SchemaError (exit 3)."""
 
 
 def _sha256(path) -> str:
@@ -88,7 +89,7 @@ class RunManifest:
         try:
             self.inputs[str(path)] = _sha256(path)
         except OSError as e:
-            raise CliError(EXIT_INPUT, f"cannot read input {path}: {e.strerror or e}") from None
+            raise SchemaError(f"cannot read input {path}: {e.strerror or e}") from None
 
     def add_output(self, path) -> None:
         self.outputs[str(path)] = _sha256(path)
@@ -116,9 +117,9 @@ def _load_json(path) -> dict:
         with open(path) as f:
             return json.load(f)
     except OSError as e:
-        raise CliError(EXIT_INPUT, f"cannot read {path}: {e.strerror or e}") from None
+        raise SchemaError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
-        raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {e}") from None
+        raise SchemaError(f"{path}: invalid JSON: {e}") from None
 
 
 def _load_building_file(path, block=None):
@@ -137,16 +138,16 @@ def _load_building_file(path, block=None):
             OccupancySchedule.from_dict(doc["occ"]),
         )
     except (KeyError, TypeError, ValueError) as e:
-        raise CliError(EXIT_INPUT, f"{path}: bad building description: {e}") from None
+        raise SchemaError(f"{path}: bad building description: {e}") from None
 
 
 def _parse_weeks(text: str) -> list:
     try:
         weeks = [int(w) for w in text.split(",") if w.strip() != ""]
     except ValueError:
-        raise CliError(EXIT_INPUT, f"bad week list {text!r}; want comma-separated integers") from None
+        raise SchemaError(f"bad week list {text!r}; want comma-separated integers") from None
     if not weeks or any(w < 0 for w in weeks):
-        raise CliError(EXIT_INPUT, f"bad week list {text!r}")
+        raise SchemaError(f"bad week list {text!r}")
     return weeks
 
 
@@ -180,10 +181,11 @@ def cmd_sample(args, section) -> int:
     weather_seed = _pick(args, section, "weather_seed", 0, int)
     episodes = _pick(args, section, "episodes", None, int)
     if episodes is None:
-        raise CliError(EXIT_USAGE, "--episodes is required")
+        raise CliError("--episodes is required")
     if args.jobs < 1:
-        raise CliError(EXIT_INPUT, f"jobs must be >= 1, got {args.jobs}")
+        raise SchemaError(f"jobs must be >= 1, got {args.jobs}")
     split_counts(episodes)  # before a weather pool is generated and written
+    check_output_dir(args.out)  # before the labeling
 
     manifest = RunManifest("sample", args.seed)
     generated = []
@@ -192,8 +194,7 @@ def cmd_sample(args, section) -> int:
     )
     if not have_weather:
         if weather_weeks is None:
-            raise CliError(
-                EXIT_INPUT,
+            raise SchemaError(
                 f"weather directory {args.weather} has no CSV files; "
                 "pass --weather-weeks N to generate a pool there",
             )
@@ -205,8 +206,7 @@ def cmd_sample(args, section) -> int:
             )
     pool = load_pool(args.weather)
     if weather_weeks is not None and len(pool) != weather_weeks:
-        raise CliError(
-            EXIT_INPUT,
+        raise SchemaError(
             f"weather directory {args.weather} holds {len(pool)} weeks, "
             f"--weather-weeks says {weather_weeks}",
         )
@@ -226,11 +226,11 @@ def cmd_train(args, section) -> int:
     batch_size = _pick(args, section, "batch_size", 16, int)
     lr = _pick(args, section, "lr", 1e-3, float)
     if epochs < 0:
-        raise CliError(EXIT_INPUT, f"epochs must be >= 0, got {epochs}")
+        raise SchemaError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
-        raise CliError(EXIT_INPUT, f"batch_size must be >= 1, got {batch_size}")
+        raise SchemaError(f"batch_size must be >= 1, got {batch_size}")
     if not 0 < lr < math.inf:
-        raise CliError(EXIT_INPUT, f"lr must be finite and > 0, got {lr}")
+        raise SchemaError(f"lr must be finite and > 0, got {lr}")
     overrides = {k: _pick(args, section, k, None, int) for k in MODEL_CONFIG_FIELDS
                  if section.get(k) is not None}
     manifest = RunManifest("train", args.seed)
@@ -290,7 +290,7 @@ def cmd_twin(args, section) -> int:
     noise_t = _pick(args, section, "noise_t", 0.1, float)
     noise_q = _pick(args, section, "noise_q", 0.02, float)
     if not (noise_t >= 0 and noise_q >= 0):  # NaN fails too
-        raise CliError(EXIT_INPUT, f"noise levels must be >= 0, got {noise_t} and {noise_q}")
+        raise SchemaError(f"noise levels must be >= 0, got {noise_t} and {noise_q}")
     manifest = RunManifest("twin", args.seed)
     manifest.add_input(args.building)
     params, bms, occ = _load_building_file(args.building)
@@ -300,7 +300,7 @@ def cmd_twin(args, section) -> int:
         names = os.listdir(args.weather) if os.path.isdir(args.weather) else []
         weeks = list(range(sum(n.endswith(".csv") for n in names)))
         if not weeks:
-            raise CliError(EXIT_INPUT, f"no weather files in {args.weather}")
+            raise SchemaError(f"no weather files in {args.weather}")
 
     traces = []  # every week is read and simulated before anything is written
     for k in weeks:
@@ -330,12 +330,12 @@ def _parse_free(text: str):
         if ":" in item:
             name, flag = item.split(":", 1)
             if flag != "per_day":
-                raise CliError(EXIT_INPUT, f"bad free-variable qualifier {item!r}")
+                raise SchemaError(f"bad free-variable qualifier {item!r}")
             free.append((name, True))
         else:
             free.append(item)
     if not free:
-        raise CliError(EXIT_INPUT, "empty --free list")
+        raise SchemaError("empty --free list")
     return free
 
 
@@ -343,9 +343,10 @@ def cmd_calibrate(args, section) -> int:
     budget = _pick(args, section, "budget", 500, int)
     sigma0 = _pick(args, section, "sigma0", 0.3, float)
     if budget < 0:
-        raise CliError(EXIT_INPUT, f"budget must be >= 0, got {budget}")
+        raise SchemaError(f"budget must be >= 0, got {budget}")
     if not 0 < sigma0 < math.inf:
-        raise CliError(EXIT_INPUT, f"sigma0 must be finite and > 0, got {sigma0}")
+        raise SchemaError(f"sigma0 must be finite and > 0, got {sigma0}")
+    check_output_dir(args.out)  # before the search
     manifest = RunManifest("calibrate", args.seed)
     manifest.add_input(args.model)
     model = mdl.FrozenModel.load(args.model)
@@ -416,7 +417,8 @@ def cmd_optimize(args, section) -> int:
     population = _pick(args, section, "pop", NsgaConfig().population, int)
     tolerance = _pick(args, section, "tolerance", 0.05, float)
     if not math.isfinite(tolerance):
-        raise CliError(EXIT_INPUT, f"tolerance must be finite, got {tolerance}")
+        raise SchemaError(f"tolerance must be finite, got {tolerance}")
+    check_output_dir(args.out)  # before the search
     manifest = RunManifest("optimize", args.seed)
     manifest.add_input(args.model)
     model = mdl.FrozenModel.load(args.model)
@@ -498,7 +500,7 @@ def _metric_block(lines, title, d):
 def cmd_report(args, section) -> int:
     root = args.dir
     if not os.path.isdir(root):
-        raise CliError(EXIT_INPUT, f"{root} is not a directory")
+        raise SchemaError(f"{root} is not a directory")
     metric_files, calib_files, chosen_files = [], [], []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
@@ -531,8 +533,7 @@ def cmd_report(args, section) -> int:
             else:
                 _report_operating_point(lines, rel, d)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise CliError(EXIT_INPUT,
-                           f"{path}: malformed artifact ({type(e).__name__}: {e})") from None
+            raise SchemaError(f"{path}: malformed artifact ({type(e).__name__}: {e})") from None
         lines.append("")
 
     for hist_path, hist in histories:
@@ -617,7 +618,7 @@ def _pick(args, section, name, builtin, kind):
     try:
         return kind(v)
     except (TypeError, ValueError, OverflowError):
-        raise CliError(EXIT_INPUT, f"{name} must be {kind.__name__}, got {v!r}") from None
+        raise SchemaError(f"{name} must be {kind.__name__}, got {v!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -705,7 +706,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args, _config_section(args))
     except CliError as e:
         print(f"bemopt {args.command}: {e}", file=sys.stderr)
-        return e.code
+        return EXIT_USAGE
     except SchemaError as e:
         print(f"bemopt {args.command}: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -720,11 +721,10 @@ def _config_section(args) -> dict:
         return {}
     doc = _load_json(args.config)
     if not isinstance(doc, dict):
-        raise CliError(EXIT_INPUT, f"{args.config}: --config must hold a JSON object")
+        raise SchemaError(f"{args.config}: --config must hold a JSON object")
     section = doc.get(args.command, {})
     if not isinstance(section, dict):
-        raise CliError(EXIT_INPUT,
-                       f"{args.config}: --config section {args.command!r} must be an object")
+        raise SchemaError(f"{args.config}: --config section {args.command!r} must be an object")
     return section
 
 

@@ -14,8 +14,8 @@ Boundary rule: a segment that starts exactly on a level where the latched
 branch changes regime (its off level or its saturation level), whether a
 crossing landed it there or the hour began there, continues on the side
 the drift points to. The applied flux is continuous across the level, so
-that drift does not depend on the regime. The sub-step partition therefore
-changes results only by float rounding.
+that drift does not depend on the regime. Each hour is one segment,
+split only at control events.
 
 Control timing: the HVAC mode (heat / cool / off) is latched once per
 hour from the air temperature at the hour start, which makes heating and
@@ -26,10 +26,10 @@ Cost, per week: everything the schedule and the weather alone set
 (setpoints, cooling threshold, ventilation, supply temperature, AHU
 loads; `week_schedule`) is computed for all 168 hours in one pass, and
 one open/closed linear-system pair is built per distinct ventilation
-conductance, each with its propagator over one full sub-step (the modal
-exponentials and their integrals at ``dt``). Per hour: the latch (the
+conductance, each with its propagator over one hour (the modal
+exponentials and their integrals at s = 1). Per hour: the latch (the
 proportional law at the hour-start air temperature) and the fixed point,
-levels and HVAC flux of each regime. Per segment: a sub-step without a
+levels and HVAC flux of each regime. Per segment: an hour without a
 control event evaluates no exponential, and the crossing search gets the
 segment's end temperatures from the propagation it already did. It
 takes the log of the interior extremum only where the two modal slopes
@@ -117,7 +117,6 @@ class RcModelConfig:
     ground_temp_c: float = 12.0
     hvac_gain_kw_k: float = 50.0
     deadband_k: float = 0.5
-    substeps: int = 6
 
 
 DEFAULT_RC_CONFIG = RcModelConfig()
@@ -222,16 +221,16 @@ def _propagator(l1: float, l2: float, s: float) -> tuple[float, float, float, fl
 class _LinearSystem:
     """Exact solution machinery for dx/dt = A x + b with 2x2 Hurwitz A.
 
-    Holds the eigendecomposition of A and the propagator over one full
-    sub-step ``dt``; b varies hour to hour, so the fixed point is supplied
-    per hour. The state at time s of a segment is x* + V diag(e(s)) w with
-    modal coordinates w = W (x(0) − x*), W = V⁻¹; ``modal`` holds W and V
-    row by row, λ1, λ2 and the `_propagator` at ``dt``.
+    Holds the eigendecomposition of A and the propagator over one hour;
+    b varies hour to hour, so the fixed point is supplied per hour. The
+    state at time s (hours) of a segment is x* + V diag(e(s)) w with modal
+    coordinates w = W (x(0) − x*), W = V⁻¹; ``modal`` holds W and V row by
+    row, λ1, λ2 and the `_propagator` at s = 1.
     """
 
     __slots__ = ("a11", "a12", "ai11", "ai12", "ai21", "ai22", "modal")
 
-    def __init__(self, a11: float, a12: float, a21: float, a22: float, dt: float):
+    def __init__(self, a11: float, a12: float, a21: float, a22: float):
         self.a11, self.a12 = a11, a12
         det = a11 * a22 - a12 * a21
         self.ai11, self.ai12 = a22 / det, -a12 / det
@@ -249,7 +248,7 @@ class _LinearSystem:
         dv = v11 * v22 - v12 * v21
         w11, w12 = v22 / dv, -v12 / dv
         w21, w22 = -v21 / dv, v11 / dv
-        self.modal = (w11, w12, w21, w22, v11, v12, v21, v22, l1, l2, _propagator(l1, l2, dt))
+        self.modal = (w11, w12, w21, w22, v11, v12, v21, v22, l1, l2, _propagator(l1, l2, 1.0))
 
     def fixed_point(self, ba: float, bm: float) -> tuple[float, float]:
         return -(self.ai11 * ba + self.ai12 * bm), -(self.ai21 * ba + self.ai22 * bm)
@@ -344,9 +343,6 @@ def _crossing(c1, c2, l1, l2, xsa, s_max, ta_start, ta_end, levels, skip_level):
 def _simulate(params, bms, occ, weather, cfg, t0, detailed):
     """One week's outputs; with ``detailed``, the `SimResult` that adds the
     energy ledger and the node traces, which only the detailed path computes."""
-    n_sub = int(cfg.substeps)
-    dt = 1.0 / n_sub  # hours
-
     win_frac = params.window_fractions
     window_area = sum(a * w for a, w in zip(cfg.facade_areas_m2, win_frac))
     opaque_facade = [
@@ -379,7 +375,7 @@ def _simulate(params, bms, occ, weather, cfg, t0, detailed):
         a11 = -(g_win + g_inf + g_vent + g_ma) / c_air
         if closed_loop:
             a11 -= gain / c_air
-        return _LinearSystem(a11, g_ma / c_air, g_ma / c_mass, -(g_ma + g_om + g_gnd) / c_mass, dt)
+        return _LinearSystem(a11, g_ma / c_air, g_ma / c_mass, -(g_ma + g_om + g_gnd) / c_mass)
 
     schedule = week_schedule(bms, weather, cfg)
     pair_of = {g_vent: (system(g_vent, False), system(g_vent, True)) for g_vent in set(schedule.g_vent)}
@@ -457,88 +453,87 @@ def _simulate(params, bms, occ, weather, cfg, t0, detailed):
         events = 0
         current = None
 
-        for _ in range(n_sub):
-            s_left = dt
-            while s_left > 1e-14:
-                on_level = None
-                if mode == 0:
-                    regime = _OFF
-                elif ta == level_off or ta == level_sat:
-                    # The applied flux is continuous across a regime boundary, so
-                    # the drift direction there is regime-independent and decides
-                    # which side the trajectory continues on.
-                    on_level = ta
-                    q_b = q_sat if ta == level_sat else 0.0
-                    drift = sys_open.a11 * ta + sys_open.a12 * tm + ba_open + q_b / c_air
-                    if ta == level_off:
-                        leaving = drift > 0 if mode == 1 else drift < 0
-                        regime = _OFF if leaving else _ACTIVE
-                    else:
-                        entering_band = drift > 0 if mode == 1 else drift < 0
-                        regime = _ACTIVE if entering_band else _SAT
-                elif mode == 1:
-                    regime = _OFF if ta >= level_off else _SAT if ta <= level_sat else _ACTIVE
+        s_left = 1.0  # hours
+        while s_left > 1e-14:
+            on_level = None
+            if mode == 0:
+                regime = _OFF
+            elif ta == level_off or ta == level_sat:
+                # The applied flux is continuous across a regime boundary, so
+                # the drift direction there is regime-independent and decides
+                # which side the trajectory continues on.
+                on_level = ta
+                q_b = q_sat if ta == level_sat else 0.0
+                drift = sys_open.a11 * ta + sys_open.a12 * tm + ba_open + q_b / c_air
+                if ta == level_off:
+                    leaving = drift > 0 if mode == 1 else drift < 0
+                    regime = _OFF if leaving else _ACTIVE
                 else:
-                    regime = _OFF if ta <= level_off else _SAT if ta >= level_sat else _ACTIVE
-                if regime != current:
-                    current = regime
-                    sys, xsa, xsm, q_const, levels = regimes[regime]
-                    w11, w12, w21, w22, v11, v12, v21, v22, l1, l2, prop_dt = sys.modal
+                    entering_band = drift > 0 if mode == 1 else drift < 0
+                    regime = _ACTIVE if entering_band else _SAT
+            elif mode == 1:
+                regime = _OFF if ta >= level_off else _SAT if ta <= level_sat else _ACTIVE
+            else:
+                regime = _OFF if ta <= level_off else _SAT if ta >= level_sat else _ACTIVE
+            if regime != current:
+                current = regime
+                sys, xsa, xsm, q_const, levels = regimes[regime]
+                w11, w12, w21, w22, v11, v12, v21, v22, l1, l2, prop_hour = sys.modal
 
-                da, dm = ta - xsa, tm - xsm
-                w1, w2 = w11 * da + w12 * dm, w21 * da + w22 * dm
-                c1, c2 = v11 * w1, v12 * w2
-                e1, e2, g1, g2 = prop_dt if s_left == dt else _propagator(l1, l2, s_left)
-                xa = xsa + c1 * e1 + c2 * e2
-                hit = (
-                    _crossing(c1, c2, l1, l2, xsa, s_left, xsa + c1 + c2, xa, levels, on_level)
-                    if levels
-                    else None
+            da, dm = ta - xsa, tm - xsm
+            w1, w2 = w11 * da + w12 * dm, w21 * da + w22 * dm
+            c1, c2 = v11 * w1, v12 * w2
+            e1, e2, g1, g2 = prop_hour if s_left == 1.0 else _propagator(l1, l2, s_left)
+            xa = xsa + c1 * e1 + c2 * e2
+            hit = (
+                _crossing(c1, c2, l1, l2, xsa, s_left, xsa + c1 + c2, xa, levels, on_level)
+                if levels
+                else None
+            )
+            if hit:
+                s_seg = hit[0]
+                e1, e2, g1, g2 = _propagator(l1, l2, s_seg)
+            else:
+                s_seg = s_left
+            c3, c4 = v21 * w1, v22 * w2
+            xm = xsm + c3 * e1 + c4 * e2
+            ia = xsa * s_seg + c1 * g1 + c2 * g2  # exact ∫T_air dt over the segment
+
+            if regime == _ACTIVE:
+                q_hvac_kwh = gain * (sp * s_seg - ia)  # ∫ gain·(sp − T) dt, signed
+            else:
+                q_hvac_kwh = q_const * s_seg
+            if mode == 1:
+                heat_kwh += q_hvac_kwh
+            elif mode == -1:
+                cool_kwh += -q_hvac_kwh
+
+            int_ta_h += ia
+            if detailed:
+                im = xsm * s_seg + c3 * g1 + c4 * g2
+                air_sum += (
+                    g_wi * (tamb * s_seg - ia)
+                    + g_vent * (t_vent * s_seg - ia)
+                    + g_ma * (im - ia)
+                    + q_air * s_seg
+                    + q_hvac_kwh
                 )
-                if hit:
-                    s_seg = hit[0]
-                    e1, e2, g1, g2 = _propagator(l1, l2, s_seg)
-                else:
-                    s_seg = s_left
-                c3, c4 = v21 * w1, v22 * w2
-                xm = xsm + c3 * e1 + c4 * e2
-                ia = xsa * s_seg + c1 * g1 + c2 * g2  # exact ∫T_air dt over the segment
+                mass_sum += (
+                    g_ma * (ia - im)
+                    + g_om * (tamb * s_seg - im)
+                    + g_gnd * (tg * s_seg - im)
+                    + q_mass * s_seg
+                )
 
-                if regime == _ACTIVE:
-                    q_hvac_kwh = gain * (sp * s_seg - ia)  # ∫ gain·(sp − T) dt, signed
-                else:
-                    q_hvac_kwh = q_const * s_seg
-                if mode == 1:
-                    heat_kwh += q_hvac_kwh
-                elif mode == -1:
-                    cool_kwh += -q_hvac_kwh
-
-                int_ta_h += ia
-                if detailed:
-                    im = xsm * s_seg + c3 * g1 + c4 * g2
-                    air_sum += (
-                        g_wi * (tamb * s_seg - ia)
-                        + g_vent * (t_vent * s_seg - ia)
-                        + g_ma * (im - ia)
-                        + q_air * s_seg
-                        + q_hvac_kwh
-                    )
-                    mass_sum += (
-                        g_ma * (ia - im)
-                        + g_om * (tamb * s_seg - im)
-                        + g_gnd * (tg * s_seg - im)
-                        + q_mass * s_seg
-                    )
-
-                tm = xm
-                s_left -= s_seg
-                if hit:
-                    ta = hit[1]  # land exactly on the boundary
-                    events += 1
-                    if events > _MAX_EVENTS_PER_HOUR:
-                        raise NumericalError(hour, "HVAC regime chatter: too many control events")
-                else:
-                    ta = xa
+            tm = xm
+            s_left -= s_seg
+            if hit:
+                ta = hit[1]  # land exactly on the boundary
+                events += 1
+                if events > _MAX_EVENTS_PER_HOUR:
+                    raise NumericalError(hour, "HVAC regime chatter: too many control events")
+            else:
+                ta = xa
 
         _check_state(hour, ta, tm)
         if detailed:

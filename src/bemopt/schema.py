@@ -8,7 +8,8 @@ construction (arrays are marked read-only), so they can be shared freely
 across workers. `write_hourly_csv`/`read_hourly_csv` are the one on-disk
 form of a week of hourly values (weather weeks, sensor traces, predicted
 series), `make_output_dir` is the one place output directories are
-created, and `SchemaError` is the one exception for bad input.
+created (`check_output_dir` tells early whether it can), and `SchemaError`
+is the one exception for bad input.
 """
 
 from __future__ import annotations
@@ -58,6 +59,17 @@ def make_output_dir(path) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise SchemaError(f"cannot create output directory {path}: {e.strerror or e}") from None
+
+
+def check_output_dir(path) -> None:
+    """Raise SchemaError unless ``path`` is a directory or its nearest existing
+    ancestor is one, so a command can fail before its work on an output
+    path that `make_output_dir` would refuse. Creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe) and os.path.dirname(probe) != probe:
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise SchemaError(f"cannot create output directory {path}: {probe} is not a directory")
 
 
 def write_hourly_csv(path, columns: Sequence[str], data) -> None:

@@ -3,7 +3,8 @@
 The sampling side draws every declared variable uniformly on its quantized
 grid, attaches one weather week per example, and labels the episode with the
 reference simulator. The training side runs minibatch Adam on the composite
-loss and keeps the best-validation checkpoint.
+loss, with the learning rate on one cosine decay over the whole run, and
+keeps the best-validation checkpoint.
 """
 
 import csv
@@ -56,6 +57,7 @@ __all__ = [
     "training_loss",
     "metrics",
     "predict",
+    "cosine_lr",
     "train",
     "save_history_csv",
     "load_history_csv",
@@ -534,6 +536,13 @@ def load_history_csv(path) -> list:
     return out
 
 
+def cosine_lr(lr: float, step: int, n_steps: int) -> float:
+    """Learning rate of step ``step`` (from 0) of ``n_steps``: ``lr``
+    decayed on a half cosine to 0 at the end of the run
+    (Loshchilov & Hutter, arXiv:1608.03983). Step 0 uses ``lr`` exactly."""
+    return lr * (0.5 * (1.0 + math.cos(math.pi * step / n_steps)))
+
+
 def train(
     dataset: Dataset,
     kind: str = "transformer",
@@ -546,9 +555,12 @@ def train(
 ) -> TrainResult:
     """Minibatch Adam on the training split; keeps the best-validation weights.
 
-    Validation selection uses the reported two-term loss pooled over the
-    whole validation set. A non-finite training loss raises ModelError
-    naming the epoch.
+    Step k of the run's K = epochs × batches-per-epoch steps uses the
+    learning rate ``cosine_lr(lr, k, K)``, so the last epochs take small
+    steps and the run ends converged rather than wherever a fixed rate
+    leaves it. Validation selection uses the reported two-term loss pooled
+    over the whole validation set. A non-finite training loss raises
+    ModelError naming the epoch.
     """
     if config is None:
         config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in)
@@ -569,6 +581,9 @@ def train(
     params = mdl.INITS[kind](config, stream(seed, kind + "-init"))
     plist = list(params.values())
     state = ad.AdamState(plist, lr=lr)
+
+    n_steps = epochs * -(-len(train_idx) // batch_size)
+    step = 0
 
     val_inputs, val_targets, val_masks = dataset.split_arrays("val")
 
@@ -604,8 +619,10 @@ def train(
                 raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
             total.backward()
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in plist]
+            state.lr = cosine_lr(lr, step, n_steps)
             ad.adam_step(plist, grads, state)
             ad.zero_grads(plist)
+            step += 1
             batch_objectives.append(float(total.data))
             batch_reported.append(float(reported.data))
 

@@ -13,6 +13,8 @@ import pytest
 
 import bemopt
 import bemopt.autodiff as ad
+import bemopt.cli
+import bemopt.training
 from bemopt.calibration import SensorTrace
 from bemopt.cli import main
 from bemopt.model import FrozenModel
@@ -776,6 +778,35 @@ def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
         if code == 3 and given and Path(given[-1]).is_relative_to(tmp_path):
             assert err[0].count(given[-1]) == 1, err
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize("command, module, work", [
+    ("sample", bemopt.training, "simulate_week"),
+    ("calibrate", bemopt.cli, "calibrate"),
+    ("optimize", bemopt.cli, "optimize_bms"),
+])
+@pytest.mark.parametrize("out", ["out", "out/run"])
+def test_out_that_cannot_be_a_directory_fails_before_the_work(
+        pipeline, tmp_path, capsys, monkeypatch, command, module, work, out):
+    """`--out` a regular file, or under one: exit 3 with nothing labeled or searched."""
+    (tmp_path / "out").write_text("")
+    calls = []
+    real = getattr(module, work)
+
+    def counted(*args, **kwargs):
+        calls.append(work)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, work, counted)
+    argv = _argv(pipeline, tmp_path, command)[:-1] + [str(tmp_path / out)]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert calls == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"bemopt {command}: cannot create output directory {tmp_path / out}: "
+        f"{tmp_path / 'out'} is not a directory"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_every_building_description_is_read_by_one_parser(pipeline, tmp_path, capsys):

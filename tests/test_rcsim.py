@@ -372,14 +372,6 @@ class TestSimulationContracts:
         b = rcsim.simulate_week(params, bms, occ, w)
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_step_halving_changes_little(self):
-        params, bms, occ = self._episode()
-        w = winter_weather()
-        coarse = rcsim.simulate_week(params, bms, occ, w, rcsim.RcModelConfig(substeps=6))
-        fine = rcsim.simulate_week(params, bms, occ, w, rcsim.RcModelConfig(substeps=12))
-        rel = np.abs(fine.data - coarse.data) / np.maximum(np.abs(fine.data), 1.0)
-        assert rel.max() < 0.005
-
     def test_raising_heat_setpoint_never_reduces_weekly_heating(self):
         params, bms, occ = self._episode()
         w = winter_weather()
@@ -497,7 +489,7 @@ def random_segment(rng, kind):
     """
     l1 = -rng.uniform(0.05, 5.0)
     l2 = l1 - rng.uniform(0.5, 80.0)
-    s_max = rng.uniform(1e-3, 1.0 / 6.0)
+    s_max = rng.uniform(1e-3, 1.0)
     xsa = rng.uniform(5.0, 35.0)
     c1 = rng.normal(0.0, 3.0)
     if kind == "interior":
@@ -561,38 +553,79 @@ def test_crossing_screen_on_simulated_segments(monkeypatch):
     assert any(r is not None for r in results)
 
 
-# sha256 over the golden runs that start off any control level, recorded before
-# the segment loop reused cached propagators and crossing endpoints; the
-# boundary rule for segments that start on a level left it unchanged.
-GOLDEN_SHA256 = "b7b84da63de3e8683d7630a59402108fb917904a248580e18125f1e4cd20ed89"
+def test_each_hour_is_one_segment_split_only_at_control_events(monkeypatch):
+    """Over the golden weeks, an hour with a latched mode runs the crossing
+    search once per segment: once without a control event, at most once more
+    per event with them; an hour with no mode latched runs it never."""
+    found = []  # per search: whether it found a control event
+    ends = []  # len(found) at each `_check_state`: the start state, then each hour's end
+    screened, check = rcsim._crossing, rcsim._check_state
+
+    def record(*args):
+        hit = screened(*args)
+        found.append(hit is not None)
+        return hit
+
+    def mark(hour, t_air, t_mass):
+        ends.append(len(found))
+        check(hour, t_air, t_mass)
+
+    monkeypatch.setattr(rcsim, "_crossing", record)
+    monkeypatch.setattr(rcsim, "_check_state", mark)
+    cfg = rcsim.DEFAULT_RC_CONFIG
+    tally = {"quiet": 0, "one search": 0, "events": 0}
+    for _, params, bms, occ, weather, t0 in _golden_cases():
+        found.clear()
+        ends.clear()
+        t_air = rcsim.simulate_week_detailed(params, bms, occ, weather, t0=t0).t_air
+        table = rcsim.week_schedule(bms, weather, cfg)
+        assert len(ends) == 169
+        for hour, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            latched = (rcsim.proportional(cfg.hvac_gain_kw_k, table.heat_sp[hour] - t_air[hour],
+                                          params.power_VCV_kW_heat) > 0
+                       or rcsim.proportional(cfg.hvac_gain_kw_k, t_air[hour] - table.cool_threshold[hour],
+                                             params.power_VCV_kW_clim) > 0)
+            searches, events = hi - lo, sum(found[lo:hi])
+            if not latched:
+                assert searches == 0, hour
+                tally["quiet"] += 1
+            elif events == 0:
+                assert searches == 1, hour
+                tally["one search"] += 1
+            else:
+                assert 1 <= searches <= 1 + events, (hour, searches, events)
+                tally["events"] += 1
+    assert min(tally.values()) > 0, tally
+
+
+# sha256 over the golden runs that start off any control level, recorded when
+# each hour became one segment split only at control events (the same bits as
+# the earlier six-sub-step loop run at one sub-step per hour).
+GOLDEN_SHA256 = "11e1121c5d269a21c769ab754077881d1a872d7d415b4d1a0cc59db9e6bab1ca"
 # sha256 over the golden runs whose hour 0 starts on the heater's saturation
-# level, recorded with the boundary rule applied at every segment start.
-ON_LEVEL_SHA256 = "0fa2c9465f7a25ba7b3609f6e902367650877d49b619b92563cd01c1622c8b07"
+# level, with the boundary rule applied at every segment start; recorded at the
+# same change.
+ON_LEVEL_SHA256 = "0cad946338398fcf72910cbb28b98b6fc063d8bfeb231a643c181fae0675ea97"
 
 
 def _golden_cases():
-    """(starts_on_level, params, bms, occ, weather, cfg, t0) runs the digests cover."""
+    """(starts_on_level, params, bms, occ, weather, t0) runs the digests cover."""
     pool = generate_pool(0, 30)
     episodes = [sample_episode_config(sc.DEFAULT_SCHEMA, 30, substream(11, "episode", i))
                 for i in range(200)]
-    cases = [(i, p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, 20.0)
-             for i, (p, b, o, w) in enumerate(episodes)]
+    cases = [(i, p, b, o, pool[w], 20.0) for i, (p, b, o, w) in enumerate(episodes)]
     p, b, o, w = episodes[1]
-    cases += [(1, p, b, o, pool[w], rcsim.DEFAULT_RC_CONFIG, t0)
-              for t0 in (19.0, 19.5, 20.0, 20.5, 21.0)]
-    for substeps in (1, 12):
-        cfg = rcsim.RcModelConfig(substeps=substeps)
-        cases += [(i, p, b, o, pool[w], cfg, 20.0) for i, (p, b, o, w) in enumerate(episodes[:4])]
-    return [(i in ON_LEVEL_EPISODES and t0 == 20.0, p, b, o, w, cfg, t0)
-            for i, p, b, o, w, cfg, t0 in cases]
+    cases += [(1, p, b, o, pool[w], t0) for t0 in (19.0, 19.5, 20.0, 20.5, 21.0)]
+    return [(i in ON_LEVEL_EPISODES and t0 == 20.0, p, b, o, w, t0)
+            for i, p, b, o, w, t0 in cases]
 
 
 def _golden_digest(on_level: bool) -> str:
     digest = hashlib.sha256()
-    for starts_on_level, params, bms, occ, weather, cfg, t0 in _golden_cases():
+    for starts_on_level, params, bms, occ, weather, t0 in _golden_cases():
         if starts_on_level != on_level:
             continue
-        res = rcsim.simulate_week_detailed(params, bms, occ, weather, cfg, t0)
+        res = rcsim.simulate_week_detailed(params, bms, occ, weather, t0=t0)
         ledger = res.ledger
         for arr in (res.output.data, res.t_air, res.t_mass, ledger.air_delta, ledger.air_flux,
                     ledger.mass_delta, ledger.mass_flux):
@@ -605,24 +638,23 @@ def test_simulator_output_is_pinned_bit_for_bit():
 
     Any change to the float operations or their order moves it (and so would
     a libm whose exp or log rounds differently). The corpus covers hours with
-    control events, episode 1 at start temperatures next to its saturation
-    level, and sub-step counts other than the default.
+    control events and episode 1 at start temperatures next to its
+    saturation level.
     """
     assert _golden_digest(on_level=False) == GOLDEN_SHA256
 
 
 def test_runs_starting_on_the_saturation_level_are_pinned_bit_for_bit():
-    """The same digest over episodes 1, 35, 91, 116, 140 and 197 at t0 = 20 °C,
-    and episode 1 at 1 and 12 sub-steps."""
+    """The same digest over episodes 1, 35, 91, 116, 140 and 197 at t0 = 20 °C."""
     assert _golden_digest(on_level=True) == ON_LEVEL_SHA256
 
 
 def test_both_simulator_paths_give_the_same_bits():
     """`simulate_week` skips the ledger and the traces; its outputs are the
     detailed path's, bit for bit, on every run either digest covers."""
-    for _, params, bms, occ, weather, cfg, t0 in _golden_cases():
-        fast = rcsim.simulate_week(params, bms, occ, weather, cfg, t0).data
-        detailed = rcsim.simulate_week_detailed(params, bms, occ, weather, cfg, t0).output.data
+    for _, params, bms, occ, weather, t0 in _golden_cases():
+        fast = rcsim.simulate_week(params, bms, occ, weather, t0=t0).data
+        detailed = rcsim.simulate_week_detailed(params, bms, occ, weather, t0=t0).output.data
         assert fast.tobytes() == detailed.tobytes()
 
 

@@ -348,3 +348,15 @@ class TestBuildingCaseIO:
         assert sc.BuildingParams.from_dict(d["params"]) == params
         assert sc.BmsSchedule.from_dict(d["bms"]) == bms
         assert sc.OccupancySchedule.from_dict(d["occ"]) == occ
+
+
+def test_check_output_dir_rejects_only_what_make_output_dir_would(tmp_path):
+    (tmp_path / "file").write_text("")
+    for ok in (tmp_path, tmp_path / "new", tmp_path / "new" / "deeper"):
+        sc.check_output_dir(ok)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]  # nothing created
+    for bad in (tmp_path / "file", tmp_path / "file" / "sub"):
+        with pytest.raises(sc.SchemaError, match="is not a directory"):
+            sc.check_output_dir(bad)
+        with pytest.raises(sc.SchemaError):
+            sc.make_output_dir(bad)
