@@ -5,8 +5,21 @@ numpy result and, when an operand needs a gradient, a graph node whose
 closures push gradients back to the operands' nodes.  The op set is
 deliberately tiny (matmul, elementwise arithmetic, relu, softmax, log1p,
 sqrt, square, mean, slice, layer_norm) but each op supports the batched 3-D
-layouts the sequence model needs, so a full training step runs as a handful
-of large BLAS calls instead of thousands of small ones.
+layouts the sequence model needs, so a training step is a few hundred large
+array operations instead of thousands of small ones.
+
+Inside all_cores() (train's epoch loop, predict's batch loop) the ops that
+treat each sequence on its own run on every usable core: windowed_attention
+and its gradients, layer_norm and its input gradient, and the shared-weight
+matmul and its input gradient each split their rows (sequences; for
+layer_norm every position) into one chunk per core, every chunk writing its
+own rows of a preallocated result.
+OpenBLAS is held to one thread meanwhile, so its workers do not compete
+with the chunks.  The matmul splits only between whole sequences, since a
+GEMM's bits can depend on where its rows start.  The weight, gamma and beta
+gradients sum over every row and stay one call, as do the elementwise ops.
+So the bits do not depend on the core count, and outside all_cores() every
+op is one chunk: the same arithmetic.
 
 The graph holds no Tensor and no forward result that no backward reads.  A
 node keeps its grad, its parents' nodes and one VJP closure per parent that
@@ -23,6 +36,10 @@ central differences are expected to pass at 1e-6, not 1e-2.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import json
 import math
 import os
@@ -36,7 +53,7 @@ __all__ = [
     "Tensor", "parameter", "constant", "zero_grads",
     "matmul", "add", "sub", "mul", "relu", "softmax", "log1p", "sqrt",
     "square", "mean", "slice_last", "layer_norm",
-    "windowed_attention", "split_heads", "merge_heads",
+    "windowed_attention", "split_heads", "merge_heads", "all_cores",
     "grad_check", "AdamState", "adam_step",
     "save_tensors", "load_tensors",
 ]
@@ -189,6 +206,111 @@ def zero_grads(params) -> None:
 
 
 # ---------------------------------------------------------------------------
+# row-parallel execution of the per-sequence ops
+
+_CHUNKS = 1  # chunks per split op: the core count inside all_cores()
+_POOL = None  # runs every chunk but the first; created on first use
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_rows(fn, n: int) -> None:
+    """Run fn(lo, hi) over contiguous chunks that cover range(n).
+
+    One chunk per core inside all_cores(), else a single fn(0, n).  fn
+    writes rows lo:hi of preallocated results and nothing else, so the
+    result does not depend on the chunk count.  The calling thread runs
+    the first chunk and the pool the rest, each inside a copy of the
+    caller's context, so numpy's errstate (context-local in numpy 2)
+    holds in every chunk.  Every chunk finishes before this returns; a
+    chunk's exception is raised here.
+    """
+    global _POOL
+    k = min(_CHUNKS, n)
+    if k <= 1:
+        fn(0, n)
+        return
+    if _POOL is None:
+        # imported here, not at the top: it loads logging, which `sample` never needs
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max_workers=max(1, _cores() - 1),
+                                   thread_name_prefix="bemopt-rows")
+    bounds = [n * i // k for i in range(k + 1)]
+    futures = [_POOL.submit(contextvars.copy_context().run, fn, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(0, bounds[1])
+    finally:
+        for f in futures:
+            f.exception()  # waits without raising: no chunk may outlive the call
+    for f in futures:
+        f.result()
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def all_cores():
+    """Split the per-sequence ops over every usable core while inside.
+
+    windowed_attention, layer_norm and the shared-weight matmul (forward
+    and input gradient) then run one chunk of rows per core, and
+    OpenBLAS is held to one thread so its workers do not compete with the
+    chunks; the previous BLAS thread count and chunk count come back on
+    exit.  The results are the same bits as outside.  Where no OpenBLAS is
+    found, BLAS threads are left alone.
+    """
+    global _CHUNKS
+    blas = _openblas()
+    threads = blas[0]() if blas else None
+    chunks, _CHUNKS = _CHUNKS, _cores()
+    if blas:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        _CHUNKS = chunks
+        if blas:
+            blas[1](threads)
+
+
+# ---------------------------------------------------------------------------
 # broadcast helpers (scalars and trailing row vectors only)
 
 def _broadcast_ok(sa, sb) -> bool:
@@ -259,17 +381,24 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         raise ValueError(f"matmul: 2-D by 3-D not supported, {ad.shape} and {bd.shape}")
 
     if ad.ndim == 3 and bd.ndim == 2:
-        # shared weight across the batch: flatten to one large GEMM instead
-        # of numpy's per-batch loop (single-core BLAS likes big matrices)
+        # shared weight across the batch: one large GEMM per chunk of whole
+        # sequences instead of numpy's per-batch loop.  Chunks never split a
+        # sequence: a GEMM's bits can depend on where its rows start, and
+        # each sequence must get the same bits whatever batch it is in.
         B, n, k = ad.shape
         a2 = ad.reshape(B * n, k)
-        out = (a2 @ be).reshape(B, n, -1)
+        out = np.empty((B * n, be.shape[-1]))
+        _by_rows(lambda lo, hi: np.matmul(a2[lo * n:hi * n], be, out=out[lo * n:hi * n]), B)
+        out = out.reshape(B, n, -1)
 
         def grad_a(g):
             g2 = g.reshape(B * n, -1)
-            prod = g2 @ bd if transpose_b else g2 @ bd.T
-            return prod.reshape(B, n, k)
+            w = bd if transpose_b else bd.T
+            da = np.empty((B * n, k))
+            _by_rows(lambda lo, hi: np.matmul(g2[lo * n:hi * n], w, out=da[lo * n:hi * n]), B)
+            return da.reshape(B, n, k)
 
+        # sums over every row, so one call: chunk partial sums would change its bits
         def grad_b(g):
             g2 = g.reshape(B * n, -1)
             return g2.T @ a2 if transpose_b else a2.T @ g2
@@ -422,26 +551,26 @@ def windowed_attention(q, k, v, delta: int):
     W = 2 * delta + 1
 
     def fwd_window(x):
-        """[B, T+2*delta, w] zero-padded -> strided view [B, T, W, w]
-        where view[b, t, s] = x_padded[b, t+s] = x[b, t+s-delta]."""
+        """[b, T+2*delta, w] zero-padded -> strided view [b, T, W, w]
+        where view[i, t, s] = x_padded[i, t+s] = x[i, t+s-delta]."""
         s0, s1, s2 = x.strides
         return np.lib.stride_tricks.as_strided(
-            x, (B, T, W, x.shape[2]), (s0, s1, s1, s2), writeable=False)
+            x, (x.shape[0], T, W, x.shape[2]), (s0, s1, s1, s2), writeable=False)
 
     def rev_window(x):
-        """view[b, t, s] = x_padded[b, t+s, W-1-s]: for target position t,
+        """view[i, t, s] = x_padded[i, t+s, W-1-s]: for target position t,
         slot s gathers the (query row, slot) pairs that referenced t."""
         s0, s1, s2 = x.strides
         return np.lib.stride_tricks.as_strided(
-            x[:, :, W - 1:], (B, T, W, 1), (s0, s1, s1 - s2, s2), writeable=False)
+            x[:, :, W - 1:], (x.shape[0], T, W, 1), (s0, s1, s1 - s2, s2), writeable=False)
 
-    def zero_padded(w):
-        """Zero [B, T+2*delta, w] buffer and its [B, T, w] interior view."""
-        buf = np.zeros((B, T + 2 * delta, w))
+    def zero_padded(b, w):
+        """Zero [b, T+2*delta, w] buffer and its [b, T, w] interior view."""
+        buf = np.zeros((b, T + 2 * delta, w))
         return buf, buf[:, delta:delta + T]
 
     def pad(x):
-        buf, inner = zero_padded(x.shape[2])
+        buf, inner = zero_padded(x.shape[0], x.shape[2])
         inner[...] = x
         return buf
 
@@ -449,25 +578,40 @@ def windowed_attention(q, k, v, delta: int):
     pos = np.arange(T)[:, None] + np.arange(W)[None, :] - delta
     boundary = np.where((pos >= 0) & (pos < T), 0.0, -1e30)
 
-    k_pad, v_pad = pad(kd), pad(vd)
-    scores = (fwd_window(k_pad) @ qd[:, :, :, None])[..., 0] + boundary
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    # the per-slot factors pi and ds are written straight into zero-padded
-    # buffers: the backward reads them back through the reversed window
-    # (scatter-free gathers) without a padded copy
-    pi_pad, pi = zero_padded(W)
-    np.divide(e, e.sum(axis=-1, keepdims=True), out=pi)
-    out = (pi[:, :, None, :] @ fwd_window(v_pad))[:, :, 0, :]
+    # k, v and the per-slot factors pi (ds in the backward) are written
+    # straight into zero-padded buffers, chunk by chunk along axis 0: the
+    # backward reads them back through the windows (scatter-free gathers)
+    # without a padded copy
+    k_pad, k_in = zero_padded(B, r)
+    v_pad, v_in = zero_padded(B, c)
+    pi_pad, pi = zero_padded(B, W)
+    out = np.empty((B, T, c))
+
+    def fwd_rows(lo, hi):
+        k_in[lo:hi] = kd[lo:hi]
+        v_in[lo:hi] = vd[lo:hi]
+        scores = (fwd_window(k_pad[lo:hi]) @ qd[lo:hi, :, :, None])[..., 0] + boundary
+        scores -= scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        np.divide(e, e.sum(axis=-1, keepdims=True), out=pi[lo:hi])
+        out[lo:hi] = (pi[lo:hi, :, None, :] @ fwd_window(v_pad[lo:hi]))[:, :, 0, :]
+
+    _by_rows(fwd_rows, B)
 
     def grad_all(g):
-        dpi = (fwd_window(v_pad) @ g[:, :, :, None])[..., 0]
-        ds_pad, ds = zero_padded(W)
-        np.multiply(pi, dpi - np.sum(pi * dpi, axis=-1, keepdims=True), out=ds)
-        dq = (ds[:, :, None, :] @ fwd_window(k_pad))[:, :, 0, :]
-        g_pad, q_pad = pad(g), pad(qd)
-        dk = (rev_window(ds_pad).swapaxes(2, 3) @ fwd_window(q_pad))[:, :, 0, :]
-        dv = (rev_window(pi_pad).swapaxes(2, 3) @ fwd_window(g_pad))[:, :, 0, :]
+        dq, dk, dv = np.empty((B, T, r)), np.empty((B, T, r)), np.empty((B, T, c))
+
+        def grad_rows(lo, hi):
+            gc, pc = g[lo:hi], pi[lo:hi]
+            dpi = (fwd_window(v_pad[lo:hi]) @ gc[:, :, :, None])[..., 0]
+            ds_pad, ds = zero_padded(hi - lo, W)
+            np.multiply(pc, dpi - np.sum(pc * dpi, axis=-1, keepdims=True), out=ds)
+            dq[lo:hi] = (ds[:, :, None, :] @ fwd_window(k_pad[lo:hi]))[:, :, 0, :]
+            g_pad, q_pad = pad(gc), pad(qd[lo:hi])
+            dk[lo:hi] = (rev_window(ds_pad).swapaxes(2, 3) @ fwd_window(q_pad))[:, :, 0, :]
+            dv[lo:hi] = (rev_window(pi_pad[lo:hi]).swapaxes(2, 3) @ fwd_window(g_pad))[:, :, 0, :]
+
+        _by_rows(grad_rows, B)
         return dq, dk, dv
 
     # the three vjps share one sweep; backward hands all three the same
@@ -492,21 +636,37 @@ def layer_norm(x, gamma, beta) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"layer_norm: scale/shift {gamma.shape}/{beta.shape} "
                          f"do not match feature width {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _EPS_LN)
-    xhat = (x.data - mu) * inv
-    gd = gamma.data
-    out = xhat * gd + beta.data
+    gd, bd = gamma.data, beta.data
+    shape = x.data.shape
+    rows = x.data.reshape(-1, d)
+    xhat, inv, out = np.empty_like(rows), np.empty((len(rows), 1)), np.empty_like(rows)
+
+    def fwd_rows(lo, hi):
+        xc = rows[lo:hi] - rows[lo:hi].mean(axis=-1, keepdims=True)
+        # np.var's own arithmetic, on the centred input it would recompute
+        var = np.sum(xc * xc, axis=-1, keepdims=True) / d
+        inv[lo:hi] = 1.0 / np.sqrt(var + _EPS_LN)
+        np.multiply(xc, inv[lo:hi], out=xhat[lo:hi])
+        out[lo:hi] = xhat[lo:hi] * gd + bd
+
+    _by_rows(fwd_rows, len(rows))
+    out = out.reshape(shape)
 
     def grad_x(g):
-        gg = g * gd
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        return inv * (gg - m1 - xhat * m2)
+        g2, dx = g.reshape(-1, d), np.empty_like(xhat)
 
+        def grad_rows(lo, hi):
+            gg = g2[lo:hi] * gd
+            m1 = gg.mean(axis=-1, keepdims=True)
+            m2 = (gg * xhat[lo:hi]).mean(axis=-1, keepdims=True)
+            dx[lo:hi] = inv[lo:hi] * (gg - m1 - xhat[lo:hi] * m2)
+
+        _by_rows(grad_rows, len(g2))
+        return dx.reshape(shape)
+
+    # gamma and beta sum over every row, so one call each
     def grad_gamma(g):
-        return np.sum(g * xhat, axis=tuple(range(g.ndim - 1)))
+        return np.sum(g * xhat.reshape(shape), axis=tuple(range(g.ndim - 1)))
 
     def grad_beta(g):
         return np.sum(g, axis=tuple(range(g.ndim - 1)))

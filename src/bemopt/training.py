@@ -496,7 +496,7 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
         x = x[None]
     xn = norm.normalize_inputs(x)
     outs = []
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), ad.all_cores():
         for lo in range(0, x.shape[0], batch_size):
             z = forward(frozen, cfg, ad.constant(xn[lo:lo + batch_size]))
             outs.append(norm.denormalize_targets(z.data))
@@ -607,43 +607,44 @@ def train(
         }
     ]
 
-    for epoch in range(1, epochs + 1):
-        order = train_idx[substream(seed, "shuffle", epoch).permutation(len(train_idx))]
-        batch_objectives = []
-        batch_reported = []
-        for lo in range(0, len(order), batch_size):
-            sel = order[lo:lo + batch_size]
-            pred = forward(params, config, ad.constant(xn[sel]))
-            total, reported = training_loss(pred, yn[sel], norm)
-            if not np.isfinite(total.data):
-                raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
-            total.backward()
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in plist]
-            state.lr = cosine_lr(lr, step, n_steps)
-            ad.adam_step(plist, grads, state)
-            ad.zero_grads(plist)
-            step += 1
-            batch_objectives.append(float(total.data))
-            batch_reported.append(float(reported.data))
+    with ad.all_cores():
+        for epoch in range(1, epochs + 1):
+            order = train_idx[substream(seed, "shuffle", epoch).permutation(len(train_idx))]
+            batch_objectives = []
+            batch_reported = []
+            for lo in range(0, len(order), batch_size):
+                sel = order[lo:lo + batch_size]
+                pred = forward(params, config, ad.constant(xn[sel]))
+                total, reported = training_loss(pred, yn[sel], norm)
+                if not np.isfinite(total.data):
+                    raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
+                total.backward()
+                grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in plist]
+                state.lr = cosine_lr(lr, step, n_steps)
+                ad.adam_step(plist, grads, state)
+                ad.zero_grads(plist)
+                step += 1
+                batch_objectives.append(float(total.data))
+                batch_reported.append(float(reported.data))
 
-        val_loss, report = val_metrics(params)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_objective": float(np.mean(batch_objectives)),
-                "train_loss": float(np.mean(batch_reported)),
-                "val_loss": val_loss,
-                "val_r2_t": report.r2_t.mean,
-                "val_r2_q": report.r2_q.mean,
-            }
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_report = report
-            best_epoch = epoch
-            best_snapshot = {k: v.data.copy() for k, v in params.items()}
-        if log is not None:
-            log(history[-1])
+            val_loss, report = val_metrics(params)
+            history.append(
+                {
+                    "epoch": epoch,
+                    "train_objective": float(np.mean(batch_objectives)),
+                    "train_loss": float(np.mean(batch_reported)),
+                    "val_loss": val_loss,
+                    "val_r2_t": report.r2_t.mean,
+                    "val_r2_q": report.r2_q.mean,
+                }
+            )
+            if val_loss < best_val:
+                best_val = val_loss
+                best_report = report
+                best_epoch = epoch
+                best_snapshot = {k: v.data.copy() for k, v in params.items()}
+            if log is not None:
+                log(history[-1])
 
     for name, p in params.items():
         p.data = best_snapshot[name]

@@ -10,7 +10,10 @@ import gc
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -463,6 +466,92 @@ def reference_adam(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         vh = v / (1 - beta2 ** t)
         theta -= lr * mh / (np.sqrt(vh) + eps)
     return theta
+
+
+class TestAllCores:
+    def test_chunks_cover_the_rows_once_inside_and_one_call_outside(self, monkeypatch):
+        monkeypatch.setattr(ad, "_cores", lambda: 3)
+        seen = []
+
+        def record(lo, hi):
+            seen.append((lo, hi, threading.get_ident()))
+
+        ad._by_rows(record, 10)
+        assert seen == [(0, 10, threading.get_ident())]
+        seen.clear()
+        with ad.all_cores():
+            ad._by_rows(record, 10)
+        assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 3), (3, 6), (6, 10)]
+        assert (0, 3, threading.get_ident()) in seen  # the caller runs the first chunk
+        seen.clear()
+        with ad.all_cores():
+            ad._by_rows(record, 2)  # never an empty chunk
+        assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 1), (1, 2)]
+
+    def test_a_chunk_error_is_raised_after_every_chunk_ran(self, monkeypatch):
+        monkeypatch.setattr(ad, "_cores", lambda: 3)
+        done = []
+
+        def chunk(lo, hi):
+            if lo == 0:
+                raise ValueError("first chunk")
+            time.sleep(0.05)
+            done.append(lo)
+
+        with ad.all_cores(), pytest.raises(ValueError, match="first chunk"):
+            ad._by_rows(chunk, 3)
+        assert sorted(done) == [1, 2]
+
+    def test_chunks_keep_the_callers_errstate(self, monkeypatch):
+        """An overflow in the last chunk, which a pool thread runs, is
+        silenced by the caller's errstate like one in the first."""
+        monkeypatch.setattr(ad, "_cores", lambda: 3)
+        x = np.ones((3, 4, 5))
+        x[-1, -1] = 1e308  # its sum overflows, then inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"), ad.all_cores():
+                out = ad.layer_norm(x, np.ones(5), np.zeros(5)).data
+        assert np.isfinite(out[:-1]).all() and np.isfinite(out[-1, :-1]).all()
+        assert not np.isfinite(out[-1, -1]).any()
+
+    def test_blas_is_held_to_one_thread_inside_only(self):
+        blas = ad._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS found in this process")
+        threads = blas[0]
+        before = threads()
+        with ad.all_cores():
+            assert threads() == 1
+            with ad.all_cores():
+                assert threads() == 1
+            assert threads() == 1
+        assert threads() == before
+
+    def test_split_ops_equal_one_chunk_bit_for_bit(self, monkeypatch):
+        """Forward and every gradient of the split ops, at 1, 2 and 3 chunks."""
+        rng = stream(9, "chunks")
+        q, k, v = (ad.parameter(rng.normal(size=(5, 11, w))) for w in (3, 3, 2))
+        w_in, gamma = ad.parameter(rng.normal(size=(2, 4))), ad.parameter(rng.normal(size=4))
+        beta = ad.parameter(rng.normal(size=4))
+
+        def run():
+            att = ad.windowed_attention(q, k, v, 2)
+            y = ad.layer_norm(ad.matmul(att, w_in), gamma, beta)
+            loss = ad.mean(ad.square(y))
+            loss.backward()
+            grads = [p.grad.copy() for p in (q, k, v, w_in, gamma, beta)]
+            ad.zero_grads([q, k, v, w_in, gamma, beta])
+            return [y.data] + grads
+
+        runs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(ad, "_cores", lambda: cores)
+            with ad.all_cores():
+                runs.append(run())
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert np.array_equal(a, b)
 
 
 class TestAdam:

@@ -257,6 +257,21 @@ class TestFfnBaseline:
         out_perm = md.ffn_forward(p, cfg, x[:, perm]).data
         np.testing.assert_array_equal(out_perm, out[:, perm])
 
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_permuting_time_permutes_outputs_on_several_cores(self, monkeypatch, cores):
+        """Each GEMM chunk holds whole sequences: rows split inside a
+        sequence would get bits that depend on where the chunk starts."""
+        monkeypatch.setattr(ad, "_cores", lambda: cores)
+        cfg = md.MetamodelConfig(d_in=5, d_out=3)
+        p = md.init_ffn(cfg, stream(13, "init"))
+        rng = stream(13, "x")
+        x = rng.random((3, 20, 5))
+        perm = rng.permutation(20)
+        with ad.all_cores():
+            out = md.ffn_forward(p, cfg, x).data
+            out_perm = md.ffn_forward(p, cfg, x[:, perm]).data
+        np.testing.assert_array_equal(out_perm, out[:, perm])
+
     def test_gradient_check(self):
         cfg = md.MetamodelConfig(d_in=3, d_out=2, d_emb=4)
         p = md.init_ffn(cfg, stream(14, "init"))
