@@ -8,18 +8,21 @@ sqrt, square, mean, slice, layer_norm) but each op supports the batched 3-D
 layouts the sequence model needs, so a training step is a few hundred large
 array operations instead of thousands of small ones.
 
-Inside all_cores() (train's epoch loop, predict's batch loop) the ops that
-treat each sequence on its own run on every usable core: windowed_attention
-and its gradients, layer_norm and its input gradient, and the shared-weight
-matmul and its input gradient each split their rows (sequences; for
-layer_norm every position) into one chunk per core, every chunk writing its
-own rows of a preallocated result.
-OpenBLAS is held to one thread meanwhile, so its workers do not compete
-with the chunks.  The matmul splits only between whole sequences, since a
-GEMM's bits can depend on where its rows start.  The weight, gamma and beta
-gradients sum over every row and stay one call, as do the elementwise ops.
-So the bits do not depend on the core count, and outside all_cores() every
-op is one chunk: the same arithmetic.
+Inside all_cores() (train's epoch loop, predict's batch loop) work is split
+into one chunk of rows per usable core by _by_rows, every chunk writing its
+own rows of a preallocated result, with OpenBLAS held to one thread so its
+workers do not compete with the chunks.  train splits each op: the ops that
+treat each sequence on its own (windowed_attention and its gradients,
+layer_norm and its input gradient, the shared-weight matmul and its input
+gradient) split their rows (sequences; for layer_norm every position),
+while the weight, gamma and beta gradients sum over every row and stay one
+call, as do the elementwise ops.  predict splits each batch instead: an
+inference forward never mixes sequences, so each core runs the whole
+forward on its share of the batch.  A split never nests: inside a chunk
+the chunk count is 1, so a split op there runs as one chunk.  The matmul
+splits only between whole sequences, since a GEMM's bits can depend on
+where its rows start.  So the bits do not depend on the core count, and
+outside all_cores() every op is one chunk: the same arithmetic.
 
 The graph holds no Tensor and no forward result that no backward reads.  A
 node keeps its grad, its parents' nodes and one VJP closure per parent that
@@ -206,9 +209,11 @@ def zero_grads(params) -> None:
 
 
 # ---------------------------------------------------------------------------
-# row-parallel execution of the per-sequence ops
+# row-parallel execution: train's per-sequence ops, predict's batches
 
-_CHUNKS = 1  # chunks per split op: the core count inside all_cores()
+# chunks per split op: None outside all_cores(), the core count inside it,
+# and 1 inside a chunk, so a split never nests
+_CHUNKS = contextvars.ContextVar("bemopt_chunks", default=None)
 _POOL = None  # runs every chunk but the first; created on first use
 
 
@@ -229,6 +234,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _one_chunk(fn, lo: int, hi: int) -> None:
+    _CHUNKS.set(1)
+    fn(lo, hi)
+
+
 def _by_rows(fn, n: int) -> None:
     """Run fn(lo, hi) over contiguous chunks that cover range(n).
 
@@ -237,11 +247,13 @@ def _by_rows(fn, n: int) -> None:
     result does not depend on the chunk count.  The calling thread runs
     the first chunk and the pool the rest, each inside a copy of the
     caller's context, so numpy's errstate (context-local in numpy 2)
-    holds in every chunk.  Every chunk finishes before this returns; a
-    chunk's exception is raised here.
+    holds in every chunk.  In that copy the chunk count is 1: a split op
+    or an all_cores() inside a chunk runs as one chunk on the chunk's own
+    thread and never waits on the pool it may be running in.  Every chunk
+    finishes before this returns; a chunk's exception is raised here.
     """
     global _POOL
-    k = min(_CHUNKS, n)
+    k = min(_CHUNKS.get() or 1, n)
     if k <= 1:
         fn(0, n)
         return
@@ -251,10 +263,10 @@ def _by_rows(fn, n: int) -> None:
         _POOL = ThreadPoolExecutor(max_workers=max(1, _cores() - 1),
                                    thread_name_prefix="bemopt-rows")
     bounds = [n * i // k for i in range(k + 1)]
-    futures = [_POOL.submit(contextvars.copy_context().run, fn, lo, hi)
+    futures = [_POOL.submit(contextvars.copy_context().run, _one_chunk, fn, lo, hi)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        fn(0, bounds[1])
+        contextvars.copy_context().run(_one_chunk, fn, 0, bounds[1])
     finally:
         for f in futures:
             f.exception()  # waits without raising: no chunk may outlive the call
@@ -287,25 +299,28 @@ def _openblas():
 
 @contextlib.contextmanager
 def all_cores():
-    """Split the per-sequence ops over every usable core while inside.
+    """Split work over every usable core while inside.
 
     windowed_attention, layer_norm and the shared-weight matmul (forward
-    and input gradient) then run one chunk of rows per core, and
-    OpenBLAS is held to one thread so its workers do not compete with the
-    chunks; the previous BLAS thread count and chunk count come back on
-    exit.  The results are the same bits as outside.  Where no OpenBLAS is
-    found, BLAS threads are left alone.
+    and input gradient) then run one chunk of rows per core, as does any
+    other _by_rows call, and OpenBLAS is held to one thread so its workers
+    do not compete with the chunks; the previous BLAS thread count and
+    chunk count come back on exit.  The results are the same bits as
+    outside.  Where no OpenBLAS is found, BLAS threads are left alone.
+    Inside all_cores() already, or inside a chunk, it changes nothing.
     """
-    global _CHUNKS
+    if _CHUNKS.get() is not None:
+        yield
+        return
     blas = _openblas()
     threads = blas[0]() if blas else None
-    chunks, _CHUNKS = _CHUNKS, _cores()
+    token = _CHUNKS.set(_cores())
     if blas:
         blas[1](1)
     try:
         yield
     finally:
-        _CHUNKS = chunks
+        _CHUNKS.reset(token)
         if blas:
             blas[1](threads)
 

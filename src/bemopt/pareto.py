@@ -394,18 +394,27 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
                  log=None) -> ParetoFront:
     """NSGA-II over the control schedule; returns a front of physical settings.
 
-    All candidates of a generation go through one batched forward pass.
+    A generation's candidates whose snapped schedule was not scored
+    before in this run go through one batched forward pass; the others
+    reuse their stored objectives, the same bits since a row's prediction
+    does not depend on its batch.
     """
     config = config or NsgaConfig()
+    scored = {}  # snapped schedule bytes -> (comfort, consumption)
 
     def batch_evaluator(X):
-        inputs = np.stack([space.assemble(x, weather) for x in X])
-        preds = predict(model.params, model.config, model.kind, inputs, model.norm)
-        out = np.empty((len(X), 2))
-        for i, (p, occupied) in enumerate(zip(preds, occupied_hours(inputs))):
-            o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), occupied)
-            out[i] = (o.comfort, o.consumption)
-        return out
+        keys = [space.values(x).tobytes() for x in X]
+        new = {}  # unscored schedule -> its first candidate, in candidate order
+        for key, x in zip(keys, X):
+            if key not in scored:
+                new.setdefault(key, x)
+        if new:
+            inputs = np.stack([space.assemble(x, weather) for x in new.values()])
+            preds = predict(model.params, model.config, model.kind, inputs, model.norm)
+            for key, p, occupied in zip(new, preds, occupied_hours(inputs)):
+                o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), occupied)
+                scored[key] = (o.comfort, o.consumption)
+        return np.array([scored[key] for key in keys])
 
     raw = nsga2_run(config, batch_evaluator, (np.zeros(space.dim), np.ones(space.dim)),
                     seed, log=log)

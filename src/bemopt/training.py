@@ -482,7 +482,9 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
     Runs without a tape: the forward sees zero-copy ``ad.constant`` views of
     the parameter arrays, so no op keeps a backward closure or its operands
     and no parameter's ``.grad`` is touched. Each row's result does not
-    depend on the batch it shares a forward with.
+    depend on the batch it shares a forward with, so each batch's
+    sequences are divided among the cores, each core running the whole
+    forward on its share with every op unsplit.
 
     This is the one finiteness check of inference: a non-finite output
     anywhere raises ModelError once, and numpy's floating-point warnings
@@ -495,12 +497,15 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
     if squeeze:
         x = x[None]
     xn = norm.normalize_inputs(x)
-    outs = []
+    out = np.empty(xn.shape[:2] + (cfg.d_out,))
+
+    def forward_rows(xb, ob, lo, hi):
+        ob[lo:hi] = norm.denormalize_targets(forward(frozen, cfg, ad.constant(xb[lo:hi])).data)
+
     with np.errstate(all="ignore"), ad.all_cores():
-        for lo in range(0, x.shape[0], batch_size):
-            z = forward(frozen, cfg, ad.constant(xn[lo:lo + batch_size]))
-            outs.append(norm.denormalize_targets(z.data))
-    out = np.concatenate(outs, axis=0)
+        for lo in range(0, len(xn), batch_size):
+            xb, ob = xn[lo:lo + batch_size], out[lo:lo + batch_size]
+            ad._by_rows(functools.partial(forward_rows, xb, ob), len(xb))
     if not np.isfinite(out).all():
         raise mdl.ModelError(f"{kind} model: non-finite output")
     return out[0] if squeeze else out

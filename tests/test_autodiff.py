@@ -7,6 +7,7 @@ inline re-statement of the Adam recurrences for the optimizer trajectory.
 
 import ctypes
 import gc
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -468,6 +469,23 @@ def reference_adam(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta
 
 
+def _splits_inside_chunks(cores):
+    """(chunk thread, lo, hi, thread) of every _by_rows chunk run inside one
+    of the `cores` chunks of an outer split: one bare, one under all_cores()."""
+    ad._cores = lambda: cores
+    inner = []
+
+    def chunk(lo, hi):
+        me = threading.get_ident()
+        ad._by_rows(lambda a, b: inner.append((me, a, b, threading.get_ident())), 7)
+        with ad.all_cores():
+            ad._by_rows(lambda a, b: inner.append((me, a, b, threading.get_ident())), 5)
+
+    with ad.all_cores():
+        ad._by_rows(chunk, cores)
+    return inner
+
+
 class TestAllCores:
     def test_chunks_cover_the_rows_once_inside_and_one_call_outside(self, monkeypatch):
         monkeypatch.setattr(ad, "_cores", lambda: 3)
@@ -514,6 +532,22 @@ class TestAllCores:
                 out = ad.layer_norm(x, np.ones(5), np.zeros(5)).data
         assert np.isfinite(out[:-1]).all() and np.isfinite(out[-1, :-1]).all()
         assert not np.isfinite(out[-1, -1]).any()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_split_inside_a_chunk_is_one_chunk(self, cores):
+        """predict runs a whole forward per chunk, so split ops run inside
+        chunks.  A _by_rows there, bare or under a nested all_cores(), is
+        one chunk on the chunk's own thread; were it split, a pool thread
+        would wait on chunks queued behind itself.  The check runs in a
+        forked child, so a deadlock fails it and the child is killed."""
+        with multiprocessing.get_context("fork").Pool(1) as child:
+            try:
+                inner = child.apply_async(_splits_inside_chunks, (cores,)).get(timeout=30)
+            except multiprocessing.TimeoutError:
+                pytest.fail("a split inside a chunk deadlocked")
+        assert len(inner) == 2 * cores
+        assert all(t == me for me, _, _, t in inner)
+        assert sorted((a, b) for _, a, b, _ in inner) == [(0, 5)] * cores + [(0, 7)] * cores
 
     def test_blas_is_held_to_one_thread_inside_only(self):
         blas = ad._openblas()

@@ -403,6 +403,56 @@ def test_optimize_bms_small_run(pieces, pool):
         assert oa == ob
 
 
+def test_optimize_bms_predicts_each_schedule_once(pieces, pool, monkeypatch):
+    """A snapped schedule is predicted once per run; its repeats reuse the
+    stored objectives, so the search equals a memo-free one bit for bit."""
+    params, occ, model = pieces
+    space = par.BmsSpace(params, occ)
+    cfg = par.NsgaConfig(population=16, generations=6)
+    weather = pool[0]
+
+    seen = []  # every candidate the memo-free search scores
+
+    def memo_free(X):
+        seen.extend(X)
+        inputs = np.stack([space.assemble(x, weather) for x in X])
+        preds = predict(model.params, model.config, model.kind, inputs, model.norm)
+        objs = [par.objectives_from_series(p[:, T_INT_INDEX],
+                                           p[:, list(HEAT_AGGREGATE_INDICES)].sum(axis=1), o)
+                for p, o in zip(preds, occupied_hours(inputs))]
+        return np.array([(o.comfort, o.consumption) for o in objs])
+
+    want = par.nsga2_run(cfg, memo_free, (np.zeros(space.dim), np.ones(space.dim)), seed=5)
+    distinct = {}
+    for x in seen:
+        distinct.setdefault(space.values(x).tobytes(), x)
+    assert len(distinct) < len(seen), len(seen)  # the run has repeats to reuse
+
+    predicted = []
+
+    def recording_predict(*args, **kwargs):
+        predicted.extend(args[3])
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(par, "predict", recording_predict)
+    got = par.optimize_bms(space, model, weather, cfg, seed=5)
+    assert len(predicted) == len(distinct)
+    for row, x in zip(predicted, distinct.values()):
+        assert np.array_equal(row, space.assemble(x, weather))
+
+    want_members, keys = [], set()
+    for x01, obj in want.members:
+        settings = space.values(x01)
+        if settings.tobytes() not in keys:
+            keys.add(settings.tobytes())
+            want_members.append((settings, obj))
+    assert len(got) == len(want_members)
+    for (xa, oa), (xb, ob) in zip(got.members, want_members):
+        assert np.array_equal(xa, xb) and oa == ob
+    assert got.hypervolume == want.hypervolume
+    assert got.objective_minima == want.objective_minima
+
+
 # ---------------------------------------------------------------------------
 # operating-point selection
 

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import signal
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -630,16 +631,59 @@ def test_golden_run_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypa
 
 
 def test_predict_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypatch):
+    """predict splits each batch's sequences among the cores; every row must
+    equal its own one-sequence forward, at 1 row, at calibrate's 30 (10
+    candidates x 3 weeks) and at optimize's 48 (batches of 32 and 16)."""
+    ds = golden_corpus
+    x = ds.inputs[:48]
+    for kind in ("transformer", "ffn"):
+        params = mdl.INITS[kind](ACCEPTANCE, stream(7, "cores"))
+        forward = mdl.FORWARDS[kind]
+        alone = np.stack([
+            ds.norm.denormalize_targets(
+                forward(params, ACCEPTANCE, ad.constant(ds.norm.normalize_inputs(row[None]))).data[0])
+            for row in x])
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(ad, "_cores", lambda: cores)
+            for rows in (1, 30, 48):
+                got = tr.predict(params, ACCEPTANCE, kind, x[:rows], ds.norm, batch_size=32)
+                assert np.array_equal(got, alone[:rows]), (kind, cores, rows)
+
+
+def test_predict_raises_once_on_a_nonfinite_last_row_on_three_cores(golden_corpus, monkeypatch):
+    """The last row's chunk runs on a pool thread; its NaN or inf (whose
+    layer_norm makes inf - inf) must reach the one finiteness check under
+    the caller's errstate, with no warning first."""
+    monkeypatch.setattr(ad, "_cores", lambda: 3)
     ds = golden_corpus
     params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
-    outs = []
-    for cores in (1, 2, 3):
+    for bad in (np.nan, np.inf):
+        x = ds.inputs[:30].copy()
+        x[-1, 100, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mdl.ModelError, match="transformer model: non-finite output"):
+                tr.predict(params, ACCEPTANCE, "transformer", x, ds.norm)
+
+
+def test_predict_divides_a_batch_among_the_cores_not_copies_it(golden_corpus, monkeypatch):
+    """A 32-row batch on 2 cores is two 16-row forwards at once, so its
+    traced peak stays within 10% of one 32-row forward's (both read about
+    22.3 MiB); a full batch per core would peak near twice that."""
+    ds = golden_corpus
+    params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
+    peaks = {}
+    for cores in (1, 2):
         monkeypatch.setattr(ad, "_cores", lambda: cores)
-        # batches of 5 and 2 episodes: uneven chunks, and fewer episodes than cores
-        outs.append(tr.predict(params, ACCEPTANCE, "transformer", ds.inputs[:7], ds.norm,
-                               batch_size=5))
-    assert np.array_equal(outs[1], outs[0])
-    assert np.array_equal(outs[2], outs[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tr.predict(params, ACCEPTANCE, "transformer", ds.inputs[:32], ds.norm)
+            peaks[cores] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 def test_train_and_predict_restore_the_blas_thread_count(small_dataset):
