@@ -11,18 +11,17 @@ array operations instead of thousands of small ones.
 Inside all_cores() (train's epoch loop, predict's batch loop) work is split
 into one chunk of rows per usable core by _by_rows, every chunk writing its
 own rows of a preallocated result, with OpenBLAS held to one thread so its
-workers do not compete with the chunks.  train splits each op: the ops that
-treat each sequence on its own (windowed_attention and its gradients,
-layer_norm and its input gradient, the shared-weight matmul and its input
-gradient) split their rows (sequences; for layer_norm every position),
-while the weight, gamma and beta gradients sum over every row and stay one
-call, as do the elementwise ops.  predict splits each batch instead: an
+workers do not compete with the chunks.  train splits two ops, the ones
+that treat each row on its own: windowed_attention and its gradients split
+their sequences, layer_norm and its input gradient every position.  The
+gamma and beta gradients sum over every row and stay one call, as do the
+matmuls and the elementwise ops.  predict splits each batch instead: an
 inference forward never mixes sequences, so each core runs the whole
-forward on its share of the batch.  A split never nests: inside a chunk
-the chunk count is 1, so a split op there runs as one chunk.  The matmul
-splits only between whole sequences, since a GEMM's bits can depend on
-where its rows start.  So the bits do not depend on the core count, and
-outside all_cores() every op is one chunk: the same arithmetic.
+forward on its share of the batch, split between whole sequences, since a
+GEMM's bits can depend on where its rows start.  A split never nests:
+inside a chunk the chunk count is 1, so a split op there runs as one
+chunk.  So the bits do not depend on the core count, and outside
+all_cores() every op is one chunk: the same arithmetic.
 
 The graph holds no Tensor and no forward result that no backward reads.  A
 node keeps its grad, its parents' nodes and one VJP closure per parent that
@@ -301,9 +300,9 @@ def _openblas():
 def all_cores():
     """Split work over every usable core while inside.
 
-    windowed_attention, layer_norm and the shared-weight matmul (forward
-    and input gradient) then run one chunk of rows per core, as does any
-    other _by_rows call, and OpenBLAS is held to one thread so its workers
+    windowed_attention and layer_norm (forward and input gradients) then
+    run one chunk of rows per core, as does any other _by_rows call (predict
+    splits its batches), and OpenBLAS is held to one thread so its workers
     do not compete with the chunks; the previous BLAS thread count and
     chunk count come back on exit.  The results are the same bits as
     outside.  Where no OpenBLAS is found, BLAS threads are left alone.
@@ -396,24 +395,16 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         raise ValueError(f"matmul: 2-D by 3-D not supported, {ad.shape} and {bd.shape}")
 
     if ad.ndim == 3 and bd.ndim == 2:
-        # shared weight across the batch: one large GEMM per chunk of whole
-        # sequences instead of numpy's per-batch loop.  Chunks never split a
-        # sequence: a GEMM's bits can depend on where its rows start, and
-        # each sequence must get the same bits whatever batch it is in.
+        # shared weight across the batch: one large GEMM instead of numpy's
+        # per-batch loop
         B, n, k = ad.shape
         a2 = ad.reshape(B * n, k)
-        out = np.empty((B * n, be.shape[-1]))
-        _by_rows(lambda lo, hi: np.matmul(a2[lo * n:hi * n], be, out=out[lo * n:hi * n]), B)
-        out = out.reshape(B, n, -1)
+        out = (a2 @ be).reshape(B, n, -1)
 
         def grad_a(g):
-            g2 = g.reshape(B * n, -1)
             w = bd if transpose_b else bd.T
-            da = np.empty((B * n, k))
-            _by_rows(lambda lo, hi: np.matmul(g2[lo * n:hi * n], w, out=da[lo * n:hi * n]), B)
-            return da.reshape(B, n, k)
+            return (g.reshape(B * n, -1) @ w).reshape(B, n, k)
 
-        # sums over every row, so one call: chunk partial sums would change its bits
         def grad_b(g):
             g2 = g.reshape(B * n, -1)
             return g2.T @ a2 if transpose_b else a2.T @ g2

@@ -7,6 +7,7 @@ is byte-identical (the manifest's wall-clock field aside). Exit codes: 0 ok,
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -43,6 +44,7 @@ from .schema import (
 )
 from .seeding import substream
 from .training import (
+    METRIC_FIELDS,
     Dataset,
     metrics,
     predict,
@@ -58,7 +60,9 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
-MODEL_CONFIG_FIELDS = ("d_emb", "r", "v_width", "h", "n_layers", "delta")
+# the architecture keys a config may set; the widths follow the schema
+MODEL_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(mdl.MetamodelConfig)
+                            if f.name not in ("d_in", "d_out"))
 
 
 class CliError(Exception):
@@ -489,7 +493,7 @@ def cmd_optimize(args, section) -> int:
 
 def _metric_block(lines, title, d):
     lines.append(f"  {title}:")
-    for name in ("loss", "mse_t", "mse_q", "mse_t_occ", "mse_q_occ", "r2_t", "r2_q"):
+    for name in METRIC_FIELDS:
         stat = d.get(name)
         if stat is None:
             lines.append(f"    {name:<10} absent")

@@ -191,14 +191,6 @@ class EnergyLedger:
     mass_delta: np.ndarray
     mass_flux: np.ndarray
 
-    def max_relative_error(self) -> float:
-        num = np.abs(self.air_delta - self.air_flux) + np.abs(self.mass_delta - self.mass_flux)
-        scale = np.maximum(
-            1e-9,
-            np.abs(self.air_flux) + np.abs(self.mass_flux) + np.abs(self.air_delta) + np.abs(self.mass_delta),
-        )
-        return float(np.max(num / scale))
-
 
 @dataclass
 class SimResult:

@@ -663,7 +663,8 @@ class NormStats:
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormStats":
         """Stats read back from disk; every array must be finite and as wide
-        as the declaration's inputs or outputs."""
+        as the declaration's inputs or outputs, every target_std positive and
+        no input_hi below its input_lo, as fit() makes them."""
         stats = cls(
             np.array(d["input_lo"], dtype=np.float64),
             np.array(d["input_hi"], dtype=np.float64),
@@ -676,5 +677,14 @@ class NormStats:
             a = getattr(stats, name)
             if a.shape != (want,) or not np.all(np.isfinite(a)):
                 raise SchemaError(f"norm {name}: want {want} finite values, got shape {a.shape}")
+        bad = np.flatnonzero(stats.target_std <= 0)
+        if bad.size:
+            j = bad[0]
+            raise SchemaError(f"norm target_std[{j}]: must be > 0, got {stats.target_std[j]}")
+        bad = np.flatnonzero(stats.input_hi < stats.input_lo)
+        if bad.size:
+            i = bad[0]
+            raise SchemaError(f"norm input_hi[{i}]: below input_lo[{i}] "
+                              f"({stats.input_hi[i]} < {stats.input_lo[i]})")
         return stats
 

@@ -71,6 +71,8 @@ LOSS_BETA = 0.3
 AUX_WEIGHT = 0.1
 
 SPLIT_RATIOS = (0.95, 0.025, 0.025)
+# Sequences per predict forward; a row's result does not depend on it.
+PREDICT_BATCH = 32
 
 DATASET_ARRAYS = "arrays.bin"
 DATASET_MANIFEST = "manifest.json"
@@ -392,7 +394,7 @@ def _stat(values) -> MetricStat | None:
     return MetricStat(float(a.mean()), float(a.std()))
 
 
-_METRIC_FIELDS = ("loss", "mse_t", "mse_q", "mse_t_occ", "mse_q_occ", "r2_t", "r2_q")
+METRIC_FIELDS = ("loss", "mse_t", "mse_q", "mse_t_occ", "mse_q_occ", "r2_t", "r2_q")
 
 
 @dataclass(frozen=True)
@@ -414,7 +416,7 @@ class MetricReport:
 
     def to_dict(self):
         d = {"n_episodes": self.n_episodes}
-        for name in _METRIC_FIELDS:
+        for name in METRIC_FIELDS:
             stat = getattr(self, name)
             d[name] = None if stat is None else stat.to_dict()
         return d
@@ -458,17 +460,17 @@ def metrics(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> Metric
             f"metrics: shapes {preds.shape}, {targets.shape}, {masks.shape} do not line up"
         )
 
-    rows = {name: [] for name in _METRIC_FIELDS}
+    rows = {name: [] for name in METRIC_FIELDS}
     for i in range(preds.shape[0]):
         row = episode_errors(preds[i, :, T_INT_INDEX], targets[i, :, T_INT_INDEX],
                              heat_aggregate_of(preds[i]), heat_aggregate_of(targets[i]), masks[i])
         row["loss"] = loss(preds[i], targets[i])
-        for name in _METRIC_FIELDS:
+        for name in METRIC_FIELDS:
             rows[name].append(row[name])
 
     return MetricReport(
         n_episodes=preds.shape[0],
-        **{name: _stat(rows[name]) for name in _METRIC_FIELDS},
+        **{name: _stat(rows[name]) for name in METRIC_FIELDS},
     )
 
 
@@ -476,7 +478,7 @@ def metrics(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> Metric
 # training loop
 
 
-def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) -> np.ndarray:
+def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
     """Forward raw physical inputs through a model; physical-unit outputs.
 
     Runs without a tape: the forward sees zero-copy ``ad.constant`` views of
@@ -503,8 +505,8 @@ def predict(params, cfg, kind, inputs, norm: NormStats, batch_size: int = 32) ->
         ob[lo:hi] = norm.denormalize_targets(forward(frozen, cfg, ad.constant(xb[lo:hi])).data)
 
     with np.errstate(all="ignore"), ad.all_cores():
-        for lo in range(0, len(xn), batch_size):
-            xb, ob = xn[lo:lo + batch_size], out[lo:lo + batch_size]
+        for lo in range(0, len(xn), PREDICT_BATCH):
+            xb, ob = xn[lo:lo + PREDICT_BATCH], out[lo:lo + PREDICT_BATCH]
             ad._by_rows(functools.partial(forward_rows, xb, ob), len(xb))
     if not np.isfinite(out).all():
         raise mdl.ModelError(f"{kind} model: non-finite output")

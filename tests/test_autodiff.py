@@ -563,7 +563,9 @@ class TestAllCores:
         assert threads() == before
 
     def test_split_ops_equal_one_chunk_bit_for_bit(self, monkeypatch):
-        """Forward and every gradient of the split ops, at 1, 2 and 3 chunks."""
+        """Forward and every gradient of train's split ops, windowed_attention
+        and layer_norm, at 1, 2 and 3 chunks; the matmul between them is one
+        call at any chunk count."""
         rng = stream(9, "chunks")
         q, k, v = (ad.parameter(rng.normal(size=(5, 11, w))) for w in (3, 3, 2))
         w_in, gamma = ad.parameter(rng.normal(size=(2, 4))), ad.parameter(rng.normal(size=4))

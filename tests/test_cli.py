@@ -403,6 +403,14 @@ def _nan_norm_std(pipeline, tmp):
     return _edited_model(pipeline, tmp, "calibrate", edit)
 
 
+def _norm_hi_below_lo(pipeline, tmp):
+    def edit(tensors, meta):  # fit() makes every input_hi >= its input_lo
+        norm = meta["norm"]
+        norm["input_lo"][0], norm["input_hi"][0] = norm["input_hi"][0], norm["input_lo"][0]
+        assert norm["input_hi"][0] < norm["input_lo"][0]
+    return _edited_model(pipeline, tmp, "calibrate", edit)
+
+
 def _short_norm_mean(pipeline, tmp):
     def edit(tensors, meta):
         meta["norm"]["target_mean"].pop()
@@ -422,6 +430,12 @@ def _edited_dataset(pipeline, tmp, edit):
 
 def _manifest_missing_splits(pipeline, tmp):
     return _edited_dataset(pipeline, tmp, lambda doc: doc.pop("splits"))
+
+
+def _manifest_negative_norm_std(pipeline, tmp):
+    def edit(doc):  # would train on a sign-flipped channel
+        doc["norm"]["target_std"][0] = -1.0
+    return _edited_dataset(pipeline, tmp, edit)
 
 
 def _splits_without_val(pipeline, tmp):
@@ -718,8 +732,10 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_model_meta_is_not_an_object, 3),
     (_model_config_with_pos_scale, 3),
     (_nan_norm_std, 3),
+    (_norm_hi_below_lo, 3),
     (_short_norm_mean, 3),
     (_manifest_missing_splits, 3),
+    (_manifest_negative_norm_std, 3),
     (_splits_without_val, 3),
     (_dataset_inputs_one_channel_short, 3),
     (_dataset_nan_target, 3),

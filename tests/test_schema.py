@@ -336,6 +336,25 @@ class TestNormStats:
             stats.normalize_inputs(xs[0]), stats2.normalize_inputs(xs[0]), rtol=0, atol=0
         )
 
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_from_dict_rejects_a_target_std_not_above_zero(self, std):
+        d = self._fit()[0].to_dict()
+        d["target_std"][3] = std
+        with pytest.raises(sc.SchemaError, match=r"norm target_std\[3\]: must be > 0"):
+            sc.NormStats.from_dict(d)
+
+    def test_from_dict_rejects_input_hi_below_lo(self):
+        d = self._fit()[0].to_dict()
+        j = sc.DEFAULT_SCHEMA.input_channel_names.index("TAMB")
+        d["input_lo"][j], d["input_hi"][j] = d["input_hi"][j], d["input_lo"][j]
+        with pytest.raises(sc.SchemaError, match=rf"norm input_hi\[{j}\]: below input_lo"):
+            sc.NormStats.from_dict(d)
+
+    def test_from_dict_accepts_zero_width_inputs(self):
+        d = self._fit()[0].to_dict()
+        d["input_hi"][0] = d["input_lo"][0]
+        assert sc.NormStats.from_dict(d).input_hi[0] == d["input_lo"][0]
+
 
 class TestBuildingCaseIO:
     def test_case_round_trip(self):

@@ -428,13 +428,15 @@ def test_metrics_scaling_behavior(small_dataset):
 # prediction and the fit loop
 
 
-def test_predict_batch_size_invariant(small_dataset):
+def test_predict_batch_size_invariant(small_dataset, monkeypatch):
     ds = small_dataset
     params = mdl.init_transformer(TINY, stream(2, "pred-init"))
     n = ds.n_episodes
-    full = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm, batch_size=n)
+    monkeypatch.setattr(tr, "PREDICT_BATCH", n)
+    full = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm)
     for batch_size in (1, 2, 3, 32):
-        got = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm, batch_size=batch_size)
+        monkeypatch.setattr(tr, "PREDICT_BATCH", batch_size)
+        got = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm)
         assert np.array_equal(got, full), batch_size
     one = tr.predict(params, TINY, "transformer", ds.inputs[0], ds.norm)
     assert one.shape == (168, 8)
@@ -646,7 +648,7 @@ def test_predict_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypatch
         for cores in (1, 2, 3):
             monkeypatch.setattr(ad, "_cores", lambda: cores)
             for rows in (1, 30, 48):
-                got = tr.predict(params, ACCEPTANCE, kind, x[:rows], ds.norm, batch_size=32)
+                got = tr.predict(params, ACCEPTANCE, kind, x[:rows], ds.norm)
                 assert np.array_equal(got, alone[:rows]), (kind, cores, rows)
 
 
