@@ -7,7 +7,6 @@ is byte-identical (the manifest's wall-clock field aside). Exit codes: 0 ok,
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -61,8 +60,7 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 # the architecture keys a config may set; the widths follow the schema
-MODEL_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(mdl.MetamodelConfig)
-                            if f.name not in ("d_in", "d_out"))
+MODEL_CONFIG_FIELDS = tuple(k for k in mdl._CONFIG_KEYS if k not in ("d_in", "d_out"))
 
 
 class CliError(Exception):

@@ -259,8 +259,9 @@ class TestFfnBaseline:
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_permuting_time_permutes_outputs_on_several_cores(self, monkeypatch, cores):
-        """Each GEMM chunk holds whole sequences: rows split inside a
-        sequence would get bits that depend on where the chunk starts."""
+        """The FFN splits nothing inside all_cores(): each matmul is one
+        GEMM over the whole batch, and a row gets the same bits wherever it
+        sits in it."""
         monkeypatch.setattr(ad, "_cores", lambda: cores)
         cfg = md.MetamodelConfig(d_in=5, d_out=3)
         p = md.init_ffn(cfg, stream(13, "init"))
