@@ -8,20 +8,19 @@ sqrt, square, mean, slice, layer_norm) but each op supports the batched 3-D
 layouts the sequence model needs, so a training step is a few hundred large
 array operations instead of thousands of small ones.
 
-Inside all_cores() (train's epoch loop, predict's batch loop) work is split
-into one chunk of rows per usable core by _by_rows, every chunk writing its
+Every op here is plain whole-array code.  Inside all_cores() (train's
+epoch loop, predict's batch loop) the callers split the work instead:
+_by_rows runs one chunk of rows per usable core, every chunk writing its
 own rows of a preallocated result, with OpenBLAS held to one thread so its
-workers do not compete with the chunks.  train splits two ops, the ones
-that treat each row on its own: windowed_attention and its gradients split
-their sequences, layer_norm and its input gradient every position.  The
-gamma and beta gradients sum over every row and stay one call, as do the
-matmuls and the elementwise ops.  predict splits each batch instead: an
-inference forward never mixes sequences, so each core runs the whole
-forward on its share of the batch, split between whole sequences, since a
-GEMM's bits can depend on where its rows start.  A split never nests:
-inside a chunk the chunk count is 1, so a split op there runs as one
-chunk.  So the bits do not depend on the core count, and outside
-all_cores() every op is one chunk: the same arithmetic.
+workers do not compete with the chunks.  Both callers split a batch
+between whole sequences and run whole forwards with every op unsplit.
+predict divides each batch among the cores.  train cuts each batch into
+shards of a fixed size (never the core count) and runs each shard's
+forward, then its backward seeded with its rows of the loss gradient
+(backward(grad)), on its own leaf Tensors over the shared parameter
+arrays; the shards' parameter gradients are summed in shard order.  A
+split never nests: inside a chunk the chunk count is 1.  So the bits do
+not depend on the core count.
 
 The graph holds no Tensor and no forward result that no backward reads.  A
 node keeps its grad, its parents' nodes and one VJP closure per parent that
@@ -129,19 +128,30 @@ class Tensor:
             raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self) -> None:
+    def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph.
 
-        self must be scalar-valued (the usual loss root).  Single use: the
-        sweep consumes the graph.  Once a node's VJPs have run, its .grad is
-        dropped and its parents and VJPs are cut, so each array a VJP kept
-        is freed as soon as nothing upstream needs it; only leaves keep
-        their accumulated .grad.  A second call on the same root finds no
-        graph behind it and changes no leaf grad.  A constant root has no
-        graph and nothing to do.
+        Without grad, self must be scalar-valued (the usual loss root) and
+        the sweep starts from 1.  With grad, an array of exactly self's
+        shape, the root may have any shape and each leaf accumulates the
+        vector-Jacobian product grad . d(self)/d(leaf); a part of a larger
+        graph is swept this way with its rows of the whole gradient.
+        Single use: the sweep consumes the graph.  Once a node's VJPs have
+        run, its .grad is dropped and its parents and VJPs are cut, so each
+        array a VJP kept is freed as soon as nothing upstream needs it; only
+        leaves keep their accumulated .grad.  A second call on the same root
+        finds no graph behind it and changes no leaf grad.  A constant root
+        has no graph and nothing to do.
         """
-        if self.data.size != 1:
-            raise ValueError(f"backward() needs a scalar root, got shape {self.data.shape}")
+        if grad is None:
+            if self.data.size != 1:
+                raise ValueError(f"backward() needs a scalar root, got shape {self.data.shape}")
+            seed = np.ones_like(self.data)
+        else:
+            seed = _as_array(grad)
+            if seed.shape != self.data.shape:
+                raise ValueError(f"backward(): seed shape {seed.shape} does not match "
+                                 f"the root's {self.data.shape}")
         if self._node is None:
             return
         order = []
@@ -159,7 +169,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._node.grad = np.ones_like(self.data)
+        self._node.grad = seed
         # pop rather than iterate, so the list holds no node already swept
         while order:
             node = order.pop()
@@ -208,9 +218,9 @@ def zero_grads(params) -> None:
 
 
 # ---------------------------------------------------------------------------
-# row-parallel execution: train's per-sequence ops, predict's batches
+# row-parallel execution: train's shards, predict's batches
 
-# chunks per split op: None outside all_cores(), the core count inside it,
+# chunks per _by_rows call: None outside all_cores(), the core count inside it,
 # and 1 inside a chunk, so a split never nests
 _CHUNKS = contextvars.ContextVar("bemopt_chunks", default=None)
 _POOL = None  # runs every chunk but the first; created on first use
@@ -242,11 +252,12 @@ def _by_rows(fn, n: int) -> None:
     """Run fn(lo, hi) over contiguous chunks that cover range(n).
 
     One chunk per core inside all_cores(), else a single fn(0, n).  fn
-    writes rows lo:hi of preallocated results and nothing else, so the
-    result does not depend on the chunk count.  The calling thread runs
+    writes only what belongs to rows lo:hi (its rows of preallocated
+    results, the graphs and leaf grads of its shards), so the result does
+    not depend on the chunk count.  The calling thread runs
     the first chunk and the pool the rest, each inside a copy of the
     caller's context, so numpy's errstate (context-local in numpy 2)
-    holds in every chunk.  In that copy the chunk count is 1: a split op
+    holds in every chunk.  In that copy the chunk count is 1: a _by_rows
     or an all_cores() inside a chunk runs as one chunk on the chunk's own
     thread and never waits on the pool it may be running in.  Every chunk
     finishes before this returns; a chunk's exception is raised here.
@@ -300,13 +311,13 @@ def _openblas():
 def all_cores():
     """Split work over every usable core while inside.
 
-    windowed_attention and layer_norm (forward and input gradients) then
-    run one chunk of rows per core, as does any other _by_rows call (predict
-    splits its batches), and OpenBLAS is held to one thread so its workers
-    do not compete with the chunks; the previous BLAS thread count and
-    chunk count come back on exit.  The results are the same bits as
-    outside.  Where no OpenBLAS is found, BLAS threads are left alone.
-    Inside all_cores() already, or inside a chunk, it changes nothing.
+    A _by_rows call (predict's batches, train's shards) then runs one chunk
+    of rows per core, and OpenBLAS is held to one thread so its workers do
+    not compete with the chunks; the previous BLAS thread count and chunk
+    count come back on exit.  No op splits itself, so the results are the
+    same bits as outside.  Where no OpenBLAS is found, BLAS threads are
+    left alone.  Inside all_cores() already, or inside a chunk, it changes
+    nothing.
     """
     if _CHUNKS.get() is not None:
         yield
@@ -584,40 +595,24 @@ def windowed_attention(q, k, v, delta: int):
     pos = np.arange(T)[:, None] + np.arange(W)[None, :] - delta
     boundary = np.where((pos >= 0) & (pos < T), 0.0, -1e30)
 
-    # k, v and the per-slot factors pi (ds in the backward) are written
-    # straight into zero-padded buffers, chunk by chunk along axis 0: the
-    # backward reads them back through the windows (scatter-free gathers)
-    # without a padded copy
-    k_pad, k_in = zero_padded(B, r)
-    v_pad, v_in = zero_padded(B, c)
+    # k, v and the per-slot factors pi (ds in the backward) live in
+    # zero-padded buffers: the backward reads them back through the windows
+    # (scatter-free gathers) without a padded copy
+    k_pad, v_pad = pad(kd), pad(vd)
     pi_pad, pi = zero_padded(B, W)
-    out = np.empty((B, T, c))
-
-    def fwd_rows(lo, hi):
-        k_in[lo:hi] = kd[lo:hi]
-        v_in[lo:hi] = vd[lo:hi]
-        scores = (fwd_window(k_pad[lo:hi]) @ qd[lo:hi, :, :, None])[..., 0] + boundary
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        np.divide(e, e.sum(axis=-1, keepdims=True), out=pi[lo:hi])
-        out[lo:hi] = (pi[lo:hi, :, None, :] @ fwd_window(v_pad[lo:hi]))[:, :, 0, :]
-
-    _by_rows(fwd_rows, B)
+    scores = (fwd_window(k_pad) @ qd[:, :, :, None])[..., 0] + boundary
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    np.divide(e, e.sum(axis=-1, keepdims=True), out=pi)
+    out = (pi[:, :, None, :] @ fwd_window(v_pad))[:, :, 0, :]
 
     def grad_all(g):
-        dq, dk, dv = np.empty((B, T, r)), np.empty((B, T, r)), np.empty((B, T, c))
-
-        def grad_rows(lo, hi):
-            gc, pc = g[lo:hi], pi[lo:hi]
-            dpi = (fwd_window(v_pad[lo:hi]) @ gc[:, :, :, None])[..., 0]
-            ds_pad, ds = zero_padded(hi - lo, W)
-            np.multiply(pc, dpi - np.sum(pc * dpi, axis=-1, keepdims=True), out=ds)
-            dq[lo:hi] = (ds[:, :, None, :] @ fwd_window(k_pad[lo:hi]))[:, :, 0, :]
-            g_pad, q_pad = pad(gc), pad(qd[lo:hi])
-            dk[lo:hi] = (rev_window(ds_pad).swapaxes(2, 3) @ fwd_window(q_pad))[:, :, 0, :]
-            dv[lo:hi] = (rev_window(pi_pad[lo:hi]).swapaxes(2, 3) @ fwd_window(g_pad))[:, :, 0, :]
-
-        _by_rows(grad_rows, B)
+        dpi = (fwd_window(v_pad) @ g[:, :, :, None])[..., 0]
+        ds_pad, ds = zero_padded(B, W)
+        np.multiply(pi, dpi - np.sum(pi * dpi, axis=-1, keepdims=True), out=ds)
+        dq = (ds[:, :, None, :] @ fwd_window(k_pad))[:, :, 0, :]
+        dk = (rev_window(ds_pad).swapaxes(2, 3) @ fwd_window(pad(qd)))[:, :, 0, :]
+        dv = (rev_window(pi_pad).swapaxes(2, 3) @ fwd_window(pad(g)))[:, :, 0, :]
         return dq, dk, dv
 
     # the three vjps share one sweep; backward hands all three the same
@@ -645,32 +640,19 @@ def layer_norm(x, gamma, beta) -> Tensor:
     gd, bd = gamma.data, beta.data
     shape = x.data.shape
     rows = x.data.reshape(-1, d)
-    xhat, inv, out = np.empty_like(rows), np.empty((len(rows), 1)), np.empty_like(rows)
-
-    def fwd_rows(lo, hi):
-        xc = rows[lo:hi] - rows[lo:hi].mean(axis=-1, keepdims=True)
-        # np.var's own arithmetic, on the centred input it would recompute
-        var = np.sum(xc * xc, axis=-1, keepdims=True) / d
-        inv[lo:hi] = 1.0 / np.sqrt(var + _EPS_LN)
-        np.multiply(xc, inv[lo:hi], out=xhat[lo:hi])
-        out[lo:hi] = xhat[lo:hi] * gd + bd
-
-    _by_rows(fwd_rows, len(rows))
-    out = out.reshape(shape)
+    xc = rows - rows.mean(axis=-1, keepdims=True)
+    # np.var's own arithmetic, on the centred input it would recompute
+    var = np.sum(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + _EPS_LN)
+    xhat = xc * inv
+    out = (xhat * gd + bd).reshape(shape)
 
     def grad_x(g):
-        g2, dx = g.reshape(-1, d), np.empty_like(xhat)
+        gg = g.reshape(-1, d) * gd
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (gg - m1 - xhat * m2)).reshape(shape)
 
-        def grad_rows(lo, hi):
-            gg = g2[lo:hi] * gd
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat[lo:hi]).mean(axis=-1, keepdims=True)
-            dx[lo:hi] = inv[lo:hi] * (gg - m1 - xhat[lo:hi] * m2)
-
-        _by_rows(grad_rows, len(g2))
-        return dx.reshape(shape)
-
-    # gamma and beta sum over every row, so one call each
     def grad_gamma(g):
         return np.sum(g * xhat.reshape(shape), axis=tuple(range(g.ndim - 1)))
 

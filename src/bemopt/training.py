@@ -73,6 +73,10 @@ AUX_WEIGHT = 0.1
 SPLIT_RATIOS = (0.95, 0.025, 0.025)
 # Sequences per predict forward; a row's result does not depend on it.
 PREDICT_BATCH = 32
+# Sequences per shard of a training batch. Each shard's weight gradients are
+# summed in shard order, so this constant, never the core count, fixes the
+# training bits.
+TRAIN_SHARD = 8
 
 DATASET_ARRAYS = "arrays.bin"
 DATASET_MANIFEST = "manifest.json"
@@ -566,8 +570,17 @@ def train(
     learning rate ``cosine_lr(lr, k, K)``, so the last epochs take small
     steps and the run ends converged rather than wherever a fixed rate
     leaves it. Validation selection uses the reported two-term loss pooled
-    over the whole validation set. A non-finite training loss raises
-    ModelError naming the epoch.
+    over the whole validation set.
+
+    Each batch is cut into fixed shards of TRAIN_SHARD whole sequences,
+    which the cores share: each shard runs its gradient-mode forward on its
+    own leaf Tensors over the shared parameter arrays, so no ``.grad`` is
+    shared between threads. The loss runs once, on one leaf over the joined
+    predictions; each shard's backward is seeded with its rows of that
+    leaf's gradient, and each parameter's gradient is the shards' gradients
+    summed in shard order. A non-finite training loss raises ModelError
+    naming the epoch, and numpy's floating-point warnings in the step's
+    forward, loss and backward are silenced.
     """
     if config is None:
         config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in)
@@ -614,6 +627,17 @@ def train(
         }
     ]
 
+    def forward_shards(xb, pb, shards, lo, hi):
+        for i in range(lo, hi):
+            a, b, own, _ = shards[i]
+            root = forward(own, config, ad.constant(xb[a:b]))
+            pb[a:b] = root.data
+            shards[i] = (a, b, own, root)
+
+    def backward_shards(g, shards, lo, hi):
+        for a, b, _, root in shards[lo:hi]:
+            root.backward(g[a:b])
+
     with ad.all_cores():
         for epoch in range(1, epochs + 1):
             order = train_idx[substream(seed, "shuffle", epoch).permutation(len(train_idx))]
@@ -621,15 +645,24 @@ def train(
             batch_reported = []
             for lo in range(0, len(order), batch_size):
                 sel = order[lo:lo + batch_size]
-                pred = forward(params, config, ad.constant(xn[sel]))
-                total, reported = training_loss(pred, yn[sel], norm)
-                if not np.isfinite(total.data):
-                    raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
-                total.backward()
-                grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in plist]
+                bounds = list(range(0, len(sel), TRAIN_SHARD)) + [len(sel)]
+                shards = [(a, b, {k: ad.Tensor(p.data, requires_grad=True)
+                                  for k, p in params.items()}, None)
+                          for a, b in zip(bounds[:-1], bounds[1:])]
+                pred = ad.Tensor(np.empty((len(sel),) + yn.shape[1:]), requires_grad=True)
+                with np.errstate(all="ignore"):
+                    ad._by_rows(functools.partial(forward_shards, xn[sel], pred.data, shards),
+                                len(shards))
+                    total, reported = training_loss(pred, yn[sel], norm)
+                    if not np.isfinite(total.data):
+                        raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
+                    total.backward()
+                    ad._by_rows(functools.partial(backward_shards, pred.grad, shards),
+                                len(shards))
+                grads = [functools.reduce(np.add, (own[k].grad for _, _, own, _ in shards))
+                         for k in params]
                 state.lr = cosine_lr(lr, step, n_steps)
                 ad.adam_step(plist, grads, state)
-                ad.zero_grads(plist)
                 step += 1
                 batch_objectives.append(float(total.data))
                 batch_reported.append(float(reported.data))

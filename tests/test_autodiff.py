@@ -228,6 +228,43 @@ class TestGradCheck:
         root.backward()
         np.testing.assert_array_equal(x.grad, first)
 
+    def test_a_seeded_root_gives_its_exact_vector_jacobian_product(self):
+        """backward(g) on a shared-weight matmul's [B, n, m] output leaves
+        the weight gradient g2^T a2 (B*n rows), the one GEMM of its VJP."""
+        rng = stream(8, "seeded")
+        a = rng.normal(size=(3, 4, 5))
+        w = ad.parameter(rng.normal(size=(2, 5)))
+        g = rng.normal(size=(3, 4, 2))
+        ad.matmul(ad.constant(a), w, transpose_b=True).backward(g)
+        assert np.array_equal(w.grad, g.reshape(12, 2).T @ a.reshape(12, 5))
+
+    def test_a_seed_of_another_shape_is_rejected_and_sweeps_nothing(self):
+        rng = stream(8, "bad-seed")
+        w = ad.parameter(rng.normal(size=(2, 5)))
+        y = ad.matmul(ad.constant(rng.normal(size=(3, 4, 5))), w, transpose_b=True)
+        for bad in (np.ones((3, 4)), np.ones((4, 3, 2)), np.ones((3, 4, 2, 1)), 1.0):
+            with pytest.raises(ValueError, match=r"seed shape .* does not match the root's \(3, 4, 2\)"):
+                y.backward(bad)
+        assert w.grad is None
+        y.backward(np.ones((3, 4, 2)))  # the graph is still whole
+        assert w.grad is not None
+
+    def test_an_unseeded_root_must_be_a_scalar_and_starts_from_one(self):
+        """Without a seed the root is a loss, as before seeds existed: a
+        non-scalar root is rejected, and mean's sweep equals the matmul
+        output seeded with 1/n everywhere, bit for bit."""
+        rng = stream(8, "unseeded")
+        a = ad.constant(rng.normal(size=(3, 4, 5)))
+        w = ad.parameter(rng.normal(size=(2, 5)))
+        with pytest.raises(ValueError, match="needs a scalar root, got shape"):
+            ad.matmul(a, w, transpose_b=True).backward()
+        assert w.grad is None
+        ad.mean(ad.matmul(a, w, transpose_b=True)).backward()
+        from_loss = w.grad
+        ad.zero_grads([w])
+        ad.matmul(a, w, transpose_b=True).backward(np.full((3, 4, 2), 1.0 / 24))
+        assert np.array_equal(w.grad, from_loss)
+
 
 def _captured(obj, seen=None):
     """Everything reachable from obj through closure cells, nested
@@ -526,10 +563,17 @@ class TestAllCores:
         monkeypatch.setattr(ad, "_cores", lambda: 3)
         x = np.ones((3, 4, 5))
         x[-1, -1] = 1e308  # its sum overflows, then inf - inf
+        out, threads = np.empty_like(x), {}
+
+        def chunk(lo, hi):
+            threads[lo] = threading.get_ident()
+            out[lo:hi] = ad.layer_norm(x[lo:hi], np.ones(5), np.zeros(5)).data
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"), ad.all_cores():
-                out = ad.layer_norm(x, np.ones(5), np.zeros(5)).data
+                ad._by_rows(chunk, 3)
+        assert threads[2] != threading.get_ident()  # the overflow ran on the pool
         assert np.isfinite(out[:-1]).all() and np.isfinite(out[-1, :-1]).all()
         assert not np.isfinite(out[-1, -1]).any()
 
@@ -561,33 +605,6 @@ class TestAllCores:
                 assert threads() == 1
             assert threads() == 1
         assert threads() == before
-
-    def test_split_ops_equal_one_chunk_bit_for_bit(self, monkeypatch):
-        """Forward and every gradient of train's split ops, windowed_attention
-        and layer_norm, at 1, 2 and 3 chunks; the matmul between them is one
-        call at any chunk count."""
-        rng = stream(9, "chunks")
-        q, k, v = (ad.parameter(rng.normal(size=(5, 11, w))) for w in (3, 3, 2))
-        w_in, gamma = ad.parameter(rng.normal(size=(2, 4))), ad.parameter(rng.normal(size=4))
-        beta = ad.parameter(rng.normal(size=4))
-
-        def run():
-            att = ad.windowed_attention(q, k, v, 2)
-            y = ad.layer_norm(ad.matmul(att, w_in), gamma, beta)
-            loss = ad.mean(ad.square(y))
-            loss.backward()
-            grads = [p.grad.copy() for p in (q, k, v, w_in, gamma, beta)]
-            ad.zero_grads([q, k, v, w_in, gamma, beta])
-            return [y.data] + grads
-
-        runs = []
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(ad, "_cores", lambda: cores)
-            with ad.all_cores():
-                runs.append(run())
-        for other in runs[1:]:
-            for a, b in zip(runs[0], other):
-                assert np.array_equal(a, b)
 
 
 class TestAdam:

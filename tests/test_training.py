@@ -602,8 +602,8 @@ def _train_golden(ds):
 # sha256 of the final parameters (insertion order, float64 bytes) and of the
 # history values (one float64 row per epoch, _HISTORY_COLUMNS order), recorded
 # with the cosine learning-rate decay on a corpus labeled one segment per hour
-GOLDEN_PARAMS_SHA256 = "c8f9bfe76bd3e8c6127002206d54282876857fe2e690fb9a3c0fede906a5ac15"
-GOLDEN_HISTORY_SHA256 = "1576d4aa8af25f1dc638c18c46a645a11b3348504ec527b03b8f03a4f5922d17"
+GOLDEN_PARAMS_SHA256 = "023f369fece07428318d5683a8677cec343471974e2a7e5e7f2c8bc5b663a842"
+GOLDEN_HISTORY_SHA256 = "856bf218fbea47e055aab6b9bf3e3bf68307eab488f6fa483fedd549e0530672"
 
 
 def _golden_digests(res):
@@ -625,8 +625,10 @@ def test_training_is_bit_identical_to_the_golden_run(golden_corpus):
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_golden_run_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypatch, cores):
-    """train splits its per-sequence ops into one chunk per core; at one core
-    that is a single chunk, the whole-batch arithmetic."""
+    """train cuts each batch into shards of TRAIN_SHARD sequences, whatever
+    the core count, and the cores share them; the 32-row batches here are
+    four shards, run in one chunk at one core, in two and in three
+    chunks."""
     monkeypatch.setattr(ad, "_cores", lambda: cores)
     res = _train_golden(golden_corpus)
     assert _golden_digests(res) == (GOLDEN_PARAMS_SHA256, GOLDEN_HISTORY_SHA256)
@@ -668,6 +670,83 @@ def test_predict_raises_once_on_a_nonfinite_last_row_on_three_cores(golden_corpu
                 tr.predict(params, ACCEPTANCE, "transformer", x, ds.norm)
 
 
+def _step_gradients_by_a_serial_loop(params, kind, x, y, norm):
+    """One step's parameter gradients, restated as a plain loop on one
+    thread: each TRAIN_SHARD-sequence shard's forward on its own copy of
+    the parameters, the loss on the joined predictions, each shard's
+    backward seeded with its rows of their gradient, and the shards'
+    gradients added up in shard order."""
+    starts = range(0, len(x), tr.TRAIN_SHARD)
+    copies = [{k: ad.parameter(v) for k, v in params.items()} for _ in starts]
+    roots = [mdl.FORWARDS[kind](own, TINY, ad.constant(x[a:a + tr.TRAIN_SHARD]))
+             for own, a in zip(copies, starts)]
+    pred = ad.parameter(np.concatenate([r.data for r in roots]))
+    tr.training_loss(pred, y, norm)[0].backward()
+    for root, a in zip(roots, starts):
+        root.backward(pred.grad[a:a + tr.TRAIN_SHARD])
+    grads = []
+    for k in params:
+        g = copies[0][k].grad
+        for own in copies[1:]:
+            g = g + own[k].grad
+        grads.append(g)
+    return grads
+
+
+@pytest.mark.parametrize("kind", ["transformer", "ffn"])
+def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monkeypatch, kind):
+    """Every step's gradients at 1, 2 and 3 cores equal the serial loop's,
+    bit for bit, on the parameters the step started from: batches of 20
+    (shards 8/8/4, so at 2 cores one chunk runs two shards) and of 16 then
+    4 (shards 8/8, then one shard of 4)."""
+    ds = tr.sample_dataset(pool, 24, seed=4, counts=(20, 2, 2))
+    xn, yn = ds.norm.normalize_inputs(ds.inputs), ds.norm.normalize_targets(ds.targets)
+    order = ds.splits["train"][substream(21, "shuffle", 1).permutation(20)]
+    names = list(mdl.INITS[kind](TINY, stream(0, "names")))  # adam_step's parameter order
+    adam_step = ad.adam_step
+    for batch_size in (20, 16):
+        runs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(ad, "_cores", lambda: cores)
+            steps = []
+
+            def record(params, grads, state):
+                steps.append(({k: p.data.copy() for k, p in zip(names, params)},
+                              [g.copy() for g in grads]))
+                adam_step(params, grads, state)
+
+            monkeypatch.setattr(ad, "adam_step", record)
+            tr.train(ds, kind, TINY, epochs=1, batch_size=batch_size, seed=21)
+            runs.append(steps)
+        assert len(runs[0]) == -(-20 // batch_size)
+        monkeypatch.setattr(ad, "_cores", lambda: 1)
+        for k, (params, _) in enumerate(runs[0]):
+            sel = order[k * batch_size:(k + 1) * batch_size]
+            with ad.all_cores():
+                want = _step_gradients_by_a_serial_loop(params, kind, xn[sel], yn[sel], ds.norm)
+            for cores, steps in zip((1, 2, 3), runs):
+                got_params, got = steps[k]
+                assert all(np.array_equal(got_params[n], params[n]) for n in params)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (batch_size, cores, k)
+
+
+def test_a_nonfinite_shard_on_a_pool_thread_ends_as_a_model_error(pool, monkeypatch):
+    """At 3 cores a batch of 24 is three shards, and a pool thread runs the
+    last; a NaN or inf input there (whose layer_norm makes inf - inf) must
+    end as the ModelError naming the epoch, with no warning first."""
+    monkeypatch.setattr(ad, "_cores", lambda: 3)
+    ds = tr.sample_dataset(pool, 28, seed=4, counts=(24, 2, 2))
+    last = ds.splits["train"][substream(21, "shuffle", 1).permutation(24)][-1]
+    for bad in (np.nan, np.inf):
+        inputs = ds.inputs.copy()
+        inputs[last, 100, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mdl.ModelError, match="not finite in epoch 1"):
+                tr.train(replace(ds, inputs=inputs), "transformer", TINY,
+                         epochs=2, batch_size=24, seed=21)
+
+
 def test_predict_divides_a_batch_among_the_cores_not_copies_it(golden_corpus, monkeypatch):
     """A 32-row batch on 2 cores is two 16-row forwards at once, so its
     traced peak stays within 10% of one 32-row forward's (both read about
@@ -700,25 +779,27 @@ def test_train_and_predict_restore_the_blas_thread_count(small_dataset):
     assert threads() == before
 
 
-def _layer_norm_on_all_cores(x):
-    with ad.all_cores():
-        return ad.layer_norm(x, np.ones(x.shape[-1]), np.zeros(x.shape[-1])).data
+def _predict_in_a_child(model, x):
+    out = tr.predict(model.params, model.config, model.kind, x, model.norm)
+    return out, ad._POOL is not None
 
 
 def test_a_fork_after_training_gets_a_working_pool(pool, monkeypatch):
     """A child forked after train inherits the pool object but not its
     threads; it must start its own rather than wait on dead workers."""
     monkeypatch.setattr(ad, "_cores", lambda: 2)
-    ds = tr.sample_dataset(pool, 8, seed=4, counts=(6, 1, 1))
-    tr.train(ds, "transformer", TINY, epochs=1, batch_size=4, seed=21)
+    monkeypatch.setattr(ad, "_POOL", None)
+    ds = tr.sample_dataset(pool, 12, seed=4, counts=(10, 1, 1))
+    res = tr.train(ds, "transformer", TINY, epochs=1, batch_size=10, seed=21)  # shards 8/2
     assert ad._POOL is not None
-    forked = tr.sample_dataset(pool, 8, seed=4, counts=(6, 1, 1), jobs=2)
+    forked = tr.sample_dataset(pool, 12, seed=4, counts=(10, 1, 1), jobs=2)
     assert np.array_equal(forked.inputs, ds.inputs)
     assert np.array_equal(forked.targets, ds.targets)
-    x = stream(3, "fork").normal(size=(4, 6, 5))
+    x = ds.inputs[:4]  # two chunks of two rows: the second runs on the child's pool
     with multiprocessing.get_context("fork").Pool(1) as workers:
-        got = workers.apply_async(_layer_norm_on_all_cores, (x,)).get(timeout=60)
-    assert np.array_equal(got, _layer_norm_on_all_cores(x))
+        got, started = workers.apply_async(_predict_in_a_child, (res.model, x)).get(timeout=60)
+    assert started
+    assert np.array_equal(got, _predict_in_a_child(res.model, x)[0])
 
 
 def test_training_peak_memory_stays_near_one_graph(golden_corpus):
