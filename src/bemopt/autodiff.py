@@ -6,21 +6,8 @@ closures push gradients back to the operands' nodes.  The op set is
 deliberately tiny (matmul, elementwise arithmetic, relu, softmax, log1p,
 sqrt, square, mean, slice, layer_norm) but each op supports the batched 3-D
 layouts the sequence model needs, so a training step is a few hundred large
-array operations instead of thousands of small ones.
-
-Every op here is plain whole-array code.  Inside all_cores() (train's
-epoch loop, predict's batch loop) the callers split the work instead:
-_by_rows runs one chunk of rows per usable core, every chunk writing its
-own rows of a preallocated result, with OpenBLAS held to one thread so its
-workers do not compete with the chunks.  Both callers split a batch
-between whole sequences and run whole forwards with every op unsplit.
-predict divides each batch among the cores.  train cuts each batch into
-shards of a fixed size (never the core count) and runs each shard's
-forward, then its backward seeded with its rows of the loss gradient
-(backward(grad)), on its own leaf Tensors over the shared parameter
-arrays; the shards' parameter gradients are summed in shard order.  A
-split never nests: inside a chunk the chunk count is 1.  So the bits do
-not depend on the core count.
+array operations instead of thousands of small ones.  Every op is plain
+whole-array code on the calling thread.
 
 The graph holds no Tensor and no forward result that no backward reads.  A
 node keeps its grad, its parents' nodes and one VJP closure per parent that
@@ -37,10 +24,6 @@ central differences are expected to pass at 1e-6, not 1e-2.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import ctypes
-import functools
 import json
 import math
 import os
@@ -51,11 +34,11 @@ import numpy as np
 from .schema import SchemaError
 
 __all__ = [
-    "Tensor", "parameter", "constant", "zero_grads",
+    "Tensor", "parameter", "constant",
     "matmul", "add", "sub", "mul", "relu", "softmax", "log1p", "sqrt",
     "square", "mean", "slice_last", "layer_norm",
-    "windowed_attention", "split_heads", "merge_heads", "all_cores",
-    "grad_check", "AdamState", "adam_step",
+    "windowed_attention", "split_heads", "merge_heads",
+    "AdamState", "adam_step",
     "save_tensors", "load_tensors",
 ]
 
@@ -122,11 +105,6 @@ class Tensor:
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
 
     def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph.
@@ -210,129 +188,6 @@ def _result(data, parents, vjps) -> Tensor:
         nodes, kept = zip(*links)
         out._node = _Node(nodes, kept)
     return out
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# row-parallel execution: train's shards, predict's batches
-
-# chunks per _by_rows call: None outside all_cores(), the core count inside it,
-# and 1 inside a chunk, so a split never nests
-_CHUNKS = contextvars.ContextVar("bemopt_chunks", default=None)
-_POOL = None  # runs every chunk but the first; created on first use
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on macOS and Windows
-        return os.cpu_count() or 1
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _one_chunk(fn, lo: int, hi: int) -> None:
-    _CHUNKS.set(1)
-    fn(lo, hi)
-
-
-def _by_rows(fn, n: int) -> None:
-    """Run fn(lo, hi) over contiguous chunks that cover range(n).
-
-    One chunk per core inside all_cores(), else a single fn(0, n).  fn
-    writes only what belongs to rows lo:hi (its rows of preallocated
-    results, the graphs and leaf grads of its shards), so the result does
-    not depend on the chunk count.  The calling thread runs
-    the first chunk and the pool the rest, each inside a copy of the
-    caller's context, so numpy's errstate (context-local in numpy 2)
-    holds in every chunk.  In that copy the chunk count is 1: a _by_rows
-    or an all_cores() inside a chunk runs as one chunk on the chunk's own
-    thread and never waits on the pool it may be running in.  Every chunk
-    finishes before this returns; a chunk's exception is raised here.
-    """
-    global _POOL
-    k = min(_CHUNKS.get() or 1, n)
-    if k <= 1:
-        fn(0, n)
-        return
-    if _POOL is None:
-        # imported here, not at the top: it loads logging, which `sample` never needs
-        from concurrent.futures import ThreadPoolExecutor
-        _POOL = ThreadPoolExecutor(max_workers=max(1, _cores() - 1),
-                                   thread_name_prefix="bemopt-rows")
-    bounds = [n * i // k for i in range(k + 1)]
-    futures = [_POOL.submit(contextvars.copy_context().run, _one_chunk, fn, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        contextvars.copy_context().run(_one_chunk, fn, 0, bounds[1])
-    finally:
-        for f in futures:
-            f.exception()  # waits without raising: no chunk may outlive the call
-    for f in futures:
-        f.result()
-
-
-@functools.cache
-def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def all_cores():
-    """Split work over every usable core while inside.
-
-    A _by_rows call (predict's batches, train's shards) then runs one chunk
-    of rows per core, and OpenBLAS is held to one thread so its workers do
-    not compete with the chunks; the previous BLAS thread count and chunk
-    count come back on exit.  No op splits itself, so the results are the
-    same bits as outside.  Where no OpenBLAS is found, BLAS threads are
-    left alone.  Inside all_cores() already, or inside a chunk, it changes
-    nothing.
-    """
-    if _CHUNKS.get() is not None:
-        yield
-        return
-    blas = _openblas()
-    threads = blas[0]() if blas else None
-    token = _CHUNKS.set(_cores())
-    if blas:
-        blas[1](1)
-    try:
-        yield
-    finally:
-        _CHUNKS.reset(token)
-        if blas:
-            blas[1](threads)
 
 
 # ---------------------------------------------------------------------------
@@ -660,43 +515,6 @@ def layer_norm(x, gamma, beta) -> Tensor:
         return np.sum(g, axis=tuple(range(g.ndim - 1)))
 
     return _result(out, (x, gamma, beta), (grad_x, grad_gamma, grad_beta))
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-def grad_check(f, params, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    f is a zero-argument callable rebuilding the scalar graph from params.
-    Parameters with requires_grad off are excluded.  The metric per element
-    is |a - n| / max(1e-8, |a| + |n|).
-    """
-    if isinstance(params, Tensor):
-        params = [params]
-    checked = [p for p in params if p.requires_grad]
-    root = f()
-    if not np.isfinite(root.data).all():
-        raise ValueError("grad_check: objective is not finite")
-    zero_grads(checked)
-    root.backward()
-    worst = 0.0
-    for p in checked:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        for idx in np.ndindex(p.data.shape):
-            keep = p.data[idx]
-            p.data[idx] = keep + eps
-            up = f().item()
-            p.data[idx] = keep - eps
-            dn = f().item()
-            p.data[idx] = keep
-            if not (np.isfinite(up) and np.isfinite(dn)):
-                raise ValueError("grad_check: objective is not finite")
-            numeric = (up - dn) / (2.0 * eps)
-            a = analytic[idx]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

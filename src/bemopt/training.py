@@ -5,9 +5,17 @@ grid, attaches one weather week per example, and labels the episode with the
 reference simulator. The training side runs minibatch Adam on the composite
 loss, with the learning rate on one cosine decay over the whole run, and
 keeps the best-validation checkpoint.
+
+`train` and `predict` are the only code that uses more than one core. Each
+call opens one `_core_split` and splits its batches by whole sequences over
+it, every core running whole forwards (and backwards) with every op
+unsplit, so the results do not depend on the core count.
 """
 
+import contextlib
+import contextvars
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -479,6 +487,91 @@ def metrics(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> Metric
 
 
 # ---------------------------------------------------------------------------
+# the core split: predict's batches and train's shards
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _core_split():
+    """Yield split(fn, n), which runs fn(lo, hi) over one contiguous chunk of
+    range(n) per usable core and returns when every chunk has finished.
+
+    fn writes only what belongs to rows lo:hi, so the result does not depend
+    on the chunk count. The calling thread runs the first chunk and a pool
+    of cores - 1 threads the rest, each in a copy of the caller's context,
+    so numpy's errstate (context-local in numpy 2) holds there too. A
+    chunk's error is raised once every chunk has finished, the first chunk's
+    first. Inside, OpenBLAS is held to one thread so its workers do not
+    compete with the chunks; on exit the pool is closed and the previous
+    thread count comes back. A block opened inside another has its own
+    pool, so it never waits on itself.
+    """
+    cores = _cores()
+    pool = None
+    if cores > 1:
+        # imported here, not at the top: it loads logging, which `sample` never needs
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=cores - 1, thread_name_prefix="bemopt-rows")
+
+    def split(fn, n: int) -> None:
+        k = min(cores, n)
+        if k <= 1:
+            fn(0, n)
+            return
+        bounds = [n * i // k for i in range(k + 1)]
+        futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        try:
+            fn(0, bounds[1])
+        finally:
+            for f in futures:
+                f.exception()  # waits without raising: no chunk may outlive the call
+        for f in futures:
+            f.result()
+
+    blas = _openblas()
+    threads = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        yield split
+    finally:
+        if pool is not None:
+            pool.shutdown()
+        if blas:
+            blas[1](threads)
+
+
+# ---------------------------------------------------------------------------
 # training loop
 
 
@@ -489,12 +582,12 @@ def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
     the parameter arrays, so no op keeps a backward closure or its operands
     and no parameter's ``.grad`` is touched. Each row's result does not
     depend on the batch it shares a forward with, so each batch's
-    sequences are divided among the cores, each core running the whole
-    forward on its share with every op unsplit.
+    sequences are divided among the cores of the call's one `_core_split`,
+    each core running the whole forward on its share with every op unsplit.
 
     This is the one finiteness check of inference: a non-finite output
     anywhere raises ModelError once, and numpy's floating-point warnings
-    on the way there are silenced.
+    on the way there, normalizing the inputs included, are silenced.
     """
     forward = mdl.forward_for(kind)
     frozen = {name: ad.constant(p.data) for name, p in params.items()}
@@ -502,16 +595,16 @@ def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
     squeeze = x.ndim == 2
     if squeeze:
         x = x[None]
-    xn = norm.normalize_inputs(x)
-    out = np.empty(xn.shape[:2] + (cfg.d_out,))
+    out = np.empty(x.shape[:2] + (cfg.d_out,))
 
     def forward_rows(xb, ob, lo, hi):
         ob[lo:hi] = norm.denormalize_targets(forward(frozen, cfg, ad.constant(xb[lo:hi])).data)
 
-    with np.errstate(all="ignore"), ad.all_cores():
+    with np.errstate(all="ignore"), _core_split() as split:
+        xn = norm.normalize_inputs(x)
         for lo in range(0, len(xn), PREDICT_BATCH):
             xb, ob = xn[lo:lo + PREDICT_BATCH], out[lo:lo + PREDICT_BATCH]
-            ad._by_rows(functools.partial(forward_rows, xb, ob), len(xb))
+            split(functools.partial(forward_rows, xb, ob), len(xb))
     if not np.isfinite(out).all():
         raise mdl.ModelError(f"{kind} model: non-finite output")
     return out[0] if squeeze else out
@@ -573,14 +666,16 @@ def train(
     over the whole validation set.
 
     Each batch is cut into fixed shards of TRAIN_SHARD whole sequences,
-    which the cores share: each shard runs its gradient-mode forward on its
-    own leaf Tensors over the shared parameter arrays, so no ``.grad`` is
-    shared between threads. The loss runs once, on one leaf over the joined
-    predictions; each shard's backward is seeded with its rows of that
-    leaf's gradient, and each parameter's gradient is the shards' gradients
-    summed in shard order. A non-finite training loss raises ModelError
-    naming the epoch, and numpy's floating-point warnings in the step's
-    forward, loss and backward are silenced.
+    which the cores of the run's one `_core_split` share (each per-epoch
+    validation ``predict`` opens its own): each shard runs its
+    gradient-mode forward on its own leaf Tensors over the shared parameter
+    arrays, so no ``.grad`` is shared between threads. The loss runs once,
+    on one leaf over the joined predictions; each shard's backward is
+    seeded with its rows of that leaf's gradient, and each parameter's
+    gradient is the shards' gradients summed in shard order. A non-finite
+    training loss raises ModelError naming the epoch, and numpy's
+    floating-point warnings in the step's forward, loss and backward are
+    silenced.
     """
     if config is None:
         config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in)
@@ -638,7 +733,7 @@ def train(
         for a, b, _, root in shards[lo:hi]:
             root.backward(g[a:b])
 
-    with ad.all_cores():
+    with _core_split() as split:
         for epoch in range(1, epochs + 1):
             order = train_idx[substream(seed, "shuffle", epoch).permutation(len(train_idx))]
             batch_objectives = []
@@ -651,14 +746,13 @@ def train(
                           for a, b in zip(bounds[:-1], bounds[1:])]
                 pred = ad.Tensor(np.empty((len(sel),) + yn.shape[1:]), requires_grad=True)
                 with np.errstate(all="ignore"):
-                    ad._by_rows(functools.partial(forward_shards, xn[sel], pred.data, shards),
-                                len(shards))
+                    split(functools.partial(forward_shards, xn[sel], pred.data, shards),
+                          len(shards))
                     total, reported = training_loss(pred, yn[sel], norm)
                     if not np.isfinite(total.data):
                         raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
                     total.backward()
-                    ad._by_rows(functools.partial(backward_shards, pred.grad, shards),
-                                len(shards))
+                    split(functools.partial(backward_shards, pred.grad, shards), len(shards))
                 grads = [functools.reduce(np.add, (own[k].grad for _, _, own, _ in shards))
                          for k in params]
                 state.lr = cosine_lr(lr, step, n_steps)

@@ -36,6 +36,7 @@ from bemopt.schema import DEFAULT_SCHEMA, T_INT_INDEX, expand_daily, heat_aggreg
 from bemopt.seeding import stream, substream
 from bemopt.training import sample_dataset, sample_episode_config, train, training_loss
 from bemopt.weather import generate_pool
+from tests.conftest import grad_check
 
 TIMINGS: dict = {}
 
@@ -94,7 +95,7 @@ def test_1_full_loss_gradient_matches_finite_differences():
     p = mdl.init_transformer(cfg, stream(31, "grad-gate"))
     xn = ds.norm.normalize_inputs(ds.inputs[:1, :24])
     yn = ds.norm.normalize_targets(ds.targets[:1, :24])
-    err = ad.grad_check(
+    err = grad_check(
         lambda: training_loss(mdl.transformer_forward(p, cfg, xn), yn, ds.norm)[0],
         list(p.values()),
     )

@@ -5,16 +5,13 @@ evaluation for softmax, central differences for every gradient, and an
 inline re-statement of the Adam recurrences for the optimizer trajectory.
 """
 
+import ast
 import ctypes
 import gc
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
-import warnings
 import weakref
 
 import numpy as np
@@ -23,10 +20,7 @@ import pytest
 import bemopt
 from bemopt import autodiff as ad
 from bemopt.seeding import stream
-
-
-def scalar_of(t):
-    return t.item()
+from tests.conftest import grad_check
 
 
 class TestForwardValues:
@@ -70,24 +64,24 @@ class TestForwardValues:
 class TestGradCheck:
     def test_sum_of_squares_is_exact(self):
         x = ad.parameter([1.0, -2.0, 3.0])
-        err = ad.grad_check(lambda: ad.mean(ad.square(x)), x)
+        err = grad_check(lambda: ad.mean(ad.square(x)), x)
         assert err < 1e-9
         # analytic gradient of mean(x^2) is 2x/n
-        ad.zero_grads([x])
+        x.grad = None
         ad.mean(ad.square(x)).backward()
         np.testing.assert_allclose(x.grad, 2.0 * x.data / 3.0, rtol=1e-12)
 
     def test_frozen_parameter_excluded(self):
         x = ad.parameter([1.0, 2.0])
         c = ad.constant([5.0, 7.0])
-        err = ad.grad_check(lambda: ad.mean(ad.mul(x, c)), [x, c])
+        err = grad_check(lambda: ad.mean(ad.mul(x, c)), [x, c])
         assert err < 1e-9
         assert c.grad is None
 
     def test_nonfinite_objective_rejected(self):
         x = ad.parameter([1.0])
         with pytest.raises(ValueError, match="finite"):
-            ad.grad_check(lambda: ad.mul(x, ad.constant([np.inf])), x)
+            grad_check(lambda: ad.mul(x, ad.constant([np.inf])), x)
 
     @pytest.mark.parametrize("trial", range(100))
     def test_primitive_ops_random_small_shapes(self, trial):
@@ -115,8 +109,7 @@ class TestGradCheck:
         }
         name = list(builders)[trial % len(builders)]
         params = [a, b, w, wt, row]
-        ad.zero_grads(params)
-        err = ad.grad_check(builders[name], params)
+        err = grad_check(builders[name], params)
         assert err < 1e-6, f"{name}: {err:.3e}"
 
     def test_batched_matmul_3d(self):
@@ -124,7 +117,7 @@ class TestGradCheck:
         a = ad.parameter(rng.normal(size=(3, 4, 5)))
         w = ad.parameter(rng.normal(size=(5, 2)))
         b3 = ad.parameter(rng.normal(size=(3, 2, 5)))
-        err = ad.grad_check(lambda: ad.mean(ad.matmul(ad.matmul(a, w),
+        err = grad_check(lambda: ad.mean(ad.matmul(ad.matmul(a, w),
                                                       ad.matmul(b3, w), transpose_b=True)),
                             [a, w, b3])
         assert err < 1e-6
@@ -152,7 +145,6 @@ class TestGradCheck:
         beta = ad.parameter(0.1 * rng.normal(size=4))
         c = rng.normal(size=(3, 4))
 
-        ad.zero_grads([x, gamma, beta])
         ad.mean(ad.mul(ad.layer_norm(x, gamma, beta), ad.constant(c))).backward()
 
         def loss_complex(xv, gv, bv):
@@ -184,13 +176,13 @@ class TestGradCheck:
         def f2():
             return ad.mean(ad.log1p(ad.square(ad.mul(x, c2))))
 
-        ad.zero_grads([x])
+        x.grad = None
         ad.add(f1(), f2()).backward()
         g_sum = x.grad.copy()
-        ad.zero_grads([x])
+        x.grad = None
         f1().backward()
         g1 = x.grad.copy()
-        ad.zero_grads([x])
+        x.grad = None
         f2().backward()
         g2 = x.grad.copy()
         np.testing.assert_allclose(g_sum, g1 + g2, rtol=1e-12)
@@ -261,7 +253,7 @@ class TestGradCheck:
         assert w.grad is None
         ad.mean(ad.matmul(a, w, transpose_b=True)).backward()
         from_loss = w.grad
-        ad.zero_grads([w])
+        w.grad = None
         ad.matmul(a, w, transpose_b=True).backward(np.full((3, 4, 2), 1.0 / 24))
         assert np.array_equal(w.grad, from_loss)
 
@@ -381,10 +373,10 @@ class TestWindowedAttention:
         k = ad.parameter(rng.normal(size=(1, 12, 4)))
         v = ad.parameter(rng.normal(size=(1, 12, 3)))
 
-        ad.zero_grads([q, k, v])
         ad.mean(ad.mul(ad.windowed_attention(q, k, v, delta=2), weight)).backward()
         got = [q.grad.copy(), k.grad.copy(), v.grad.copy()]
-        ad.zero_grads([q, k, v])
+        for p in (q, k, v):
+            p.grad = None
         ad.mean(ad.mul(dense_window_reference(q, k, v, delta=2), weight)).backward()
         for g, ref in zip(got, [q.grad, k.grad, v.grad]):
             np.testing.assert_allclose(g, ref, atol=1e-12)
@@ -395,7 +387,7 @@ class TestWindowedAttention:
         k = ad.parameter(rng.normal(size=(1, 7, 3)))
         v = ad.parameter(rng.normal(size=(1, 7, 2)))
         c = ad.constant(rng.normal(size=(1, 7, 2)))
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.mean(ad.mul(ad.windowed_attention(q, k, v, delta=2), c)),
             [q, k, v])
         assert err < 1e-6
@@ -461,7 +453,7 @@ class TestWindowedAttention:
         back = ad.merge_heads(ad.split_heads(x, heads=4), heads=4)
         np.testing.assert_array_equal(back.data, x.data)
         c = ad.constant(rng.normal(size=(3, 6, 8)))
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.mean(ad.mul(ad.merge_heads(ad.split_heads(x, 4), 4), c)), x)
         assert err < 1e-9
 
@@ -506,107 +498,6 @@ def reference_adam(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta
 
 
-def _splits_inside_chunks(cores):
-    """(chunk thread, lo, hi, thread) of every _by_rows chunk run inside one
-    of the `cores` chunks of an outer split: one bare, one under all_cores()."""
-    ad._cores = lambda: cores
-    inner = []
-
-    def chunk(lo, hi):
-        me = threading.get_ident()
-        ad._by_rows(lambda a, b: inner.append((me, a, b, threading.get_ident())), 7)
-        with ad.all_cores():
-            ad._by_rows(lambda a, b: inner.append((me, a, b, threading.get_ident())), 5)
-
-    with ad.all_cores():
-        ad._by_rows(chunk, cores)
-    return inner
-
-
-class TestAllCores:
-    def test_chunks_cover_the_rows_once_inside_and_one_call_outside(self, monkeypatch):
-        monkeypatch.setattr(ad, "_cores", lambda: 3)
-        seen = []
-
-        def record(lo, hi):
-            seen.append((lo, hi, threading.get_ident()))
-
-        ad._by_rows(record, 10)
-        assert seen == [(0, 10, threading.get_ident())]
-        seen.clear()
-        with ad.all_cores():
-            ad._by_rows(record, 10)
-        assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 3), (3, 6), (6, 10)]
-        assert (0, 3, threading.get_ident()) in seen  # the caller runs the first chunk
-        seen.clear()
-        with ad.all_cores():
-            ad._by_rows(record, 2)  # never an empty chunk
-        assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 1), (1, 2)]
-
-    def test_a_chunk_error_is_raised_after_every_chunk_ran(self, monkeypatch):
-        monkeypatch.setattr(ad, "_cores", lambda: 3)
-        done = []
-
-        def chunk(lo, hi):
-            if lo == 0:
-                raise ValueError("first chunk")
-            time.sleep(0.05)
-            done.append(lo)
-
-        with ad.all_cores(), pytest.raises(ValueError, match="first chunk"):
-            ad._by_rows(chunk, 3)
-        assert sorted(done) == [1, 2]
-
-    def test_chunks_keep_the_callers_errstate(self, monkeypatch):
-        """An overflow in the last chunk, which a pool thread runs, is
-        silenced by the caller's errstate like one in the first."""
-        monkeypatch.setattr(ad, "_cores", lambda: 3)
-        x = np.ones((3, 4, 5))
-        x[-1, -1] = 1e308  # its sum overflows, then inf - inf
-        out, threads = np.empty_like(x), {}
-
-        def chunk(lo, hi):
-            threads[lo] = threading.get_ident()
-            out[lo:hi] = ad.layer_norm(x[lo:hi], np.ones(5), np.zeros(5)).data
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(all="ignore"), ad.all_cores():
-                ad._by_rows(chunk, 3)
-        assert threads[2] != threading.get_ident()  # the overflow ran on the pool
-        assert np.isfinite(out[:-1]).all() and np.isfinite(out[-1, :-1]).all()
-        assert not np.isfinite(out[-1, -1]).any()
-
-    @pytest.mark.parametrize("cores", [2, 3])
-    def test_a_split_inside_a_chunk_is_one_chunk(self, cores):
-        """predict runs a whole forward per chunk, so split ops run inside
-        chunks.  A _by_rows there, bare or under a nested all_cores(), is
-        one chunk on the chunk's own thread; were it split, a pool thread
-        would wait on chunks queued behind itself.  The check runs in a
-        forked child, so a deadlock fails it and the child is killed."""
-        with multiprocessing.get_context("fork").Pool(1) as child:
-            try:
-                inner = child.apply_async(_splits_inside_chunks, (cores,)).get(timeout=30)
-            except multiprocessing.TimeoutError:
-                pytest.fail("a split inside a chunk deadlocked")
-        assert len(inner) == 2 * cores
-        assert all(t == me for me, _, _, t in inner)
-        assert sorted((a, b) for _, a, b, _ in inner) == [(0, 5)] * cores + [(0, 7)] * cores
-
-    def test_blas_is_held_to_one_thread_inside_only(self):
-        blas = ad._openblas()
-        if blas is None:
-            pytest.skip("no OpenBLAS found in this process")
-        threads = blas[0]
-        before = threads()
-        with ad.all_cores():
-            assert threads() == 1
-            with ad.all_cores():
-                assert threads() == 1
-            assert threads() == 1
-        assert threads() == before
-
-
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         p = ad.parameter([1.0, 2.0])
@@ -647,7 +538,7 @@ class TestAdam:
             p = ad.parameter(rng.normal(size=(3, 3)))
             st = ad.AdamState([p], lr=0.01)
             for _ in range(50):
-                ad.zero_grads([p])
+                p.grad = None
                 loss = ad.mean(ad.square(p))
                 loss.backward()
                 ad.adam_step([p], [p.grad], st)
@@ -659,7 +550,7 @@ class TestAdam:
         p = ad.parameter([5.0, -3.0])
         st = ad.AdamState([p], lr=0.1)
         for _ in range(500):
-            ad.zero_grads([p])
+            p.grad = None
             ad.mean(ad.square(p)).backward()
             ad.adam_step([p], [p.grad], st)
         assert np.abs(p.data).max() < 1e-3
@@ -812,3 +703,18 @@ class TestContainer:
         ad.save_tensors(p1, t, meta={"v": 1})
         ad.save_tensors(p2, t, meta={"v": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_autodiff_imports_only_what_whole_array_ops_need():
+    """autodiff starts no thread, calls no native library and keeps no
+    context state: the core split lives in training.  These are exactly its
+    top-level imports."""
+    with open(ad.__file__) as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "json", "math", "os", "struct", "numpy", ".schema"}

@@ -648,13 +648,15 @@ def _odd_population(pipeline, tmp):
     return _argv(pipeline, tmp, "optimize", "--pop", "5")
 
 
-def _edited_building(pipeline, tmp, section, name, value):
-    """`twin` on a copy of the pipeline's building.json with `section.name` set to `value`."""
+def _edited_building(pipeline, tmp, section, name, value, command="twin"):
+    """`command` (`twin` or `calibrate`) on a copy of the pipeline's
+    building.json with `section.name` set to `value`."""
     doc = read_json(pipeline["building"])
     doc[section][name] = value
     path = tmp / "building.json"
     path.write_text(json.dumps(doc))
-    return _argv(pipeline, tmp, "twin", "--building", str(path))
+    flag = {"twin": "--building", "calibrate": "--base"}[command]
+    return _argv(pipeline, tmp, command, flag, str(path))
 
 
 def _heat_window_start_not_before_end(pipeline, tmp):
@@ -676,6 +678,13 @@ def _nan_heating_setpoint(pipeline, tmp):
 
 def _negative_ventilation_volume(pipeline, tmp):
     return _edited_building(pipeline, tmp, "bms", "vol_ventilation_day", [-1.0] * 7)
+
+
+def _thickness_overflowing_the_normalization(pipeline, tmp):
+    # a length BuildingParams accepts; scaled by the model's 0.1-wide input
+    # range it overflows, so every candidate's prediction is non-finite
+    return _edited_building(pipeline, tmp, "params", "facade_1_thickness_2", 1e308,
+                            command="calibrate")
 
 
 def _calibrated_block_without_occ(pipeline, tmp):
@@ -774,6 +783,7 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_negative_heating_power, 3),
     (_nan_heating_setpoint, 3),
     (_negative_ventilation_volume, 3),
+    (_thickness_overflowing_the_normalization, 4),
     (_calibrated_block_without_occ, 3),
     (_missing_model, 3),
     (_missing_calibrated, 3),
@@ -842,6 +852,14 @@ def test_every_building_description_is_read_by_one_parser(pipeline, tmp_path, ca
             f"bemopt {argv[0]}: {source}: bad building description: 'occ'"]
 
 
+def _in_a_fresh_process(argv):
+    """`bemopt` run on argv in a new interpreter that prints numpy's warnings."""
+    src = os.path.dirname(os.path.dirname(bemopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    return subprocess.run([sys.executable, "-m", "bemopt.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("command", ["calibrate", "optimize"])
 def test_nonfinite_weight_fails_with_one_line_in_a_fresh_process(pipeline, tmp_path, command):
     """Exit 4 with the one `predict` message and no numpy warning before it.
@@ -850,12 +868,19 @@ def test_nonfinite_weight_fails_with_one_line_in_a_fresh_process(pipeline, tmp_p
     """
     def edit(tensors, meta):
         tensors["enc0.ffn.W2"][0, 0] = np.inf
-    argv = _edited_model(pipeline, tmp_path, command, edit)
-    src = os.path.dirname(os.path.dirname(bemopt.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
-    proc = subprocess.run([sys.executable, "-m", "bemopt.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = _in_a_fresh_process(_edited_model(pipeline, tmp_path, command, edit))
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == [
         f"bemopt {command}: numerical failure: transformer model: non-finite output"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_overflowing_the_normalization_fails_with_one_line_in_a_fresh_process(
+        pipeline, tmp_path):
+    """Exit 4 with the one `predict` message: the overflow while normalizing
+    prints no numpy warning first."""
+    proc = _in_a_fresh_process(_thickness_overflowing_the_normalization(pipeline, tmp_path))
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        "bemopt calibrate: numerical failure: transformer model: non-finite output"]
     assert not (tmp_path / "out").exists()

@@ -11,6 +11,7 @@ from bemopt import model as md
 from bemopt.schema import DEFAULT_SCHEMA, NormStats
 from bemopt.seeding import stream
 from bemopt.training import predict
+from tests.conftest import grad_check
 
 TINY = md.MetamodelConfig(d_in=3, d_out=2, d_emb=4, r=2, v_width=2, h=2,
                           n_layers=2, delta=2)
@@ -211,7 +212,7 @@ class TestTransformerForward:
         x = rng.random((1, 6, 3))
         tgt = ad.constant(rng.normal(size=(1, 6, 2)))
         params = list(p.values())
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.mean(ad.square(ad.sub(md.transformer_forward(p, cfg, x), tgt))),
             params)
         assert err < 1e-4
@@ -257,29 +258,13 @@ class TestFfnBaseline:
         out_perm = md.ffn_forward(p, cfg, x[:, perm]).data
         np.testing.assert_array_equal(out_perm, out[:, perm])
 
-    @pytest.mark.parametrize("cores", [2, 3])
-    def test_permuting_time_permutes_outputs_on_several_cores(self, monkeypatch, cores):
-        """The FFN splits nothing inside all_cores(): each matmul is one
-        GEMM over the whole batch, and a row gets the same bits wherever it
-        sits in it."""
-        monkeypatch.setattr(ad, "_cores", lambda: cores)
-        cfg = md.MetamodelConfig(d_in=5, d_out=3)
-        p = md.init_ffn(cfg, stream(13, "init"))
-        rng = stream(13, "x")
-        x = rng.random((3, 20, 5))
-        perm = rng.permutation(20)
-        with ad.all_cores():
-            out = md.ffn_forward(p, cfg, x).data
-            out_perm = md.ffn_forward(p, cfg, x[:, perm]).data
-        np.testing.assert_array_equal(out_perm, out[:, perm])
-
     def test_gradient_check(self):
         cfg = md.MetamodelConfig(d_in=3, d_out=2, d_emb=4)
         p = md.init_ffn(cfg, stream(14, "init"))
         rng = stream(14, "x")
         x = rng.random((1, 5, 3))
         tgt = ad.constant(rng.normal(size=(1, 5, 2)))
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.mean(ad.square(ad.sub(md.ffn_forward(p, cfg, x), tgt))),
             list(p.values()))
         assert err < 1e-4

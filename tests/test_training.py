@@ -6,6 +6,8 @@ import json
 import math
 import multiprocessing
 import signal
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -27,6 +29,7 @@ from bemopt.schema import (
 from bemopt.rcsim import NumericalError, simulate_week
 from bemopt.seeding import stream, substream
 from bemopt.weather import generate_pool
+from tests.conftest import grad_check
 
 TINY = mdl.MetamodelConfig(
     d_in=DEFAULT_SCHEMA.d_in, d_emb=8, r=2, v_width=2, h=2, n_layers=2, delta=3
@@ -322,7 +325,7 @@ def test_training_loss_gradient_check():
     norm = _toy_norm(rng)
     target_n = rng.normal(size=(2, 5, 8))
     pred = ad.parameter(target_n + 0.2 * rng.normal(size=(2, 5, 8)))
-    err = ad.grad_check(lambda: tr.training_loss(pred, target_n, norm)[0], [pred])
+    err = grad_check(lambda: tr.training_loss(pred, target_n, norm)[0], [pred])
     assert err < 1e-6
 
 
@@ -629,7 +632,7 @@ def test_golden_run_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypa
     the core count, and the cores share them; the 32-row batches here are
     four shards, run in one chunk at one core, in two and in three
     chunks."""
-    monkeypatch.setattr(ad, "_cores", lambda: cores)
+    monkeypatch.setattr(tr, "_cores", lambda: cores)
     res = _train_golden(golden_corpus)
     assert _golden_digests(res) == (GOLDEN_PARAMS_SHA256, GOLDEN_HISTORY_SHA256)
 
@@ -648,7 +651,7 @@ def test_predict_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypatch
                 forward(params, ACCEPTANCE, ad.constant(ds.norm.normalize_inputs(row[None]))).data[0])
             for row in x])
         for cores in (1, 2, 3):
-            monkeypatch.setattr(ad, "_cores", lambda: cores)
+            monkeypatch.setattr(tr, "_cores", lambda: cores)
             for rows in (1, 30, 48):
                 got = tr.predict(params, ACCEPTANCE, kind, x[:rows], ds.norm)
                 assert np.array_equal(got, alone[:rows]), (kind, cores, rows)
@@ -658,7 +661,7 @@ def test_predict_raises_once_on_a_nonfinite_last_row_on_three_cores(golden_corpu
     """The last row's chunk runs on a pool thread; its NaN or inf (whose
     layer_norm makes inf - inf) must reach the one finiteness check under
     the caller's errstate, with no warning first."""
-    monkeypatch.setattr(ad, "_cores", lambda: 3)
+    monkeypatch.setattr(tr, "_cores", lambda: 3)
     ds = golden_corpus
     params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
     for bad in (np.nan, np.inf):
@@ -668,6 +671,21 @@ def test_predict_raises_once_on_a_nonfinite_last_row_on_three_cores(golden_corpu
             warnings.simplefilter("error")
             with pytest.raises(mdl.ModelError, match="transformer model: non-finite output"):
                 tr.predict(params, ACCEPTANCE, "transformer", x, ds.norm)
+
+
+def test_predict_raises_once_on_an_input_that_overflows_its_normalization(golden_corpus):
+    """1e308 in a column whose fitted range is 0.1 wide overflows when it is
+    normalized; that ends as predict's ModelError with no warning first."""
+    ds = golden_corpus
+    params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
+    col = DEFAULT_SCHEMA.input_channel_names.index("facade_1_thickness_2")
+    assert ds.norm.input_hi[col] - ds.norm.input_lo[col] <= 0.1 + 1e-12
+    x = ds.inputs[:3].copy()
+    x[:, :, col] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mdl.ModelError, match="transformer model: non-finite output"):
+            tr.predict(params, ACCEPTANCE, "transformer", x, ds.norm)
 
 
 def _step_gradients_by_a_serial_loop(params, kind, x, y, norm):
@@ -707,7 +725,7 @@ def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monk
     for batch_size in (20, 16):
         runs = []
         for cores in (1, 2, 3):
-            monkeypatch.setattr(ad, "_cores", lambda: cores)
+            monkeypatch.setattr(tr, "_cores", lambda: cores)
             steps = []
 
             def record(params, grads, state):
@@ -719,10 +737,10 @@ def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monk
             tr.train(ds, kind, TINY, epochs=1, batch_size=batch_size, seed=21)
             runs.append(steps)
         assert len(runs[0]) == -(-20 // batch_size)
-        monkeypatch.setattr(ad, "_cores", lambda: 1)
+        monkeypatch.setattr(tr, "_cores", lambda: 1)
         for k, (params, _) in enumerate(runs[0]):
             sel = order[k * batch_size:(k + 1) * batch_size]
-            with ad.all_cores():
+            with tr._core_split():  # one BLAS thread, as in the runs
                 want = _step_gradients_by_a_serial_loop(params, kind, xn[sel], yn[sel], ds.norm)
             for cores, steps in zip((1, 2, 3), runs):
                 got_params, got = steps[k]
@@ -730,13 +748,31 @@ def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monk
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), (batch_size, cores, k)
 
 
-def test_a_nonfinite_shard_on_a_pool_thread_ends_as_a_model_error(pool, monkeypatch):
+@pytest.fixture
+def blas():
+    """OpenBLAS's (get, set) thread-count functions, or None. The count is
+    set to two for the test, so a count left pinned at one shows even after
+    earlier calls, and comes back afterwards."""
+    blas = tr._openblas()
+    if blas is None:
+        yield None
+        return
+    before = blas[0]()
+    blas[1](2)
+    try:
+        yield blas
+    finally:
+        blas[1](before)
+
+
+def test_a_nonfinite_shard_on_a_pool_thread_ends_as_a_model_error(pool, monkeypatch, blas):
     """At 3 cores a batch of 24 is three shards, and a pool thread runs the
     last; a NaN or inf input there (whose layer_norm makes inf - inf) must
     end as the ModelError naming the epoch, with no warning first."""
-    monkeypatch.setattr(ad, "_cores", lambda: 3)
+    monkeypatch.setattr(tr, "_cores", lambda: 3)
     ds = tr.sample_dataset(pool, 28, seed=4, counts=(24, 2, 2))
     last = ds.splits["train"][substream(21, "shuffle", 1).permutation(24)][-1]
+    before = blas[0]() if blas else None
     for bad in (np.nan, np.inf):
         inputs = ds.inputs.copy()
         inputs[last, 100, 0] = bad
@@ -745,6 +781,8 @@ def test_a_nonfinite_shard_on_a_pool_thread_ends_as_a_model_error(pool, monkeypa
             with pytest.raises(mdl.ModelError, match="not finite in epoch 1"):
                 tr.train(replace(ds, inputs=inputs), "transformer", TINY,
                          epochs=2, batch_size=24, seed=21)
+        assert _row_threads() == []  # the pool closed on the way out
+        assert (blas[0]() if blas else None) == before
 
 
 def test_predict_divides_a_batch_among_the_cores_not_copies_it(golden_corpus, monkeypatch):
@@ -755,7 +793,7 @@ def test_predict_divides_a_batch_among_the_cores_not_copies_it(golden_corpus, mo
     params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
     peaks = {}
     for cores in (1, 2):
-        monkeypatch.setattr(ad, "_cores", lambda: cores)
+        monkeypatch.setattr(tr, "_cores", lambda: cores)
         gc.collect()
         tracemalloc.start()
         try:
@@ -767,8 +805,7 @@ def test_predict_divides_a_batch_among_the_cores_not_copies_it(golden_corpus, mo
     assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
-def test_train_and_predict_restore_the_blas_thread_count(small_dataset):
-    blas = ad._openblas()
+def test_train_and_predict_restore_the_blas_thread_count(small_dataset, blas):
     if blas is None:
         pytest.skip("no OpenBLAS found in this process")
     threads = blas[0]
@@ -779,27 +816,112 @@ def test_train_and_predict_restore_the_blas_thread_count(small_dataset):
     assert threads() == before
 
 
+def _row_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("bemopt-rows")]
+
+
+def test_no_pool_thread_outlives_train_or_predict(small_dataset, monkeypatch):
+    """Each call's chunks run on its own pool while it runs, and the pool is
+    closed by the time it returns."""
+    monkeypatch.setattr(tr, "_cores", lambda: 3)
+    forward, threads = mdl.FORWARDS["transformer"], set()
+
+    def recorded(*args):
+        threads.add(threading.current_thread().name)
+        return forward(*args)
+
+    monkeypatch.setitem(mdl.FORWARDS, "transformer", recorded)
+    res = tr.train(small_dataset, "transformer", TINY, epochs=1, batch_size=16, seed=21)
+    assert any(name.startswith("bemopt-rows") for name in threads)
+    assert _row_threads() == []
+    threads.clear()
+    tr.predict(res.model.params, TINY, "transformer", small_dataset.inputs[:3], small_dataset.norm)
+    assert any(name.startswith("bemopt-rows") for name in threads)
+    assert _row_threads() == []
+
+
+class TestCoreSplit:
+    def test_chunks_cover_the_rows_once(self, monkeypatch):
+        seen = []
+
+        def record(lo, hi):
+            seen.append((lo, hi, threading.get_ident()))
+
+        monkeypatch.setattr(tr, "_cores", lambda: 1)
+        with tr._core_split() as split:
+            split(record, 10)
+        assert seen == [(0, 10, threading.get_ident())]
+        seen.clear()
+        monkeypatch.setattr(tr, "_cores", lambda: 3)
+        with tr._core_split() as split:
+            split(record, 10)
+            assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 3), (3, 6), (6, 10)]
+            assert (0, 3, threading.get_ident()) in seen  # the caller runs the first chunk
+            seen.clear()
+            split(record, 2)  # never an empty chunk
+        assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 1), (1, 2)]
+
+    def test_a_chunk_error_is_raised_after_every_chunk_ran(self, monkeypatch):
+        monkeypatch.setattr(tr, "_cores", lambda: 3)
+        done = []
+
+        def chunk(lo, hi):
+            if lo == 0:
+                raise ValueError("first chunk")
+            time.sleep(0.05)
+            done.append(lo)
+
+        with pytest.raises(ValueError, match="first chunk"), tr._core_split() as split:
+            split(chunk, 3)
+        assert sorted(done) == [1, 2]
+
+    def test_chunks_keep_the_callers_errstate(self, monkeypatch):
+        """An overflow in the last chunk, which a pool thread runs, is
+        silenced by the caller's errstate like one in the first."""
+        monkeypatch.setattr(tr, "_cores", lambda: 3)
+        x = np.ones((3, 4, 5))
+        x[-1, -1] = 1e308  # its sum overflows, then inf - inf
+        out, threads = np.empty_like(x), {}
+
+        def chunk(lo, hi):
+            threads[lo] = threading.get_ident()
+            out[lo:hi] = ad.layer_norm(x[lo:hi], np.ones(5), np.zeros(5)).data
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"), tr._core_split() as split:
+                split(chunk, 3)
+        assert threads[2] != threading.get_ident()  # the overflow ran on the pool
+        assert np.isfinite(out[:-1]).all() and np.isfinite(out[-1, :-1]).all()
+        assert not np.isfinite(out[-1, -1]).any()
+
+    def test_blas_is_held_to_one_thread_inside_only(self, blas):
+        if blas is None:
+            pytest.skip("no OpenBLAS found in this process")
+        threads = blas[0]
+        before = threads()
+        with tr._core_split():
+            assert threads() == 1
+        assert threads() == before
+
+
 def _predict_in_a_child(model, x):
-    out = tr.predict(model.params, model.config, model.kind, x, model.norm)
-    return out, ad._POOL is not None
+    return tr.predict(model.params, model.config, model.kind, x, model.norm)
 
 
 def test_a_fork_after_training_gets_a_working_pool(pool, monkeypatch):
-    """A child forked after train inherits the pool object but not its
-    threads; it must start its own rather than wait on dead workers."""
-    monkeypatch.setattr(ad, "_cores", lambda: 2)
-    monkeypatch.setattr(ad, "_POOL", None)
+    """A child forked after train, as `sample --jobs` forks, splits its
+    predict over a pool of its own and gets the parent's bits."""
+    monkeypatch.setattr(tr, "_cores", lambda: 2)
     ds = tr.sample_dataset(pool, 12, seed=4, counts=(10, 1, 1))
     res = tr.train(ds, "transformer", TINY, epochs=1, batch_size=10, seed=21)  # shards 8/2
-    assert ad._POOL is not None
     forked = tr.sample_dataset(pool, 12, seed=4, counts=(10, 1, 1), jobs=2)
     assert np.array_equal(forked.inputs, ds.inputs)
     assert np.array_equal(forked.targets, ds.targets)
     x = ds.inputs[:4]  # two chunks of two rows: the second runs on the child's pool
     with multiprocessing.get_context("fork").Pool(1) as workers:
-        got, started = workers.apply_async(_predict_in_a_child, (res.model, x)).get(timeout=60)
-    assert started
-    assert np.array_equal(got, _predict_in_a_child(res.model, x)[0])
+        got = workers.apply_async(_predict_in_a_child, (res.model, x)).get(timeout=60)
+    assert np.array_equal(got, _predict_in_a_child(res.model, x))
 
 
 def test_training_peak_memory_stays_near_one_graph(golden_corpus):
