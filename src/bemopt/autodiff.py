@@ -1,10 +1,10 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Small define-by-run engine: every operation returns a new Tensor holding the
 numpy result and, when an operand needs a gradient, a graph node whose
 closures push gradients back to the operands' nodes.  The op set is
-deliberately tiny (matmul, elementwise arithmetic, relu, softmax, log1p,
-sqrt, square, mean, slice, layer_norm) but each op supports the batched 3-D
+deliberately tiny (matmul, elementwise arithmetic, relu, log1p, sqrt,
+square, mean, slice, layer_norm) but each op supports the batched 3-D
 layouts the sequence model needs, so a training step is a few hundred large
 array operations instead of thousands of small ones.  Every op is plain
 whole-array code on the calling thread.
@@ -18,7 +18,14 @@ once the forward drops an interior Tensor, its array is freed unless a VJP
 needs it.
 
 Broadcasting is restricted to scalars and trailing row vectors (bias adds,
-per-channel scale/shift).  Everything is float64; gradient checks against
+per-channel scale/shift).
+
+A Tensor holds float32 or float64 (any other input becomes float64, so
+float64 is the default), and each op computes, and its backward
+differentiates, in its operands' dtype.  Operands that require a gradient
+must share one dtype, or the op raises ValueError; a float64 constant next
+to a float32 operand (a scale, a position signal) is cast to float32, so
+nothing upcasts a float32 forward.  In float64, gradient checks against
 central differences are expected to pass at 1e-6, not 1e-2.
 """
 
@@ -35,7 +42,7 @@ from .schema import SchemaError
 
 __all__ = [
     "Tensor", "parameter", "constant",
-    "matmul", "add", "sub", "mul", "relu", "softmax", "log1p", "sqrt",
+    "matmul", "add", "sub", "mul", "relu", "log1p", "sqrt",
     "square", "mean", "slice_last", "layer_norm",
     "windowed_attention", "split_heads", "merge_heads",
     "AdamState", "adam_step",
@@ -46,7 +53,11 @@ _EPS_LN = 1e-5  # layer_norm variance floor
 
 
 def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+    """x as a float32 or float64 array, shared when it already is one;
+    every other dtype becomes float64."""
+    a = np.asarray(x)
+    if a.dtype != np.float32 and a.dtype != np.float64:
+        a = a.astype(np.float64)
     return a
 
 
@@ -66,7 +77,8 @@ class _Node:
 
 
 class Tensor:
-    """A float64 array plus, if it requires a gradient, its graph node.
+    """A float32 or float64 array plus, if it requires a gradient, its graph
+    node.
 
     Leaves are created with parameter() or constant(); interior Tensors are
     created by the ops below.  A constant has no node.  The node holds .grad
@@ -111,9 +123,10 @@ class Tensor:
 
         Without grad, self must be scalar-valued (the usual loss root) and
         the sweep starts from 1.  With grad, an array of exactly self's
-        shape, the root may have any shape and each leaf accumulates the
-        vector-Jacobian product grad . d(self)/d(leaf); a part of a larger
-        graph is swept this way with its rows of the whole gradient.
+        shape and dtype, the root may have any shape and each leaf
+        accumulates the vector-Jacobian product grad . d(self)/d(leaf); a
+        part of a larger graph is swept this way with its rows of the whole
+        gradient.
         Single use: the sweep consumes the graph.  Once a node's VJPs have
         run, its .grad is dropped and its parents and VJPs are cut, so each
         array a VJP kept is freed as soon as nothing upstream needs it; only
@@ -130,6 +143,9 @@ class Tensor:
             if seed.shape != self.data.shape:
                 raise ValueError(f"backward(): seed shape {seed.shape} does not match "
                                  f"the root's {self.data.shape}")
+            if seed.dtype != self.data.dtype:
+                raise ValueError(f"backward(): seed dtype {seed.dtype} does not match "
+                                 f"the root's {self.data.dtype}")
         if self._node is None:
             return
         order = []
@@ -164,12 +180,13 @@ class Tensor:
 
 
 def parameter(data) -> Tensor:
-    """Trainable leaf (copies its input)."""
+    """Trainable float64 leaf (copies its input)."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def constant(data) -> Tensor:
-    """Non-trainable leaf; shares the input buffer when already float64."""
+    """Non-trainable leaf; shares the input buffer when already float32 or
+    float64, and holds any other input as float64."""
     return Tensor(data, requires_grad=False)
 
 
@@ -215,11 +232,28 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     return np.sum(g, axis=axes).reshape(shape)
 
 
+def _one_dtype(name: str, *operands):
+    """One op's operands, with their dtypes checked and aligned.
+
+    Operands that require a gradient must share a dtype. Where float32 and
+    float64 meet, a float64 constant is cast to float32, so a float64 scale
+    or signal never upcasts a float32 computation.
+    """
+    if len({t.data.dtype for t in operands}) == 1:
+        return operands
+    if len({t.data.dtype for t in operands if t._node is not None}) > 1:
+        raise ValueError(f"{name}: operands that require a gradient differ in dtype "
+                         f"({', '.join(str(t.data.dtype) for t in operands)})")
+    return tuple(Tensor(t.data.astype(np.float32))
+                 if t._node is None and t.data.dtype == np.float64 else t
+                 for t in operands)
+
+
 def _operands(a, b, name: str):
     a, b = _coerce(a), _coerce(b)
     if not (_broadcast_ok(a.shape, b.shape) or _broadcast_ok(b.shape, a.shape)):
         raise ValueError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
-    return a, b
+    return _one_dtype(name, a, b)
 
 
 def add(a, b) -> Tensor:
@@ -248,7 +282,7 @@ def mul(a, b) -> Tensor:
 # matmul, 2-D or batched 3-D, optionally with the second operand transposed
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _one_dtype("matmul", _coerce(a), _coerce(b))
     ad, bd = a.data, b.data
     if ad.ndim not in (2, 3) or bd.ndim not in (2, 3):
         raise ValueError(f"matmul: unsupported ranks {ad.shape} and {bd.shape}")
@@ -299,25 +333,6 @@ def relu(x) -> Tensor:
     return _result(out, (x,), (lambda g: g * mask,))
 
 
-def softmax(x, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, optionally with an additive mask.
-
-    The mask is a plain array (no gradient) broadcast onto the scores;
-    banned positions carry a large negative value rather than -inf so the
-    arithmetic stays finite even for all-banned rows.
-    """
-    x = _coerce(x)
-    z = x.data + mask if mask is not None else x.data
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_x(g):
-        return y * (g - np.sum(g * y, axis=-1, keepdims=True))
-
-    return _result(y, (x,), (grad_x,))
-
-
 def log1p(x) -> Tensor:
     x = _coerce(x)
     xd = x.data
@@ -355,10 +370,10 @@ def slice_last(x, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= w):
         raise ValueError(f"slice_last: [{start}:{stop}] out of range for width {w}")
     out = x.data[..., start:stop]
-    shape = x.data.shape
+    shape, dtype = x.data.shape, x.data.dtype
 
     def grad_x(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=dtype)
         full[..., start:stop] = g
         return full
 
@@ -408,7 +423,7 @@ def windowed_attention(q, k, v, delta: int):
     but costs O(T * delta) instead of O(T^2), and positions outside the
     band are unreachable by construction.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    q, k, v = _one_dtype("windowed_attention", _coerce(q), _coerce(k), _coerce(v))
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 3 or kd.ndim != 3 or vd.ndim != 3:
         raise ValueError(f"windowed_attention: need 3-D operands, got "
@@ -438,7 +453,7 @@ def windowed_attention(q, k, v, delta: int):
 
     def zero_padded(b, w):
         """Zero [b, T+2*delta, w] buffer and its [b, T, w] interior view."""
-        buf = np.zeros((b, T + 2 * delta, w))
+        buf = np.zeros((b, T + 2 * delta, w), dtype=qd.dtype)
         return buf, buf[:, delta:delta + T]
 
     def pad(x):
@@ -448,7 +463,7 @@ def windowed_attention(q, k, v, delta: int):
 
     # slots whose absolute position falls outside the sequence are banned
     pos = np.arange(T)[:, None] + np.arange(W)[None, :] - delta
-    boundary = np.where((pos >= 0) & (pos < T), 0.0, -1e30)
+    boundary = np.where((pos >= 0) & (pos < T), 0.0, -1e30).astype(qd.dtype)
 
     # k, v and the per-slot factors pi (ds in the backward) live in
     # zero-padded buffers: the backward reads them back through the windows
@@ -487,7 +502,7 @@ def windowed_attention(q, k, v, delta: int):
 
 def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
+    x, gamma, beta = _one_dtype("layer_norm", _coerce(x), _coerce(gamma), _coerce(beta))
     d = x.data.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"layer_norm: scale/shift {gamma.shape}/{beta.shape} "

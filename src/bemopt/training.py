@@ -10,6 +10,10 @@ keeps the best-validation checkpoint.
 call opens one `_core_split` and splits its batches by whole sequences over
 it, every core running whole forwards (and backwards) with every op
 unsplit, so the results do not depend on the core count.
+
+Both run the model in float32 (`COMPUTE_DTYPE`) on float32 copies of the
+float64 weights (`_compute_weights`). The weights, Adam's moments, the
+summed gradients, the loss and `predict`'s output stay float64.
 """
 
 import contextlib
@@ -85,6 +89,9 @@ PREDICT_BATCH = 32
 # summed in shard order, so this constant, never the core count, fixes the
 # training bits.
 TRAIN_SHARD = 8
+
+# The one dtype of every model forward and backward in `train` and `predict`.
+COMPUTE_DTYPE = np.float32
 
 DATASET_ARRAYS = "arrays.bin"
 DATASET_MANIFEST = "manifest.json"
@@ -575,22 +582,31 @@ def _core_split():
 # training loop
 
 
+def _compute_weights(params) -> dict:
+    """COMPUTE_DTYPE copies of the parameter arrays, by name."""
+    return {name: p.data.astype(COMPUTE_DTYPE) for name, p in params.items()}
+
+
 def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
     """Forward raw physical inputs through a model; physical-unit outputs.
 
-    Runs without a tape: the forward sees zero-copy ``ad.constant`` views of
-    the parameter arrays, so no op keeps a backward closure or its operands
-    and no parameter's ``.grad`` is touched. Each row's result does not
-    depend on the batch it shares a forward with, so each batch's
-    sequences are divided among the cores of the call's one `_core_split`,
-    each core running the whole forward on its share with every op unsplit.
+    The forward runs in float32 on constants over float32 copies of the
+    weights, made once per call, and on float32 normalized inputs; it
+    denormalizes into a float64 result. It runs without a tape, so no op
+    keeps a backward closure or its operands and no parameter's ``.grad``
+    is touched. Each row's result does not depend on the batch it shares a
+    forward with, so each batch's sequences are divided among the cores of
+    the call's one `_core_split`, each core running the whole forward on
+    its share with every op unsplit.
 
     This is the one finiteness check of inference: a non-finite output
     anywhere raises ModelError once, and numpy's floating-point warnings
-    on the way there, normalizing the inputs included, are silenced.
+    on the way there, normalizing the inputs and casting them to float32
+    included, are silenced. So a normalized input beyond float32's range
+    ends as that ModelError too.
     """
     forward = mdl.forward_for(kind)
-    frozen = {name: ad.constant(p.data) for name, p in params.items()}
+    frozen = {name: ad.constant(w) for name, w in _compute_weights(params).items()}
     x = np.asarray(inputs, dtype=np.float64)
     squeeze = x.ndim == 2
     if squeeze:
@@ -601,7 +617,7 @@ def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
         ob[lo:hi] = norm.denormalize_targets(forward(frozen, cfg, ad.constant(xb[lo:hi])).data)
 
     with np.errstate(all="ignore"), _core_split() as split:
-        xn = norm.normalize_inputs(x)
+        xn = norm.normalize_inputs(x).astype(COMPUTE_DTYPE)
         for lo in range(0, len(xn), PREDICT_BATCH):
             xb, ob = xn[lo:lo + PREDICT_BATCH], out[lo:lo + PREDICT_BATCH]
             split(functools.partial(forward_rows, xb, ob), len(xb))
@@ -668,14 +684,17 @@ def train(
     Each batch is cut into fixed shards of TRAIN_SHARD whole sequences,
     which the cores of the run's one `_core_split` share (each per-epoch
     validation ``predict`` opens its own): each shard runs its
-    gradient-mode forward on its own leaf Tensors over the shared parameter
-    arrays, so no ``.grad`` is shared between threads. The loss runs once,
-    on one leaf over the joined predictions; each shard's backward is
-    seeded with its rows of that leaf's gradient, and each parameter's
-    gradient is the shards' gradients summed in shard order. A non-finite
-    training loss raises ModelError naming the epoch, and numpy's
-    floating-point warnings in the step's forward, loss and backward are
-    silenced.
+    gradient-mode forward on its own leaf Tensors over the step's shared
+    float32 copies of the weights, so no ``.grad`` is shared between
+    threads. Forwards and backwards run in float32 on float32 normalized
+    inputs. The loss runs once, in float64, on one float64 leaf over the
+    joined predictions; each shard's backward is seeded with its rows of
+    that leaf's gradient, cast to float32, and each parameter's gradient is
+    the shards' gradients, cast to float64, summed in shard order. Adam
+    updates the float64 weights. A non-finite training loss raises
+    ModelError naming the epoch, and numpy's floating-point warnings in the
+    step's forward, loss and backward, and in normalizing and casting the
+    inputs, are silenced.
     """
     if config is None:
         config = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in)
@@ -690,7 +709,10 @@ def train(
         raise ValueError("empty train or validation split")
 
     norm = dataset.norm
-    xn = norm.normalize_inputs(dataset.inputs)
+    # a value beyond float32's range casts to inf, and the forward it reaches
+    # raises ModelError
+    with np.errstate(all="ignore"):
+        xn = norm.normalize_inputs(dataset.inputs).astype(COMPUTE_DTYPE)
     yn = norm.normalize_targets(dataset.targets)
 
     params = mdl.INITS[kind](config, stream(seed, kind + "-init"))
@@ -731,7 +753,7 @@ def train(
 
     def backward_shards(g, shards, lo, hi):
         for a, b, _, root in shards[lo:hi]:
-            root.backward(g[a:b])
+            root.backward(g[a:b].astype(COMPUTE_DTYPE))
 
     with _core_split() as split:
         for epoch in range(1, epochs + 1):
@@ -741,8 +763,9 @@ def train(
             for lo in range(0, len(order), batch_size):
                 sel = order[lo:lo + batch_size]
                 bounds = list(range(0, len(sel), TRAIN_SHARD)) + [len(sel)]
-                shards = [(a, b, {k: ad.Tensor(p.data, requires_grad=True)
-                                  for k, p in params.items()}, None)
+                weights = _compute_weights(params)
+                shards = [(a, b, {k: ad.Tensor(w, requires_grad=True)
+                                  for k, w in weights.items()}, None)
                           for a, b in zip(bounds[:-1], bounds[1:])]
                 pred = ad.Tensor(np.empty((len(sel),) + yn.shape[1:]), requires_grad=True)
                 with np.errstate(all="ignore"):
@@ -753,7 +776,8 @@ def train(
                         raise mdl.ModelError(f"training loss is not finite in epoch {epoch}")
                     total.backward()
                     split(functools.partial(backward_shards, pred.grad, shards), len(shards))
-                grads = [functools.reduce(np.add, (own[k].grad for _, _, own, _ in shards))
+                grads = [functools.reduce(np.add, (own[k].grad.astype(np.float64)
+                                                   for _, _, own, _ in shards))
                          for k in params]
                 state.lr = cosine_lr(lr, step, n_steps)
                 ad.adam_step(plist, grads, state)

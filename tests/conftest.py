@@ -6,6 +6,7 @@ cross-module test helpers.
 
 import numpy as np
 
+from bemopt import autodiff as ad
 from bemopt.autodiff import Tensor
 from bemopt.schema import (
     DAYS_PER_WEEK,
@@ -42,6 +43,27 @@ def item(t: Tensor) -> float:
     if t.data.size != 1:
         raise ValueError(f"item() needs a scalar, got shape {t.data.shape}")
     return float(t.data.reshape(()))
+
+
+def softmax(x, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis, optionally with an additive mask, as an
+    autodiff op: the dense reference `windowed_attention` is checked
+    against.
+
+    The mask is a plain array (no gradient) broadcast onto the scores;
+    banned positions carry a large negative value rather than -inf so the
+    arithmetic stays finite even for all-banned rows.
+    """
+    x = ad._coerce(x)
+    z = x.data + mask if mask is not None else x.data
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def grad_x(g):
+        return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+
+    return ad._result(y, (x,), (grad_x,))
 
 
 def grad_check(f, params, eps: float = 1e-5) -> float:

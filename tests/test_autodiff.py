@@ -20,17 +20,17 @@ import pytest
 import bemopt
 from bemopt import autodiff as ad
 from bemopt.seeding import stream
-from tests.conftest import grad_check
+from tests.conftest import grad_check, softmax
 
 
 class TestForwardValues:
     def test_softmax_constant_row_is_uniform(self):
-        y = ad.softmax(ad.constant(np.full((4, 6), 3.7)))
+        y = softmax(ad.constant(np.full((4, 6), 3.7)))
         np.testing.assert_allclose(y.data, 1.0 / 6.0, rtol=1e-15)
 
     def test_softmax_reference_values(self):
         # exp(1,2,3)/sum: (0.09003057, 0.24472847, 0.66524096)
-        y = ad.softmax(ad.constant([[1.0, 2.0, 3.0]]))
+        y = softmax(ad.constant([[1.0, 2.0, 3.0]]))
         np.testing.assert_allclose(
             y.data[0], [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
 
@@ -38,7 +38,7 @@ class TestForwardValues:
         rng = stream(10, "sm")
         x = rng.normal(size=(3, 8, 8))
         mask = np.where(np.triu(np.ones((8, 8))) > 0, 0.0, -1e30)
-        y = ad.softmax(ad.constant(x), mask=mask)
+        y = softmax(ad.constant(x), mask=mask)
         np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
         assert y.data[:, 3, 0].max() == 0.0  # below-diagonal positions are banned
 
@@ -101,7 +101,7 @@ class TestGradCheck:
             "sub": lambda: ad.mean(ad.sub(a, b)),
             "mul": lambda: ad.mean(ad.mul(a, b)),
             "relu": lambda: ad.mean(ad.relu(a)),
-            "softmax": lambda: ad.mean(ad.mul(ad.softmax(a), b)),
+            "softmax": lambda: ad.mean(ad.mul(softmax(a), b)),
             "log1p": lambda: ad.mean(ad.log1p(ad.square(a))),
             "sqrt": lambda: ad.sqrt(ad.add(ad.mean(ad.square(a)), 0.1)),
             "square": lambda: ad.mean(ad.square(b)),
@@ -278,11 +278,19 @@ def _captured(obj, seen=None):
         yield from _captured(item, seen)
 
 
-def _tape_ops():
+def _tape_ops(dtype=np.float64, leaves=None):
+    """One builder per op on fresh grad-requiring leaves of dtype; each leaf
+    a builder makes is appended to leaves when given."""
     rng = stream(8, "tape")
 
+    def leaf(a):
+        t = ad.Tensor(a.astype(dtype), requires_grad=True)
+        if leaves is not None:
+            leaves.append(t)
+        return t
+
     def p(*shape):
-        return ad.parameter(rng.normal(size=shape))
+        return leaf(rng.normal(size=shape))
 
     return {
         "add": lambda: ad.add(p(2, 3, 4), p(4)),
@@ -292,9 +300,9 @@ def _tape_ops():
         "matmul_3d_by_2d": lambda: ad.matmul(p(2, 3, 4), p(4, 5)),
         "matmul_3d": lambda: ad.matmul(p(2, 3, 4), p(2, 4, 5)),
         "relu": lambda: ad.relu(p(3, 4)),
-        "softmax": lambda: ad.softmax(p(3, 4)),
-        "log1p": lambda: ad.log1p(ad.parameter(rng.random((3, 4)))),
-        "sqrt": lambda: ad.sqrt(ad.parameter(rng.random((3, 4)) + 0.5)),
+        "softmax": lambda: softmax(p(3, 4)),
+        "log1p": lambda: ad.log1p(leaf(rng.random((3, 4)))),
+        "sqrt": lambda: ad.sqrt(leaf(rng.random((3, 4)) + 0.5)),
         "square": lambda: ad.square(p(3, 4)),
         "mean": lambda: ad.mean(p(3, 4)),
         "slice_last": lambda: ad.slice_last(p(2, 3, 4), 1, 3),
@@ -347,12 +355,71 @@ class TestTape:
         np.testing.assert_allclose(b.grad, dz.sum(axis=0), rtol=1e-12)
 
 
+class TestDtype:
+    """float32 flows through every op and its backward; float64 stays the
+    default, and nothing upcasts a float32 computation silently."""
+
+    @pytest.mark.parametrize("op", list(_tape_ops()))
+    def test_float32_flows_through_every_op_and_its_backward(self, op):
+        leaves = []
+        out = _tape_ops(np.float32, leaves)[op]()
+        assert out.data.dtype == np.float32
+        out.backward(np.ones_like(out.data))
+        assert leaves and all(t.grad.dtype == np.float32 for t in leaves)
+
+    def test_float64_is_the_default(self):
+        assert ad.constant([1, 2]).data.dtype == np.float64
+        assert ad.constant(np.arange(3, dtype=np.int32)).data.dtype == np.float64
+        assert ad.parameter(np.ones(2, dtype=np.float32)).data.dtype == np.float64
+        x = np.ones(3, dtype=np.float32)
+        assert ad.constant(x).data is x
+
+    def test_a_float64_constant_beside_float32_is_cast_to_float32(self):
+        """The attention scale 1/sqrt(r) is an np.float64, which numpy
+        would let upcast a float32 array; so would a float64 position
+        signal, taped or tape-free (both operands constant)."""
+        q32 = np.ones((2, 3), dtype=np.float32)
+        q = ad.Tensor(q32, requires_grad=True)
+        scaled = ad.mul(q, 1.0 / np.sqrt(8))
+        for y in (scaled, ad.add(q, ad.constant(np.ones((2, 3)))),
+                  ad.mul(ad.constant(q32), 1.0 / np.sqrt(8)),
+                  ad.add(ad.constant(q32), np.ones(3)),
+                  ad.matmul(ad.constant(q32), np.ones((4, 3)), transpose_b=True)):
+            assert y.data.dtype == np.float32
+        scaled.backward(np.ones((2, 3), dtype=np.float32))
+        assert q.grad.dtype == np.float32
+        # a float64 operand that requires a gradient is never cast down
+        assert ad.add(ad.parameter(np.ones(3)), q32[0]).data.dtype == np.float64
+
+    def test_operands_that_require_a_gradient_must_share_a_dtype(self):
+        f32 = ad.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        f64 = ad.parameter(np.ones((2, 3)))
+        for name, build in (
+                ("add", lambda: ad.add(f32, f64)),
+                ("mul", lambda: ad.mul(f64, f32)),
+                ("matmul", lambda: ad.matmul(f32, f64, transpose_b=True)),
+                ("layer_norm", lambda: ad.layer_norm(f32, ad.parameter(np.ones(3)),
+                                                     ad.parameter(np.zeros(3))))):
+            with pytest.raises(ValueError, match=f"{name}: operands that require a gradient "
+                                                 f"differ in dtype"):
+                build()
+
+    def test_a_seed_of_another_dtype_is_rejected_and_sweeps_nothing(self):
+        w = ad.Tensor(np.ones((2, 5), dtype=np.float32), requires_grad=True)
+        y = ad.matmul(ad.constant(np.ones((3, 5), dtype=np.float32)), w, transpose_b=True)
+        with pytest.raises(ValueError, match="seed dtype float64 does not match the root's float32"):
+            y.backward(np.ones((3, 2)))
+        assert w.grad is None
+        y.backward(np.ones((3, 2), dtype=np.float32))
+        assert w.grad.dtype == np.float32
+
+
 def dense_window_reference(q, k, v, delta):
     """Band-masked dense attention from the already-verified primitives."""
     T = q.shape[1]
     idx = np.arange(T)
     mask = np.where(np.abs(idx[:, None] - idx[None, :]) <= delta, 0.0, -1e30)
-    pi = ad.softmax(ad.matmul(q, k, transpose_b=True), mask=mask)
+    pi = softmax(ad.matmul(q, k, transpose_b=True), mask=mask)
     return ad.matmul(pi, v)
 
 

@@ -687,6 +687,13 @@ def _thickness_overflowing_the_normalization(pipeline, tmp):
                             command="calibrate")
 
 
+def _thickness_beyond_float32_range(pipeline, tmp):
+    # scaled by the 0.1-wide input range it normalizes to about 1e39: finite
+    # in float64, but beyond float32's range, where the model runs
+    return _edited_building(pipeline, tmp, "params", "facade_1_thickness_2", 1e38,
+                            command="calibrate")
+
+
 def _calibrated_block_without_occ(pipeline, tmp):
     doc = read_json(pipeline["cal"] / "calibration.json")
     del doc["calibrated"]["occ"]
@@ -784,12 +791,14 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_nan_heating_setpoint, 3),
     (_negative_ventilation_volume, 3),
     (_thickness_overflowing_the_normalization, 4),
+    (_thickness_beyond_float32_range, 4),
     (_calibrated_block_without_occ, 3),
     (_missing_model, 3),
     (_missing_calibrated, 3),
     (_report_metrics_without_best_epoch, 3),
     (_report_chosen_is_a_list, 3),
 ])
+@pytest.mark.filterwarnings("error")
 def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
     argv = make(pipeline, tmp_path)
     before = sorted(tmp_path.rglob("*"))

@@ -50,6 +50,17 @@ def small_dataset(pool):
     return tr.sample_dataset(pool, 20, seed=5, counts=(16, 2, 2))
 
 
+def float32_leaves(params) -> dict:
+    """Grad-requiring float32 copies of params: the weights each forward of
+    `train` and `predict` computes on."""
+    return {k: ad.Tensor(p.data.astype(np.float32), requires_grad=True) for k, p in params.items()}
+
+
+def float32_inputs(norm, x) -> np.ndarray:
+    """Raw inputs normalized in float64, then cast to float32, as the model sees them."""
+    return norm.normalize_inputs(x).astype(np.float32)
+
+
 def hand_loss(pred, target):
     """Direct restatement of the two-term loss in plain numpy, alpha 1.0 and beta 0.3."""
     d_t = np.sqrt(np.mean((pred[..., T_INT_INDEX] - target[..., T_INT_INDEX]) ** 2))
@@ -451,8 +462,10 @@ def test_predict_is_the_taped_forward_without_a_tape(small_dataset, kind):
     ds = small_dataset
     params = mdl.INITS[kind](TINY, stream(4, "tape-free"))
     got = tr.predict(params, TINY, kind, ds.inputs[:4], ds.norm)
-    taped = mdl.FORWARDS[kind](params, TINY, ad.constant(ds.norm.normalize_inputs(ds.inputs[:4])))
+    taped = mdl.FORWARDS[kind](float32_leaves(params), TINY,
+                               ad.constant(float32_inputs(ds.norm, ds.inputs[:4])))
     assert taped.requires_grad  # the reference really builds a graph
+    assert taped.data.dtype == np.float32 and got.dtype == np.float64
     assert np.array_equal(got, ds.norm.denormalize_targets(taped.data))
     assert all(p.grad is None for p in params.values())
 
@@ -604,9 +617,10 @@ def _train_golden(ds):
 
 # sha256 of the final parameters (insertion order, float64 bytes) and of the
 # history values (one float64 row per epoch, _HISTORY_COLUMNS order), recorded
-# with the cosine learning-rate decay on a corpus labeled one segment per hour
-GOLDEN_PARAMS_SHA256 = "023f369fece07428318d5683a8677cec343471974e2a7e5e7f2c8bc5b663a842"
-GOLDEN_HISTORY_SHA256 = "856bf218fbea47e055aab6b9bf3e3bf68307eab488f6fa483fedd549e0530672"
+# with the cosine learning-rate decay on a corpus labeled one segment per hour,
+# the model run in float32 on float64 master weights
+GOLDEN_PARAMS_SHA256 = "06023104615746f82f3ac6a0eb6cd5db6ba033390bdcd376a900f92df513e982"
+GOLDEN_HISTORY_SHA256 = "95ef76c0d56542974e3fc934c9f136cc981d7108cc2ebc3fdea446b0e45aa096"
 
 
 def _golden_digests(res):
@@ -645,10 +659,10 @@ def test_predict_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypatch
     x = ds.inputs[:48]
     for kind in ("transformer", "ffn"):
         params = mdl.INITS[kind](ACCEPTANCE, stream(7, "cores"))
-        forward = mdl.FORWARDS[kind]
+        forward, leaves = mdl.FORWARDS[kind], float32_leaves(params)
         alone = np.stack([
             ds.norm.denormalize_targets(
-                forward(params, ACCEPTANCE, ad.constant(ds.norm.normalize_inputs(row[None]))).data[0])
+                forward(leaves, ACCEPTANCE, ad.constant(float32_inputs(ds.norm, row[None]))).data[0])
             for row in x])
         for cores in (1, 2, 3):
             monkeypatch.setattr(tr, "_cores", lambda: cores)
@@ -688,25 +702,46 @@ def test_predict_raises_once_on_an_input_that_overflows_its_normalization(golden
             tr.predict(params, ACCEPTANCE, "transformer", x, ds.norm)
 
 
+def test_predict_raises_once_on_an_input_beyond_float32s_range(golden_corpus):
+    """A normalized input of 1e39 is finite in float64 but beyond float32's
+    largest value, so its cast to the compute dtype makes inf; that ends as
+    predict's ModelError with no warning first, for either kind."""
+    ds = golden_corpus
+    col = DEFAULT_SCHEMA.input_channel_names.index("facade_1_thickness_2")
+    lo, hi = ds.norm.input_lo[col], ds.norm.input_hi[col]
+    x = ds.inputs[:3].copy()
+    x[:, :, col] = lo + 1e39 * (hi - lo)
+    xn = ds.norm.normalize_inputs(x)
+    assert np.isfinite(xn).all() and xn[..., col].min() > np.finfo(np.float32).max
+    for kind in ("transformer", "ffn"):
+        params = mdl.INITS[kind](ACCEPTANCE, stream(7, "cores"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mdl.ModelError, match=f"{kind} model: non-finite output"):
+                tr.predict(params, ACCEPTANCE, kind, x, ds.norm)
+
+
 def _step_gradients_by_a_serial_loop(params, kind, x, y, norm):
     """One step's parameter gradients, restated as a plain loop on one
-    thread: each TRAIN_SHARD-sequence shard's forward on its own copy of
-    the parameters, the loss on the joined predictions, each shard's
-    backward seeded with its rows of their gradient, and the shards'
-    gradients added up in shard order."""
+    thread: each TRAIN_SHARD-sequence shard's float32 forward on its own
+    float32 copy of the parameters, the float64 loss on the joined
+    predictions, each shard's backward seeded with its rows of their
+    gradient in float32, and the shards' gradients added up in float64 in
+    shard order."""
     starts = range(0, len(x), tr.TRAIN_SHARD)
-    copies = [{k: ad.parameter(v) for k, v in params.items()} for _ in starts]
+    copies = [{k: ad.Tensor(v.astype(np.float32), requires_grad=True) for k, v in params.items()}
+              for _ in starts]
     roots = [mdl.FORWARDS[kind](own, TINY, ad.constant(x[a:a + tr.TRAIN_SHARD]))
              for own, a in zip(copies, starts)]
     pred = ad.parameter(np.concatenate([r.data for r in roots]))
     tr.training_loss(pred, y, norm)[0].backward()
     for root, a in zip(roots, starts):
-        root.backward(pred.grad[a:a + tr.TRAIN_SHARD])
+        root.backward(pred.grad[a:a + tr.TRAIN_SHARD].astype(np.float32))
     grads = []
     for k in params:
-        g = copies[0][k].grad
+        g = copies[0][k].grad.astype(np.float64)
         for own in copies[1:]:
-            g = g + own[k].grad
+            g = g + own[k].grad.astype(np.float64)
         grads.append(g)
     return grads
 
@@ -718,7 +753,7 @@ def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monk
     (shards 8/8/4, so at 2 cores one chunk runs two shards) and of 16 then
     4 (shards 8/8, then one shard of 4)."""
     ds = tr.sample_dataset(pool, 24, seed=4, counts=(20, 2, 2))
-    xn, yn = ds.norm.normalize_inputs(ds.inputs), ds.norm.normalize_targets(ds.targets)
+    xn, yn = float32_inputs(ds.norm, ds.inputs), ds.norm.normalize_targets(ds.targets)
     order = ds.splits["train"][substream(21, "shuffle", 1).permutation(20)]
     names = list(mdl.INITS[kind](TINY, stream(0, "names")))  # adam_step's parameter order
     adam_step = ad.adam_step
@@ -748,6 +783,70 @@ def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monk
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), (batch_size, cores, k)
 
 
+@pytest.mark.parametrize("kind", ["transformer", "ffn"])
+def test_the_model_runs_in_float32_on_float64_master_weights(small_dataset, monkeypatch,
+                                                             tmp_path, kind):
+    """Every op of train's shard forwards and of predict's tape-free
+    forwards makes a float32 array, and every shard leaf's gradient is
+    float32; the loss on the joined predictions runs in float64, and Adam's
+    gradients and moments, the weights, predict's output and model.bin's
+    payload are float64. An op that upcast part of a float32 forward would
+    still give the same bits on every core count and batch split, so only
+    this test sees it."""
+    phase, made = ["model"], {"model": [], "loss": []}
+    result, training_loss, forward, adam_step = (
+        ad._result, tr.training_loss, mdl.FORWARDS[kind], ad.adam_step)
+    shard_leaves, states = [], []
+
+    def record(data, parents, vjps):
+        made[phase[0]].append(data.dtype)
+        return result(data, parents, vjps)
+
+    def loss(pred, target_norm, norm):  # runs between fork-joins, with no forward
+        phase[0] = "loss"
+        try:
+            return training_loss(pred, target_norm, norm)
+        finally:
+            phase[0] = "model"
+
+    def keep_shard_leaves(params, cfg, x):
+        if all(p.requires_grad for p in params.values()):
+            shard_leaves.append(params)
+        return forward(params, cfg, x)
+
+    def keep_state(params, grads, state):
+        assert all(g.dtype == np.float64 for g in grads)
+        states.append(state)
+        adam_step(params, grads, state)
+
+    monkeypatch.setattr(ad, "_result", record)
+    monkeypatch.setattr(tr, "training_loss", loss)
+    monkeypatch.setitem(mdl.FORWARDS, kind, keep_shard_leaves)
+    monkeypatch.setattr(ad, "adam_step", keep_state)
+    res = tr.train(small_dataset, kind, TINY, epochs=2, batch_size=12, seed=21)
+
+    float32, float64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert made["model"] and set(made["model"]) == {float32}
+    assert made["loss"] and set(made["loss"]) == {float64}
+    assert len(shard_leaves) == 2 * 3  # two epochs of shards 8/4, then 4
+    assert all(p.data.dtype == float32 and p.grad.dtype == float32
+               for own in shard_leaves for p in own.values())
+    assert len(states) == 2 * 2
+    assert all(m.dtype == v.dtype == float64 for m, v in zip(states[-1].m, states[-1].v))
+
+    made["model"].clear()
+    params = list(res.model.params.values())
+    out = tr.predict(res.model.params, TINY, kind, small_dataset.inputs[:3], small_dataset.norm)
+    assert made["model"] and set(made["model"]) == {float32}
+    assert out.dtype == float64
+    assert all(p.data.dtype == float64 for p in params)
+    # Adam steps in float64: the weights are not float32 values
+    assert any((p.data != p.data.astype(np.float32)).any() for p in params)
+    res.model.save(tmp_path / "model.bin")
+    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes() for p in params)
+    assert (tmp_path / "model.bin").read_bytes().endswith(payload)
+
+
 @pytest.fixture
 def blas():
     """OpenBLAS's (get, set) thread-count functions, or None. The count is
@@ -767,13 +866,16 @@ def blas():
 
 def test_a_nonfinite_shard_on_a_pool_thread_ends_as_a_model_error(pool, monkeypatch, blas):
     """At 3 cores a batch of 24 is three shards, and a pool thread runs the
-    last; a NaN or inf input there (whose layer_norm makes inf - inf) must
+    last; a NaN or inf input there (whose layer_norm makes inf - inf), or
+    one that normalizes beyond float32's range (its cast makes inf), must
     end as the ModelError naming the epoch, with no warning first."""
     monkeypatch.setattr(tr, "_cores", lambda: 3)
     ds = tr.sample_dataset(pool, 28, seed=4, counts=(24, 2, 2))
     last = ds.splits["train"][substream(21, "shuffle", 1).permutation(24)][-1]
     before = blas[0]() if blas else None
-    for bad in (np.nan, np.inf):
+    beyond_float32 = ds.norm.input_lo[0] + 1e39 * (ds.norm.input_hi[0] - ds.norm.input_lo[0])
+    assert np.isfinite(beyond_float32)
+    for bad in (np.nan, np.inf, beyond_float32):
         inputs = ds.inputs.copy()
         inputs[last, 100, 0] = bad
         with warnings.catch_warnings():
@@ -927,7 +1029,9 @@ def test_a_fork_after_training_gets_a_working_pool(pool, monkeypatch):
 def test_training_peak_memory_stays_near_one_graph(golden_corpus):
     """train() holds at most one step's graph at a time: backward frees it as
     it sweeps, so step k+1's forward never coexists with step k's graph
-    (which used to put the traced peak at ~2.5 graphs)."""
+    (which used to put the traced peak at ~2.5 graphs). The graph is built
+    as train builds it: a float32 forward, then the float64 loss on a leaf
+    over its predictions (26.6 MiB; the peak reads about 1.2 of them)."""
     ds = golden_corpus
     sel = ds.splits["train"][:32]
     params = mdl.init_transformer(ACCEPTANCE, stream(1, "transformer-init"))
@@ -935,11 +1039,12 @@ def test_training_peak_memory_stays_near_one_graph(golden_corpus):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pred = mdl.transformer_forward(
-            params, ACCEPTANCE, ad.constant(ds.norm.normalize_inputs(ds.inputs[sel])))
+        root = mdl.transformer_forward(float32_leaves(params), ACCEPTANCE,
+                                       ad.constant(float32_inputs(ds.norm, ds.inputs[sel])))
+        pred = ad.parameter(root.data)
         graph = tr.training_loss(pred, ds.norm.normalize_targets(ds.targets[sel]), ds.norm)
         graph_bytes = tracemalloc.get_traced_memory()[0] - base
-        del pred, graph
+        del root, pred, graph
         gc.collect()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
