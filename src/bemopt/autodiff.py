@@ -413,6 +413,36 @@ def merge_heads(x, heads: int) -> Tensor:
     return _result(out, (x,), (grad_x,))
 
 
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) with the bits of np.moveaxis(x, 0, -1).sum(axis=-1) on a
+    contiguous copy: the slots are added in numpy's pairwise order, fewer
+    than 8 in sequence from +0.0, up to 128 in eight running lanes joined as
+    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the tail, then +0.0, more
+    split in two at a multiple of 8.  So an all-zero column sums to +0.0,
+    as numpy's does."""
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _slot_sum(x[:half]) + _slot_sum(x[half:])
+    if n < 8:
+        res = x[0] + 0.0
+        for i in range(1, n):
+            res += x[i]
+        return res
+    lanes = x[:8].copy()
+    body = n - n % 8
+    for i in range(8, body, 8):
+        lanes += x[i:i + 8]
+    np.add(lanes[0::2], lanes[1::2], out=lanes[0::2])
+    np.add(lanes[0::4], lanes[2::4], out=lanes[0::4])
+    res = lanes[0]
+    res += lanes[4]
+    for i in range(body, n):
+        res += x[i]
+    res += 0.0
+    return res
+
+
 def windowed_attention(q, k, v, delta: int):
     """Scaled-window attention: position t attends to t-delta .. t+delta.
 
@@ -461,8 +491,9 @@ def windowed_attention(q, k, v, delta: int):
         inner[...] = x
         return buf
 
-    # slots whose absolute position falls outside the sequence are banned
-    pos = np.arange(T)[:, None] + np.arange(W)[None, :] - delta
+    # slots whose absolute position falls outside the sequence are banned;
+    # the mask is [W, 1, T], in the softmax's slot-major layout
+    pos = np.arange(W)[:, None, None] + np.arange(T)[None, None, :] - delta
     boundary = np.where((pos >= 0) & (pos < T), 0.0, -1e30).astype(qd.dtype)
 
     # k, v and the per-slot factors pi (ds in the backward) live in
@@ -470,10 +501,16 @@ def windowed_attention(q, k, v, delta: int):
     # (scatter-free gathers) without a padded copy
     k_pad, v_pad = pad(kd), pad(vd)
     pi_pad, pi = zero_padded(B, W)
-    scores = (fwd_window(k_pad) @ qd[:, :, :, None])[..., 0] + boundary
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    np.divide(e, e.sum(axis=-1, keepdims=True), out=pi)
+    # the softmax runs slot-major, [W, B, T], so its max and sum over the
+    # slots are lane-wise ops over whole [B, T] planes; _slot_sum keeps
+    # numpy's summation order, so pi has the bits of a last-axis softmax
+    e = np.add((fwd_window(k_pad) @ qd[:, :, :, None])[..., 0].transpose(2, 0, 1), boundary,
+               order="C")
+    e -= e.max(axis=0)
+    np.exp(e, out=e)
+    np.divide(e, _slot_sum(e), out=e)
+    pi[...] = e.transpose(1, 2, 0)  # a transposing copy beats a strided divide
+    del e  # freed before the output product allocates; the tape keeps pi
     out = (pi[:, :, None, :] @ fwd_window(v_pad))[:, :, 0, :]
 
     def grad_all(g):

@@ -18,6 +18,7 @@ checkpoint file.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Mapping
 
 import numpy as np
@@ -82,6 +83,15 @@ def positional_encoding(length: int, d_emb: int) -> np.ndarray:
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d_emb)
     enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
     return enc
+
+
+@functools.lru_cache(maxsize=8)
+def _position_signal(length: int, d_emb: int, dtype: np.dtype) -> np.ndarray:
+    """POS_SCALE * positional_encoding(length, d_emb) in dtype, made once per
+    shape and dtype and shared read-only by every forward."""
+    pos = (POS_SCALE * positional_encoding(length, d_emb)).astype(dtype)
+    pos.flags.writeable = False
+    return pos
 
 
 def _uniform(rng, shape) -> np.ndarray:
@@ -152,7 +162,7 @@ def attention_block(params: dict, cfg: MetamodelConfig, q_src, kv_src, prefix: s
 def transformer_forward(params: dict, cfg: MetamodelConfig, x) -> ad.Tensor:
     """[batch, time, d_in] normalized inputs -> [batch, time, d_out]."""
     z = embed(params, cfg, x)
-    pos = POS_SCALE * positional_encoding(z.data.shape[1], cfg.d_emb)
+    pos = _position_signal(z.data.shape[1], cfg.d_emb, z.data.dtype)
     z = ad.add(z, ad.constant(np.broadcast_to(pos, z.data.shape)))
     queries = z
     for i in range(cfg.n_layers - 1):

@@ -335,6 +335,26 @@ class TestTape:
         assert any(a is scale.data for a in arrays)
         assert not any(a is q.data for a in arrays)
 
+    def test_attention_tape_keeps_no_slot_major_array(self):
+        """The softmax's [W, B, T] working array is freed in the forward:
+        no array the VJPs keep is it or a view of it."""
+        B, T, delta = 3, 7, 2
+        W = 2 * delta + 1
+        rng = stream(11, "slot-major")
+        q, k, v = (ad.parameter(rng.normal(size=(B, T, n))) for n in (4, 4, 2))
+        y = ad.windowed_attention(q, k, v, delta)
+        arrays = [obj for f in y._node._vjps for obj in _captured(f)
+                  if isinstance(obj, np.ndarray)]
+        assert arrays
+
+        def chain(a):
+            while a is not None:
+                yield a
+                a = a.base
+
+        shapes = {b.shape for a in arrays for b in chain(a) if isinstance(b, np.ndarray)}
+        assert (W, B, T) not in shapes, shapes
+
     def test_unread_forward_result_is_freed_before_backward(self):
         """relu(add(matmul(x, W), b)) reads nothing of the matmul output in
         its backward, so dropping the Tensor frees the array."""
@@ -412,6 +432,35 @@ class TestDtype:
         assert w.grad is None
         y.backward(np.ones((3, 2), dtype=np.float32))
         assert w.grad.dtype == np.float32
+
+
+class TestSlotSum:
+    """The softmax's slot-major sum has the bits of numpy's own last-axis
+    sum, so pi is the same whichever layout the softmax runs in."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("W", list(range(1, 41)) + [129, 300])
+    def test_bits_equal_a_last_axis_sum(self, W, dtype):
+        rng = stream(37, f"slot-sum-{W}")
+        x = rng.normal(size=(W, 6, 9)) * 10.0 ** rng.uniform(-3, 3, size=(W, 6, 9))
+        x[:, 0, :] = rng.choice([0.0, -0.0], size=(W, 9))  # mixed signed zeros
+        x[:, 1, :2] = -0.0  # all negative zeros: numpy's sum is +0.0
+        x = x.astype(dtype)
+        want = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+        got = ad._slot_sum(x)
+        assert got.dtype == dtype and got.shape == (6, 9)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[1, :2]).any()
+        if W >= 8:
+            # the data tells summation orders apart: a plain in-order sum
+            # over the slots gives other bits
+            assert x.sum(axis=0).tobytes() != want.tobytes()
+
+    def test_leaves_its_input_alone(self):
+        x = stream(38, "slot-sum-input").normal(size=(25, 3, 4)).astype(np.float32)
+        before = x.copy()
+        ad._slot_sum(x)
+        assert x.tobytes() == before.tobytes()
 
 
 def dense_window_reference(q, k, v, delta):
@@ -507,6 +556,40 @@ class TestWindowedAttention:
         outside = np.abs(s - t) > delta
         assert np.all(pi[:, outside] == 0.0)
         assert np.all(pi[:, ~outside] > 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_nan_query_spoils_exactly_its_row_and_boundary_slots_stay_zero(self, dtype):
+        """predict's one finiteness check relies on a NaN query reaching
+        its output row, and on no other row; a slot outside the sequence
+        gets weight exactly 0, and the visible slots' weights sum to 1."""
+        B, T, delta = 2, 15, 4
+        W = 2 * delta + 1
+        rng = stream(36, "nan")
+        q = (30.0 * rng.normal(size=(B, T, 3))).astype(dtype)
+        q[1, 6, 0] = np.nan
+        k = rng.normal(size=(B, T, 3)).astype(dtype)
+        # one-hot values: out[b, t, s] is the weight of query t on position s
+        v = np.broadcast_to(np.eye(T, dtype=dtype), (B, T, T))
+        y = ad.windowed_attention(ad.Tensor(q, requires_grad=True), ad.constant(k),
+                                  ad.constant(v), delta=delta)
+        out = y.data
+        assert out.dtype == dtype
+        spoiled = np.zeros((B, T), dtype=bool)
+        spoiled[1, 6] = True
+        assert np.isnan(out[1, 6]).all()
+        assert np.isfinite(out[~spoiled]).all()
+        np.testing.assert_allclose(out[~spoiled].sum(axis=-1), 1.0,
+                                   atol=1e-6 if dtype == np.float32 else 1e-12)
+        # the per-slot weights the backward keeps, [B, T + 2*delta, W] padded
+        pi_pad, = [a for a in _captured(y._node._vjps[0])
+                   if isinstance(a, np.ndarray) and a.shape == (B, T + 2 * delta, W)]
+        pi = pi_pad[:, delta:delta + T]
+        pos = np.arange(T)[:, None] + np.arange(W)[None, :] - delta
+        banned = (pos < 0) | (pos >= T)
+        assert banned.any()
+        for b, t in zip(*np.nonzero(~spoiled)):
+            assert np.all(pi[b, t, banned[t]] == 0.0)
+            assert np.array_equal(pi[b, t, ~banned[t]], out[b, t, pos[t, ~banned[t]]])
 
     def test_shape_errors(self):
         q = ad.constant(np.ones((1, 5, 2)))

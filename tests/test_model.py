@@ -73,6 +73,45 @@ class TestPositionalEncoding:
         np.testing.assert_allclose(enc[0, 0::2], 0.0, atol=1e-15)
         np.testing.assert_allclose(enc[0, 1::2], 1.0, atol=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forwards_share_one_read_only_position_signal(self, monkeypatch, dtype):
+        """The scaled signal is computed once per length, width and dtype:
+        later forwards add the same read-only array, with the same bits as
+        scaling and casting the encoding afresh."""
+        md._position_signal.cache_clear()
+        made = []
+        encoding = md.positional_encoding
+
+        def count(length, d_emb):
+            made.append((length, d_emb))
+            return encoding(length, d_emb)
+
+        monkeypatch.setattr(md, "positional_encoding", count)
+        added = []
+        add = ad.add
+
+        def spy(a, b):
+            added.append(b)
+            return add(a, b)
+
+        monkeypatch.setattr(ad, "add", spy)
+        p = {n: ad.constant(t.data.astype(dtype)) for n, t in tiny_params().items()}
+        x = np.random.default_rng(2).normal(size=(2, 5, 3)).astype(dtype)
+        first = md.transformer_forward(p, TINY, x).data
+        signals = [t.data for t in added if isinstance(t, ad.Tensor)
+                   and t.data.shape == (2, 5, TINY.d_emb) and t.data.strides[0] == 0]
+        again = md.transformer_forward(p, TINY, x).data
+        assert made == [(5, TINY.d_emb)]
+        assert again.tobytes() == first.tobytes()
+        pos = md._position_signal(5, TINY.d_emb, np.dtype(dtype))
+        assert pos.dtype == dtype and not pos.flags.writeable
+        assert len(signals) == 1 and np.shares_memory(signals[0], pos)
+        want = (md.POS_SCALE * encoding(5, TINY.d_emb)).astype(dtype)
+        assert pos.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            pos[0, 0] = 1.0
+        md._position_signal.cache_clear()
+
 
 class TestEmbed:
     def test_zero_weight_gives_bias(self):

@@ -787,20 +787,26 @@ def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monk
 def test_the_model_runs_in_float32_on_float64_master_weights(small_dataset, monkeypatch,
                                                              tmp_path, kind):
     """Every op of train's shard forwards and of predict's tape-free
-    forwards makes a float32 array, and every shard leaf's gradient is
-    float32; the loss on the joined predictions runs in float64, and Adam's
-    gradients and moments, the weights, predict's output and model.bin's
-    payload are float64. An op that upcast part of a float32 forward would
+    forwards makes a float32 array, the attention softmax's own
+    exponentials (what ad._slot_sum adds) are float32, not just the
+    weights it writes, and every shard leaf's gradient is float32; the
+    loss on the joined predictions runs in float64, and Adam's gradients
+    and moments, the weights, predict's output and model.bin's payload
+    are float64. An op that upcast part of a float32 forward would
     still give the same bits on every core count and batch split, so only
     this test sees it."""
     phase, made = ["model"], {"model": [], "loss": []}
-    result, training_loss, forward, adam_step = (
-        ad._result, tr.training_loss, mdl.FORWARDS[kind], ad.adam_step)
-    shard_leaves, states = [], []
+    result, training_loss, forward, adam_step, slot_sum = (
+        ad._result, tr.training_loss, mdl.FORWARDS[kind], ad.adam_step, ad._slot_sum)
+    shard_leaves, states, summed = [], [], []
 
     def record(data, parents, vjps):
         made[phase[0]].append(data.dtype)
         return result(data, parents, vjps)
+
+    def record_sum(x):  # sees the softmax's own exponentials, not just pi
+        summed.append(x.dtype)
+        return slot_sum(x)
 
     def loss(pred, target_norm, norm):  # runs between fork-joins, with no forward
         phase[0] = "loss"
@@ -820,6 +826,7 @@ def test_the_model_runs_in_float32_on_float64_master_weights(small_dataset, monk
         adam_step(params, grads, state)
 
     monkeypatch.setattr(ad, "_result", record)
+    monkeypatch.setattr(ad, "_slot_sum", record_sum)
     monkeypatch.setattr(tr, "training_loss", loss)
     monkeypatch.setitem(mdl.FORWARDS, kind, keep_shard_leaves)
     monkeypatch.setattr(ad, "adam_step", keep_state)
@@ -828,6 +835,7 @@ def test_the_model_runs_in_float32_on_float64_master_weights(small_dataset, monk
     float32, float64 = np.dtype(np.float32), np.dtype(np.float64)
     assert made["model"] and set(made["model"]) == {float32}
     assert made["loss"] and set(made["loss"]) == {float64}
+    assert set(summed) == ({float32} if kind == "transformer" else set())
     assert len(shard_leaves) == 2 * 3  # two epochs of shards 8/4, then 4
     assert all(p.data.dtype == float32 and p.grad.dtype == float32
                for own in shard_leaves for p in own.values())
@@ -835,9 +843,11 @@ def test_the_model_runs_in_float32_on_float64_master_weights(small_dataset, monk
     assert all(m.dtype == v.dtype == float64 for m, v in zip(states[-1].m, states[-1].v))
 
     made["model"].clear()
+    summed.clear()
     params = list(res.model.params.values())
     out = tr.predict(res.model.params, TINY, kind, small_dataset.inputs[:3], small_dataset.norm)
     assert made["model"] and set(made["model"]) == {float32}
+    assert set(summed) == ({float32} if kind == "transformer" else set())
     assert out.dtype == float64
     assert all(p.data.dtype == float64 for p in params)
     # Adam steps in float64: the weights are not float32 values
