@@ -7,7 +7,7 @@ one minus the mean coefficient of determination over the two channels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,13 +27,13 @@ from .schema import (
     SchemaError,
     assemble_inputs,
     decode_unit_box,
-    heat_aggregate_of,
     occupied_hours,
     read_hourly_csv,
+    sensor_series,
     write_hourly_csv,
 )
 from .seeding import stream
-from .training import T_INT_INDEX, episode_errors, predict, r2_score
+from .training import episode_errors, predict, r2_score
 
 __all__ = [
     "CmaState",
@@ -51,6 +51,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # CMA-ES
 
+SIGMA0 = 0.3  # initial step size, in unit-box coordinates
+BUDGET = 500  # calibrate's default number of generations
+
 
 def population_size(n: int) -> int:
     """Default lambda of an n-dimensional CMA-ES: 4 + floor(3 ln n)."""
@@ -65,7 +68,7 @@ class CmaState:
     the standard (mu/mu_w, lambda) formulas.
     """
 
-    def __init__(self, n: int, seed: int, sigma0: float = 0.3):
+    def __init__(self, n: int, seed: int, sigma0: float = SIGMA0):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         if sigma0 <= 0:
@@ -183,19 +186,21 @@ class CmaResult(NamedTuple):
     initial_f: float  # cost of the start mean, evaluated before any sample
 
 
-def cma_minimize(evaluate, n: int, seed: int, max_evals: int, sigma0: float = 0.3,
+def cma_minimize(evaluate, n: int, seed: int, max_evals: int, sigma0: float = SIGMA0,
                  target: float | None = None, log=None) -> CmaResult:
     """The one ask/tell loop over [0,1]^n.
 
     `evaluate` is batch-only: it maps a (k, n) candidate matrix to k costs.
-    It is called once on the start mean, then once per generation on the
-    lambda sampled candidates, until `max_evals` evaluations are spent or a
-    generation's best candidate falls below `target`. `log(generation,
-    best_f)` is called every 50 generations.
+    It is called once on the start mean, whose cost seeds the state's best
+    record (ModelError if it is not finite), then once per generation on the
+    lambda sampled candidates, until `max_evals` evaluations are spent or the
+    best cost falls below `target`. `log(generation, best_f)` is called
+    every 50 generations.
     """
     state = CmaState(n, seed, sigma0=sigma0)
-    initial_f = float(_costs(evaluate, state.m[None])[0])
-    best_x, best_f = state.m.copy(), initial_f
+    initial_f = state.best_f = float(_costs(evaluate, state.m[None])[0])
+    if not math.isfinite(initial_f):  # no sample beats a NaN, and no JSON holds either
+        raise mdl.ModelError(f"cost of the start point is {initial_f}")
     history = []
     evals = 1
     while evals < max_evals:
@@ -203,14 +208,12 @@ def cma_minimize(evaluate, n: int, seed: int, max_evals: int, sigma0: float = 0.
         fs = _costs(evaluate, xs)
         evals += len(xs)
         cma_tell(state, xs, fs)
-        if state.best_f < best_f:
-            best_f, best_x = state.best_f, state.best_x.copy()
-        history.append(best_f)
+        history.append(state.best_f)
         if log is not None and len(history) % 50 == 0:
-            log(len(history), best_f)
+            log(len(history), state.best_f)
         if target is not None and state.best_f < target:
             break
-    return CmaResult(best_x, best_f, evals, history, initial_f)
+    return CmaResult(state.best_x, state.best_f, evals, history, initial_f)
 
 
 def _costs(evaluate, xs: np.ndarray) -> np.ndarray:
@@ -249,8 +252,7 @@ class SensorTrace:
     @classmethod
     def from_output(cls, targets: np.ndarray) -> "SensorTrace":
         """Aggregate a full (168, 8) output matrix down to the two sensors."""
-        targets = np.asarray(targets, dtype=np.float64)
-        return cls(targets[:, T_INT_INDEX], heat_aggregate_of(targets))
+        return cls(*sensor_series(targets))
 
     def save_csv(self, path) -> None:
         write_hourly_csv(path, TRACE_COLUMNS, np.column_stack([self.t_int, self.q_heat]))
@@ -416,17 +418,7 @@ class CalibrationReport:
     evaluations: int
 
     def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "values": list(self.values),
-            "best_cost": self.best_cost,
-            "initial_cost": self.initial_cost,
-            "history": list(self.history),
-            "week_metrics": self.week_metrics,
-            "holdout_metrics": self.holdout_metrics,
-            "generations": self.generations,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 def calibrate(
@@ -434,18 +426,18 @@ def calibrate(
     model: mdl.FrozenModel,
     traces,
     weathers,
-    budget: int = 500,
+    budget: int = BUDGET,
     seed: int = 0,
     holdout_traces=(),
     holdout_weathers=(),
-    sigma0: float = 0.3,
+    sigma0: float = SIGMA0,
     log=None,
 ):
     """CMA-ES over the space for `budget` generations; the model stays frozen.
 
     Returns (best_x01, report). Candidate fitness is the mean cost over the
-    calibration weeks, summed in week order. Each generation runs one
-    batched `predict` over every (candidate, week) pair.
+    calibration weeks, summed in week order, and ranks last if it overflows.
+    Each generation runs one batched `predict` over every (candidate, week) pair.
     """
     traces = list(traces)
     weathers = list(weathers)
@@ -459,9 +451,10 @@ def calibrate(
         preds = predict(model.params, model.config, model.kind, batch, model.norm)
         preds = preds.reshape(len(xs), len(weathers), *preds.shape[1:])
         costs = np.zeros(len(xs))
-        for w, trace in enumerate(traces):
-            for i, p in enumerate(preds[:, w]):
-                costs[i] += cost_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), trace)
+        with np.errstate(all="ignore"):
+            for w, trace in enumerate(traces):
+                for i, p in enumerate(preds[:, w]):
+                    costs[i] += cost_from_series(*sensor_series(p), trace)
         return costs / len(traces)
 
     result = cma_minimize(population_costs, space.dim, seed,
@@ -476,8 +469,8 @@ def calibrate(
         preds = predict(model.params, model.config, model.kind, inputs, model.norm)
         rows = []
         for k, (trace, pred, mask) in enumerate(zip(ts, preds, occupied_hours(inputs))):
-            row = episode_errors(pred[:, T_INT_INDEX], trace.t_int,
-                                 heat_aggregate_of(pred), trace.q_heat, mask)
+            p_t, p_q = sensor_series(pred)
+            row = episode_errors(p_t, trace.t_int, p_q, trace.q_heat, mask)
             row["week"] = k
             rows.append(row)
         return rows

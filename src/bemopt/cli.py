@@ -18,8 +18,9 @@ import numpy as np
 
 from . import __version__
 from . import model as mdl
-from .calibration import CalibrationSpace, SensorTrace, calibrate
+from .calibration import BUDGET, SIGMA0, CalibrationSpace, SensorTrace, calibrate
 from .pareto import (
+    COMFORT_TOLERANCE,
     BmsSpace,
     NsgaConfig,
     evaluate_settings,
@@ -30,15 +31,14 @@ from .rcsim import NumericalError, simulate_week
 from .schema import (
     DEFAULT_SCHEMA,
     HOURS_PER_WEEK,
-    T_INT_INDEX,
     BmsSchedule,
     BuildingParams,
     OccupancySchedule,
     SchemaError,
     assemble_inputs,
     check_output_dir,
-    heat_aggregate_of,
     make_output_dir,
+    sensor_series,
     write_hourly_csv,
 )
 from .seeding import substream
@@ -52,7 +52,7 @@ from .training import (
     split_counts,
     train,
 )
-from .weather import generate_pool, load_pool, load_week, save_pool
+from .weather import generate_pool, load_pool, load_week, save_pool, week_path
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -158,7 +158,7 @@ def _trace_path(directory, week: int) -> str:
 
 
 def _load_weather_week(manifest, directory, week: int):
-    path = os.path.join(directory, f"week_{week:04d}.csv")
+    path = week_path(directory, week)
     manifest.add_input(path)
     return load_week(path)
 
@@ -180,7 +180,6 @@ def _fmt(v) -> str:
 
 def cmd_sample(args, section) -> int:
     weather_weeks = _pick(args, section, "weather_weeks", None, int)
-    weather_seed = _pick(args, section, "weather_seed", 0, int)
     episodes = _pick(args, section, "episodes", None, int)
     if episodes is None:
         raise CliError("--episodes is required")
@@ -200,7 +199,7 @@ def cmd_sample(args, section) -> int:
                 f"weather directory {args.weather} has no CSV files; "
                 "pass --weather-weeks N to generate a pool there",
             )
-        generated = save_pool(args.weather, generate_pool(weather_seed, weather_weeks))
+        generated = save_pool(args.weather, generate_pool(0, weather_weeks))
     for name in sorted(os.listdir(args.weather)):
         if name.endswith(".csv"):
             (manifest.add_output if generated else manifest.add_input)(
@@ -342,8 +341,8 @@ def _parse_free(text: str):
 
 
 def cmd_calibrate(args, section) -> int:
-    budget = _pick(args, section, "budget", 500, int)
-    sigma0 = _pick(args, section, "sigma0", 0.3, float)
+    budget = _pick(args, section, "budget", BUDGET, int)
+    sigma0 = _pick(args, section, "sigma0", SIGMA0, float)
     if budget < 0:
         raise SchemaError(f"budget must be >= 0, got {budget}")
     if not 0 < sigma0 < math.inf:
@@ -417,7 +416,7 @@ def cmd_calibrate(args, section) -> int:
 def cmd_optimize(args, section) -> int:
     generations = _pick(args, section, "generations", NsgaConfig().generations, int)
     population = _pick(args, section, "pop", NsgaConfig().population, int)
-    tolerance = _pick(args, section, "tolerance", 0.05, float)
+    tolerance = _pick(args, section, "tolerance", COMFORT_TOLERANCE, float)
     if not math.isfinite(tolerance):
         raise SchemaError(f"tolerance must be finite, got {tolerance}")
     check_output_dir(args.out)  # before the search
@@ -473,8 +472,7 @@ def cmd_optimize(args, section) -> int:
         assemble_inputs(params, chosen_bms, occ, weather), model.norm,
     )
     series_path = os.path.join(args.out, "chosen_timeseries.csv")
-    write_hourly_csv(series_path, ("t_pred", "q_heat_pred"),
-                     np.column_stack([pred[:, T_INT_INDEX], heat_aggregate_of(pred)]))
+    write_hourly_csv(series_path, ("t_pred", "q_heat_pred"), np.column_stack(sensor_series(pred)))
     for path in (front_path, hv_path, chosen_path, series_path):
         manifest.add_output(path)
     manifest.write(os.path.join(args.out, "run.json"))
@@ -638,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--episodes", type=int, default=None, help="number of building-weeks")
     s.add_argument("--weather-weeks", type=int, default=None, dest="weather_weeks",
                    help="generate this many weather weeks when the directory is empty")
-    s.add_argument("--weather-seed", type=int, default=None, dest="weather_seed")
     s.add_argument("--jobs", type=int, default=1, help="labeling worker processes (default 1)")
 
     s = sub.add_parser("train", parents=[common], help="fit a surrogate on a dataset")
@@ -667,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--weeks", required=True, help="calibration week indices, comma-separated")
     s.add_argument("--holdout-weeks", default=None, dest="holdout_weeks")
     s.add_argument("--free", default=None, help="free variables, e.g. 'nb_occupants,t_heat_conf_day:per_day'")
-    s.add_argument("--budget", type=int, default=None, help="CMA-ES generations (default 500)")
-    s.add_argument("--sigma0", type=float, default=None)
+    s.add_argument("--budget", type=int, default=None, help=f"CMA-ES generations (default {BUDGET})")
+    s.add_argument("--sigma0", type=float, default=None, help=f"initial step size (default {SIGMA0})")
     s.add_argument("--out", required=True)
 
     s = sub.add_parser("optimize", parents=[common], help="search the comfort/consumption front")
@@ -678,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--week", type=int, default=0, help="weather week to optimize against")
     s.add_argument("--generations", type=int, default=None)
     s.add_argument("--pop", type=int, default=None)
-    s.add_argument("--tolerance", type=float, default=None, help="comfort tolerance, deg C (default 0.05)")
+    s.add_argument("--tolerance", type=float, default=None,
+                   help=f"comfort tolerance, deg C (default {COMFORT_TOLERANCE})")
     s.add_argument("--out", required=True)
 
     s = sub.add_parser("report", parents=[common], help="summarize a run directory")

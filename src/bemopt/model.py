@@ -31,8 +31,9 @@ POS_SCALE = 0.3
 
 
 class ModelError(RuntimeError):
-    """A non-finite model output or training loss; raised only by
-    `training.predict` and `training.train`."""
+    """A non-finite model output or training loss, or a search score that
+    overflows on finite outputs; raised only by `training.predict`,
+    `training.train`, `pareto.evaluate_settings` and `calibration.cma_minimize`."""
 
 
 @dataclasses.dataclass(frozen=True)

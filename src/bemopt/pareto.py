@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrozenModel
+from .model import FrozenModel, ModelError
 from .schema import (
     BMS_SPECS,
     DAY_NAMES,
@@ -23,11 +23,11 @@ from .schema import (
     WeatherSeries,
     assemble_inputs,
     decode_unit_box,
-    heat_aggregate_of,
     occupied_hours,
+    sensor_series,
 )
 from .seeding import stream
-from .training import T_INT_INDEX, predict
+from .training import predict
 
 __all__ = [
     "T_STAR",
@@ -173,22 +173,20 @@ def _tournament(rng, ranks, crowd, rounds: int, size: int) -> np.ndarray:
     return winners
 
 
-def _sbx(rng, x1, x2, lo, hi, eta: float, p_cross: float):
-    """Bounded simulated binary crossover over paired parent rows."""
-    c1, c2 = x1.copy(), x2.copy()
+def _sbx(rng, x1, x2, eta: float, p_cross: float):
+    """Simulated binary crossover over paired parent rows, bounded by [0,1]."""
     do_pair = rng.random(len(x1)) < p_cross
     do_var = rng.random(x1.shape) < 0.5
     u = rng.random(x1.shape)
     swap = rng.random(x1.shape) < 0.5
     y1 = np.minimum(x1, x2)
     y2 = np.maximum(x1, x2)
-    width = hi - lo
-    active = do_pair[:, None] & do_var & (y2 - y1 > 1e-14) & (width > 0)
+    active = do_pair[:, None] & do_var & (y2 - y1 > 1e-14)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = y2 - y1
-        beta_lo = 1.0 + 2.0 * (y1 - lo) / diff
-        beta_hi = 1.0 + 2.0 * (hi - y2) / diff
+        beta_lo = 1.0 + 2.0 * y1 / diff
+        beta_hi = 1.0 + 2.0 * (1.0 - y2) / diff
 
         def child(beta):
             alpha = 2.0 - beta ** -(eta + 1.0)
@@ -200,30 +198,23 @@ def _sbx(rng, x1, x2, lo, hi, eta: float, p_cross: float):
 
         lo_child = 0.5 * ((y1 + y2) - child(beta_lo) * diff)
         hi_child = 0.5 * ((y1 + y2) + child(beta_hi) * diff)
-    lo_child = np.clip(lo_child, lo, hi)
-    hi_child = np.clip(hi_child, lo, hi)
+    lo_child = np.clip(lo_child, 0.0, 1.0)
+    hi_child = np.clip(hi_child, 0.0, 1.0)
     a = np.where(swap, hi_child, lo_child)
     b = np.where(swap, lo_child, hi_child)
-    c1[active] = a[active]
-    c2[active] = b[active]
-    return c1, c2
+    return np.where(active, a, x1), np.where(active, b, x2)
 
 
-def _polynomial_mutation(rng, x, lo, hi, eta: float, p_mut: float) -> np.ndarray:
-    y = x.copy()
+def _polynomial_mutation(rng, x, eta: float, p_mut: float) -> np.ndarray:
+    """Polynomial mutation in [0,1]^n, where no fractional power has a negative base."""
     u = rng.random(x.shape)
-    do = (rng.random(x.shape) < p_mut) & (hi - lo > 0)
-    width = np.broadcast_to(hi - lo, x.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (x - lo) / width
-        d2 = (hi - x) / width
-        mpow = 1.0 / (eta + 1.0)
-        low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** mpow - 1.0
-        high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)) ** mpow
-        delta = np.where(u < 0.5, low_branch, high_branch)
-    moved = np.clip(x + delta * width, np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape))
-    y[do] = moved[do]
-    return y
+    do = rng.random(x.shape) < p_mut
+    d1, d2 = x, 1.0 - x  # distances to the lower and the upper bound
+    mpow = 1.0 / (eta + 1.0)
+    low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** mpow - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)) ** mpow
+    delta = np.where(u < 0.5, low_branch, high_branch)
+    return np.where(do, np.clip(x + delta, 0.0, 1.0), x)
 
 
 def _rank_and_crowd(F):
@@ -249,20 +240,14 @@ def _truncate(F, pop: int) -> np.ndarray:
     return np.array(survivors[:pop])
 
 
-def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> ParetoFront:
-    """Generational loop over a box-bounded continuous space.
+def nsga2_run(config: NsgaConfig, evaluator, n: int, seed: int, log=None) -> ParetoFront:
+    """Generational loop over the unit box [0,1]^n.
 
     `evaluator` is batch-only: it receives the whole (pop, n) candidate
     matrix and must return a (pop, 2) array. Non-finite scores are
     penalized and the run continues. The hypervolume reference corner is
     fixed at the component-wise worst of the initial population.
     """
-    lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError(f"bounds must be two equal-length vectors, got {lo.shape}/{hi.shape}")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi >= lo)):
-        raise ValueError("bounds must be finite with hi >= lo")
-    n = len(lo)
     pop = config.population
     p_mut = 1.0 / n
     rng = stream(seed, "nsga2")
@@ -273,7 +258,7 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> Par
             raise ValueError(f"evaluator returned {F.shape}, want ({len(X)}, 2)")
         return np.where(np.isfinite(F), F, PENALTY)
 
-    X = lo + rng.random((pop, n)) * (hi - lo)
+    X = rng.random((pop, n))
     F = eval_pop(X)
     ref = F.max(axis=0)
     fronts, ranks, crowd = _rank_and_crowd(F)
@@ -283,9 +268,9 @@ def nsga2_run(config: NsgaConfig, evaluator, bounds, seed: int, log=None) -> Par
     for gen in range(config.generations):
         parents = _tournament(rng, ranks, crowd, pop, TOURNAMENT)
         p1, p2 = X[parents[0::2]], X[parents[1::2]]
-        c1, c2 = _sbx(rng, p1, p2, lo, hi, ETA_CROSSOVER, P_CROSSOVER)
+        c1, c2 = _sbx(rng, p1, p2, ETA_CROSSOVER, P_CROSSOVER)
         children = np.concatenate([c1, c2])
-        children = _polynomial_mutation(rng, children, lo, hi, ETA_MUTATION, p_mut)
+        children = _polynomial_mutation(rng, children, ETA_MUTATION, p_mut)
         Fc = eval_pop(children)
 
         X_all = np.concatenate([X, children])
@@ -385,8 +370,11 @@ def evaluate_settings(model: FrozenModel, params: BuildingParams, bms: BmsSchedu
     """Objectives of one explicit configuration under the frozen surrogate."""
     inputs = assemble_inputs(params, bms, occ, weather)
     pred = predict(model.params, model.config, model.kind, inputs, model.norm)
-    return objectives_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred),
-                                  occupied_hours(inputs))
+    with np.errstate(all="ignore"):
+        try:
+            return objectives_from_series(*sensor_series(pred), occupied_hours(inputs))
+        except ValueError as e:  # a score overflowed on finite predictions
+            raise ModelError(str(e)) from None
 
 
 def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
@@ -411,13 +399,16 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
         if new:
             inputs = np.stack([space.assemble(x, weather) for x in new.values()])
             preds = predict(model.params, model.config, model.kind, inputs, model.norm)
-            for key, p, occupied in zip(new, preds, occupied_hours(inputs)):
-                o = objectives_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), occupied)
-                scored[key] = (o.comfort, o.consumption)
+            with np.errstate(all="ignore"):
+                for key, p, occupied in zip(new, preds, occupied_hours(inputs)):
+                    try:
+                        o = objectives_from_series(*sensor_series(p), occupied)
+                        scored[key] = (o.comfort, o.consumption)
+                    except ValueError:  # a non-finite score, which nsga2_run penalizes
+                        scored[key] = (math.nan, math.nan)
         return np.array([scored[key] for key in keys])
 
-    raw = nsga2_run(config, batch_evaluator, (np.zeros(space.dim), np.ones(space.dim)),
-                    seed, log=log)
+    raw = nsga2_run(config, batch_evaluator, space.dim, seed, log=log)
     members, seen = [], set()
     for x01, obj in raw.members:
         settings = space.values(x01)

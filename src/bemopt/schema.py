@@ -491,6 +491,13 @@ def heat_aggregate_of(targets: np.ndarray) -> np.ndarray:
     return np.asarray(targets)[..., list(HEAT_AGGREGATE_INDICES)].sum(axis=-1)
 
 
+def sensor_series(outputs):
+    """The two sensor channels of an output matrix (..., 168, 8), in float64:
+    (indoor temperature, aggregate heat consumption), each (..., 168)."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    return outputs[..., T_INT_INDEX], heat_aggregate_of(outputs)
+
+
 def expand_daily(schedule) -> np.ndarray:
     """Expand a daily schedule to hourly channels over one week.
 

@@ -48,6 +48,7 @@ from .schema import (
     make_episode,
     make_output_dir,
     occupied_hours,
+    sensor_series,
 )
 from .rcsim import simulate_week
 from .seeding import stream, substream
@@ -335,12 +336,10 @@ def loss(pred: np.ndarray, target: np.ndarray) -> float:
     pooled RMSE of the four-channel heat consumption aggregate; both over
     every hour of every episode passed in.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"loss: prediction {pred.shape} vs target {target.shape}")
-    d_t = _pooled_rmse(pred[..., T_INT_INDEX], target[..., T_INT_INDEX])
-    d_q = _pooled_rmse(heat_aggregate_of(pred), heat_aggregate_of(target))
+    if np.shape(pred) != np.shape(target):
+        raise ValueError(f"loss: prediction {np.shape(pred)} vs target {np.shape(target)}")
+    (p_t, p_q), (y_t, y_q) = sensor_series(pred), sensor_series(target)
+    d_t, d_q = _pooled_rmse(p_t, y_t), _pooled_rmse(p_q, y_q)
     return LOSS_ALPHA * math.log1p(d_t) + LOSS_BETA * math.log1p(d_q)
 
 
@@ -472,8 +471,6 @@ def metrics(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> Metric
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
-    if preds.ndim == 2:
-        preds, targets, masks = preds[None], targets[None], masks[None]
     if preds.shape != targets.shape or masks.shape != preds.shape[:2]:
         raise ValueError(
             f"metrics: shapes {preds.shape}, {targets.shape}, {masks.shape} do not line up"
@@ -481,8 +478,8 @@ def metrics(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> Metric
 
     rows = {name: [] for name in METRIC_FIELDS}
     for i in range(preds.shape[0]):
-        row = episode_errors(preds[i, :, T_INT_INDEX], targets[i, :, T_INT_INDEX],
-                             heat_aggregate_of(preds[i]), heat_aggregate_of(targets[i]), masks[i])
+        (p_t, p_q), (y_t, y_q) = sensor_series(preds[i]), sensor_series(targets[i])
+        row = episode_errors(p_t, y_t, p_q, y_q, masks[i])
         row["loss"] = loss(preds[i], targets[i])
         for name in METRIC_FIELDS:
             rows[name].append(row[name])

@@ -83,13 +83,16 @@ def load_week(path) -> WeatherSeries:
         raise SchemaError(f"{path}: {e}") from None
 
 
+def week_path(directory, k: int) -> str:
+    """The file of week k in a pool directory."""
+    return os.path.join(directory, f"week_{k:04d}.csv")
+
+
 def save_pool(directory, weeks: list[WeatherSeries]) -> list[str]:
     make_output_dir(directory)
-    paths = []
-    for i, week in enumerate(weeks):
-        p = os.path.join(directory, f"week_{i:04d}.csv")
-        save_week(p, week)
-        paths.append(p)
+    paths = [week_path(directory, i) for i in range(len(weeks))]
+    for path, week in zip(paths, weeks):
+        save_week(path, week)
     return paths
 
 

@@ -190,8 +190,7 @@ def test_5_genetic_front_recovers_zdt1():
         g = 1 + 9 * X[:, 1:].mean(axis=1)
         return np.stack([f1, g * (1 - np.sqrt(f1 / g))], axis=1)
 
-    front = nsga2_run(NsgaConfig(population=100, generations=250), zdt1,
-                      (np.zeros(30), np.ones(30)), seed=0)
+    front = nsga2_run(NsgaConfig(population=100, generations=250), zdt1, 30, seed=0)
     F = np.array([[o.comfort, o.consumption] for _, o in front.members])
     le = (F[:, None, :] <= F[None, :, :]).all(-1)
     lt = (F[:, None, :] < F[None, :, :]).any(-1)

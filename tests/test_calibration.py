@@ -523,6 +523,28 @@ def test_calibrate_input_validation(toy_problem, tiny_model):
                       holdout_traces=traces, holdout_weathers=[])
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_candidate_whose_cost_overflows_ranks_last(toy_problem, tiny_model, monkeypatch):
+    """A finite prediction whose cost overflows ranks its candidate last
+    without a warning; a start point scored so raises before any sample."""
+    space, _, traces, weathers = toy_problem
+    overflow_rows = [1]  # the second candidate of every generation
+
+    def overflowing_predict(*args, **kwargs):
+        preds = predict(*args, **kwargs)
+        for row in overflow_rows:
+            if row < len(preds):
+                preds[row, :, T_INT_INDEX] = 1e300
+        return preds
+
+    monkeypatch.setattr(cal, "predict", overflowing_predict)
+    _, report = cal.calibrate(space, tiny_model, traces[:1], weathers[:1], budget=4, seed=3)
+    assert math.isfinite(report.best_cost) and report.best_cost <= report.initial_cost
+    overflow_rows[:] = [0]  # the start point, scored alone
+    with pytest.raises(mdl.ModelError, match="cost of the start point is inf"):
+        cal.calibrate(space, tiny_model, traces[:1], weathers[:1], budget=4, seed=3)
+
+
 def reference_calibration_loop(space, model, traces, weathers, budget, seed, sigma0=0.3):
     """calibrate's former private ask/tell loop, kept verbatim as a reference."""
     def population_costs(xs):
@@ -582,3 +604,20 @@ def test_calibrate_equals_the_former_ask_tell_loop(toy_problem, tiny_model, pool
     assert logged == [(g, ref_history[g - 1]) for g in range(50, budget + 1, 50)]
     if planted is not None:
         assert report.history[0] == report.initial_cost < 1e-12
+
+
+# sha256 of a seeded calibrate run on the untrained tiny model: the best
+# point's float64 bytes, then its report as sorted JSON (values, costs,
+# history, week and held-out metrics); with frozen init weights only the
+# search code can move it
+CALIBRATE_SHA256 = "5f6be0b844d51bbde5842655893d4a3db5999c5780670b653d9f1dbea4a430ea"
+
+
+def test_calibrate_is_bit_identical_to_the_golden_run(toy_problem, tiny_model):
+    space, _, traces, weathers = toy_problem
+    best_x, report = cal.calibrate(space, tiny_model, traces[:1], weathers[:1], budget=12,
+                                   seed=3, holdout_traces=traces[1:],
+                                   holdout_weathers=weathers[1:])
+    h = hashlib.sha256(np.asarray(best_x, dtype="<f8").tobytes())
+    h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == CALIBRATE_SHA256

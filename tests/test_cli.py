@@ -403,6 +403,20 @@ def _nan_norm_std(pipeline, tmp):
     return _edited_model(pipeline, tmp, "calibrate", edit)
 
 
+def _huge_norm_std(pipeline, tmp, command):
+    def edit(tensors, meta):  # finite predictions whose sensor scores overflow
+        meta["norm"]["target_std"][T_INT_INDEX] = 1e300
+    return _edited_model(pipeline, tmp, command, edit)
+
+
+def _calibration_cost_overflows(pipeline, tmp):
+    return _huge_norm_std(pipeline, tmp, "calibrate")
+
+
+def _baseline_comfort_overflows(pipeline, tmp):
+    return _huge_norm_std(pipeline, tmp, "optimize")
+
+
 def _norm_hi_below_lo(pipeline, tmp):
     def edit(tensors, meta):  # fit() makes every input_hi >= its input_lo
         norm = meta["norm"]
@@ -748,6 +762,8 @@ def _report_chosen_is_a_list(pipeline, tmp):
     (_model_meta_is_not_an_object, 3),
     (_model_config_with_pos_scale, 3),
     (_nan_norm_std, 3),
+    (_calibration_cost_overflows, 4),
+    (_baseline_comfort_overflows, 4),
     (_norm_hi_below_lo, 3),
     (_short_norm_mean, 3),
     (_manifest_missing_splits, 3),
