@@ -41,7 +41,7 @@ import numpy as np
 from .schema import SchemaError
 
 __all__ = [
-    "Tensor", "parameter", "constant",
+    "Tensor", "constant",
     "matmul", "add", "sub", "mul", "relu", "log1p", "sqrt",
     "square", "mean", "slice_last", "layer_norm",
     "windowed_attention", "split_heads", "merge_heads",
@@ -80,8 +80,8 @@ class Tensor:
     """A float32 or float64 array plus, if it requires a gradient, its graph
     node.
 
-    Leaves are created with parameter() or constant(); interior Tensors are
-    created by the ops below.  A constant has no node.  The node holds .grad
+    Leaves are made by constant() or Tensor(data, requires_grad=True), interior
+    Tensors by the ops below.  A constant has no node.  The node holds .grad
     and the links to the operands' nodes, never a Tensor, so the graph
     keeps a forward result alive only where a VJP closure captured it.
     grad is only populated on leaves reachable from the backward() root
@@ -177,11 +177,6 @@ class Tensor:
             if node._parents:
                 node.grad = None
                 node._parents = node._vjps = ()
-
-
-def parameter(data) -> Tensor:
-    """Trainable float64 leaf (copies its input)."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def constant(data) -> Tensor:
@@ -585,12 +580,12 @@ class AdamState:
         self.lr = float(lr)
         self.step = 0
         self.skipped = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
 
 def adam_step(params, grads, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on params.
+    """One bias-corrected Adam update, in place on the parameter arrays.
 
     A non-finite gradient anywhere skips the whole step (moments untouched)
     and increments state.skipped, so one bad batch cannot poison the moments.
@@ -599,9 +594,9 @@ def adam_step(params, grads, state: AdamState) -> None:
         raise ValueError(f"adam_step: {len(params)} params, {len(grads)} grads, "
                          f"state holds {len(state.m)}")
     for p, g in zip(params, grads):
-        if g.shape != p.data.shape:
+        if g.shape != p.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} "
-                             f"does not match parameter {p.data.shape}")
+                             f"does not match parameter {p.shape}")
     if not all(np.isfinite(g).all() for g in grads):
         state.skipped += 1
         return
@@ -614,7 +609,7 @@ def adam_step(params, grads, state: AdamState) -> None:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

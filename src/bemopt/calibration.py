@@ -288,9 +288,9 @@ class CalibrationSpace:
 
     def __init__(self, free, base_params: BuildingParams, base_bms: BmsSchedule,
                  base_occ: OccupancySchedule):
-        self.free = tuple(FreeVariable(f.name, f.per_day) if isinstance(f, FreeVariable)
-                          else FreeVariable(*f) if isinstance(f, tuple) else FreeVariable(f)
-                          for f in free)
+        self.free = tuple(free)
+        if not all(isinstance(f, FreeVariable) for f in self.free):
+            raise TypeError(f"free variables must be FreeVariables, got {self.free!r}")
         if not self.free:
             raise SchemaError("calibration space needs at least one free variable")
         self.base_params = base_params
@@ -366,7 +366,7 @@ class CalibrationSpace:
 
     # A hand-picked informative subset: envelope and internal-gain levers
     # that shape both channels without the full 100+ dim schedule space.
-    DEFAULT_FREE = (
+    DEFAULT_FREE = tuple(FreeVariable(name) for name in (
         "capacitance_kJ_perdegreK_perm3",
         "airchange_infiltration_vol_per_h",
         "nb_occupants",
@@ -375,7 +375,7 @@ class CalibrationSpace:
         "percent_PCs_night",
         "facade_1_window_area_percent",
         "facade_3_window_area_percent",
-    )
+    ))
 
     @classmethod
     def default(cls, base_params, base_bms, base_occ):
@@ -448,7 +448,7 @@ def calibrate(
 
     def population_costs(xs) -> np.ndarray:
         batch = np.concatenate([space.assemble(x, weathers) for x in xs])
-        preds = predict(model.params, model.config, model.kind, batch, model.norm)
+        preds = predict(model, inputs=batch)
         preds = preds.reshape(len(xs), len(weathers), *preds.shape[1:])
         costs = np.zeros(len(xs))
         with np.errstate(all="ignore"):
@@ -466,7 +466,7 @@ def calibrate(
         if not ws:
             return []
         inputs = space.assemble(best_x, ws)
-        preds = predict(model.params, model.config, model.kind, inputs, model.norm)
+        preds = predict(model, inputs=inputs)
         rows = []
         for k, (trace, pred, mask) in enumerate(zip(ts, preds, occupied_hours(inputs))):
             p_t, p_q = sensor_series(pred)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import model as mdl
-from .calibration import BUDGET, SIGMA0, CalibrationSpace, SensorTrace, calibrate
+from .calibration import BUDGET, SIGMA0, CalibrationSpace, FreeVariable, SensorTrace, calibrate
 from .pareto import (
     COMFORT_TOLERANCE,
     BmsSpace,
@@ -263,11 +263,7 @@ def cmd_train(args, section) -> int:
     save_history_csv(history_path, result.history)
     manifest.add_output(history_path)
     test_inputs, test_targets, test_masks = ds.split_arrays("test")
-    test_report = metrics(
-        predict(model.params, model.config, model.kind, test_inputs, model.norm),
-        test_targets,
-        test_masks,
-    )
+    test_report = metrics(predict(model, inputs=test_inputs), test_targets, test_masks)
     metrics_path = os.path.join(args.out, "metrics.json")
     _write_json(
         metrics_path,
@@ -328,13 +324,10 @@ def _parse_free(text: str):
         item = item.strip()
         if not item:
             continue
-        if ":" in item:
-            name, flag = item.split(":", 1)
-            if flag != "per_day":
-                raise SchemaError(f"bad free-variable qualifier {item!r}")
-            free.append((name, True))
-        else:
-            free.append(item)
+        name, qualified, flag = item.partition(":")
+        if qualified and flag != "per_day":
+            raise SchemaError(f"bad free-variable qualifier {item!r}")
+        free.append(FreeVariable(name, per_day=bool(qualified)))
     if not free:
         raise SchemaError("empty --free list")
     return free
@@ -467,10 +460,7 @@ def cmd_optimize(args, section) -> int:
         },
     )
     chosen_bms = space.schedule_from_settings(chosen.settings)
-    pred = predict(
-        model.params, model.config, model.kind,
-        assemble_inputs(params, chosen_bms, occ, weather), model.norm,
-    )
+    pred = predict(model, inputs=assemble_inputs(params, chosen_bms, occ, weather))
     series_path = os.path.join(args.out, "chosen_timeseries.csv")
     write_hourly_csv(series_path, ("t_pred", "q_heat_pred"), np.column_stack(sensor_series(pred)))
     for path in (front_path, hv_path, chosen_path, series_path):

@@ -10,9 +10,10 @@ sequence; its keys and values come from the encoder output.
 Residual connections, layer normalization, and a fixed sinusoidal position
 signal keep the stack trainable; initialization is uniform at 1/sqrt(fan_in).
 
-`FrozenModel` pairs trained weights with their config and the normalization
-of the corpus they were fitted on, and is the one reader and writer of the
-checkpoint file.
+The weights are float64 arrays keyed by dotted names; a forward also takes
+them as gradient leaves, as `training.train`'s float32 shards do.
+`FrozenModel` pairs them with their config and corpus normalization: the one
+value `training.predict` runs and the one reader and writer of the checkpoint.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ POS_SCALE = 0.3
 
 
 class ModelError(RuntimeError):
-    """A non-finite model output or training loss, or a search score that
-    overflows on finite outputs; raised only by `training.predict`,
-    `training.train`, `pareto.evaluate_settings` and `calibration.cma_minimize`."""
+    """A non-finite model output or training loss, a search score that
+    overflows on finite outputs, or a front with no finite member; raised
+    only by `training.predict`, `training.train`, `pareto.evaluate_settings`,
+    `pareto.optimize_bms` and `calibration.cma_minimize`."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,31 +104,31 @@ def _uniform(rng, shape) -> np.ndarray:
 
 def _init_block(p, prefix: str, cfg: MetamodelConfig, rng) -> None:
     d = cfg.d_emb
-    p[f"{prefix}.q.W"] = ad.parameter(_uniform(rng, (cfg.h * cfg.r, d)))
-    p[f"{prefix}.k.W"] = ad.parameter(_uniform(rng, (cfg.h * cfg.r, d)))
-    p[f"{prefix}.v.W"] = ad.parameter(_uniform(rng, (cfg.h * cfg.v_width, d)))
-    p[f"{prefix}.proj.W"] = ad.parameter(_uniform(rng, (d, cfg.h * cfg.v_width)))
-    p[f"{prefix}.proj.b"] = ad.parameter(np.zeros(d))
-    p[f"{prefix}.ln1.g"] = ad.parameter(np.ones(d))
-    p[f"{prefix}.ln1.b"] = ad.parameter(np.zeros(d))
-    p[f"{prefix}.ffn.W1"] = ad.parameter(_uniform(rng, (cfg.ffn_width, d)))
-    p[f"{prefix}.ffn.b1"] = ad.parameter(np.zeros(cfg.ffn_width))
-    p[f"{prefix}.ffn.W2"] = ad.parameter(_uniform(rng, (d, cfg.ffn_width)))
-    p[f"{prefix}.ffn.b2"] = ad.parameter(np.zeros(d))
-    p[f"{prefix}.ln2.g"] = ad.parameter(np.ones(d))
-    p[f"{prefix}.ln2.b"] = ad.parameter(np.zeros(d))
+    p[f"{prefix}.q.W"] = _uniform(rng, (cfg.h * cfg.r, d))
+    p[f"{prefix}.k.W"] = _uniform(rng, (cfg.h * cfg.r, d))
+    p[f"{prefix}.v.W"] = _uniform(rng, (cfg.h * cfg.v_width, d))
+    p[f"{prefix}.proj.W"] = _uniform(rng, (d, cfg.h * cfg.v_width))
+    p[f"{prefix}.proj.b"] = np.zeros(d)
+    p[f"{prefix}.ln1.g"] = np.ones(d)
+    p[f"{prefix}.ln1.b"] = np.zeros(d)
+    p[f"{prefix}.ffn.W1"] = _uniform(rng, (cfg.ffn_width, d))
+    p[f"{prefix}.ffn.b1"] = np.zeros(cfg.ffn_width)
+    p[f"{prefix}.ffn.W2"] = _uniform(rng, (d, cfg.ffn_width))
+    p[f"{prefix}.ffn.b2"] = np.zeros(d)
+    p[f"{prefix}.ln2.g"] = np.ones(d)
+    p[f"{prefix}.ln2.b"] = np.zeros(d)
 
 
-def init_transformer(cfg: MetamodelConfig, rng) -> dict:
-    """Fresh parameter dict keyed by dotted names, insertion-ordered."""
+def init_transformer(cfg: MetamodelConfig, rng) -> dict[str, np.ndarray]:
+    """Fresh float64 weight arrays keyed by dotted names, insertion-ordered."""
     p = {}
-    p["emb.W"] = ad.parameter(_uniform(rng, (cfg.d_emb, cfg.d_in)))
-    p["emb.b"] = ad.parameter(np.zeros(cfg.d_emb))
+    p["emb.W"] = _uniform(rng, (cfg.d_emb, cfg.d_in))
+    p["emb.b"] = np.zeros(cfg.d_emb)
     for i in range(cfg.n_layers - 1):
         _init_block(p, f"enc{i}", cfg, rng)
     _init_block(p, "dec", cfg, rng)
-    p["out.W"] = ad.parameter(_uniform(rng, (cfg.d_out, cfg.d_emb)))
-    p["out.b"] = ad.parameter(np.zeros(cfg.d_out))
+    p["out.W"] = _uniform(rng, (cfg.d_out, cfg.d_emb))
+    p["out.b"] = np.zeros(cfg.d_out)
     return p
 
 
@@ -172,14 +174,14 @@ def transformer_forward(params: dict, cfg: MetamodelConfig, x) -> ad.Tensor:
     return ad.add(ad.matmul(z, params["out.W"], transpose_b=True), params["out.b"])
 
 
-def init_ffn(cfg: MetamodelConfig, rng) -> dict:
+def init_ffn(cfg: MetamodelConfig, rng) -> dict[str, np.ndarray]:
     p = {}
-    p["l1.W"] = ad.parameter(_uniform(rng, (cfg.d_emb, cfg.d_in)))
-    p["l1.b"] = ad.parameter(np.zeros(cfg.d_emb))
-    p["l2.W"] = ad.parameter(_uniform(rng, (cfg.d_emb, cfg.d_emb)))
-    p["l2.b"] = ad.parameter(np.zeros(cfg.d_emb))
-    p["out.W"] = ad.parameter(_uniform(rng, (cfg.d_out, cfg.d_emb)))
-    p["out.b"] = ad.parameter(np.zeros(cfg.d_out))
+    p["l1.W"] = _uniform(rng, (cfg.d_emb, cfg.d_in))
+    p["l1.b"] = np.zeros(cfg.d_emb)
+    p["l2.W"] = _uniform(rng, (cfg.d_emb, cfg.d_emb))
+    p["l2.b"] = np.zeros(cfg.d_emb)
+    p["out.W"] = _uniform(rng, (cfg.d_out, cfg.d_emb))
+    p["out.b"] = np.zeros(cfg.d_out)
     return p
 
 
@@ -207,13 +209,15 @@ def forward_for(kind: str):
 class FrozenModel:
     """A trained surrogate with everything needed to run it.
 
+    `params` maps weight names to float64 arrays, held, not copied, so
+    `training.train` validates through a model over the arrays it trains.
     Construction checks that `kind` names an architecture and that the
     parameter names and shapes are the ones it builds from `config`. The
     checkpoint `model.bin` is written by `save` and read by `load` alone;
     its meta holds exactly `kind`, `config` and `norm`.
     """
 
-    params: dict
+    params: dict[str, np.ndarray]
     config: MetamodelConfig
     kind: str
     norm: NormStats
@@ -227,14 +231,14 @@ class FrozenModel:
             extra = sorted(set(self.params) - set(fresh))
             raise ValueError(f"parameter names do not match the architecture "
                              f"(missing {missing}, unexpected {extra})")
-        wrong = [f"{name} {self.params[name].data.shape} (want {p.data.shape})"
-                 for name, p in fresh.items() if self.params[name].data.shape != p.data.shape]
+        wrong = [f"{name} {self.params[name].shape} (want {w.shape})"
+                 for name, w in fresh.items() if self.params[name].shape != w.shape]
         if wrong:
             raise ValueError(f"parameter shapes do not match the config: {', '.join(wrong)}")
 
     def save(self, path) -> None:
         meta = {"kind": self.kind, "config": self.config.to_dict(), "norm": self.norm.to_dict()}
-        ad.save_tensors(path, {name: p.data for name, p in self.params.items()}, meta=meta)
+        ad.save_tensors(path, self.params, meta=meta)
 
     @classmethod
     def load(cls, path) -> "FrozenModel":
@@ -258,7 +262,6 @@ class FrozenModel:
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"missing or malformed normalization stats "
                                  f"({type(e).__name__}: {e})") from None
-            params = {name: ad.parameter(arr) for name, arr in tensors.items()}
-            return cls(params, cfg, meta["kind"], norm)
+            return cls(tensors, cfg, meta["kind"], norm)
         except ValueError as e:
             raise SchemaError(f"{path}: {e}") from None

@@ -369,7 +369,7 @@ def evaluate_settings(model: FrozenModel, params: BuildingParams, bms: BmsSchedu
                       occ: OccupancySchedule, weather: WeatherSeries) -> Objectives:
     """Objectives of one explicit configuration under the frozen surrogate."""
     inputs = assemble_inputs(params, bms, occ, weather)
-    pred = predict(model.params, model.config, model.kind, inputs, model.norm)
+    pred = predict(model, inputs=inputs)
     with np.errstate(all="ignore"):
         try:
             return objectives_from_series(*sensor_series(pred), occupied_hours(inputs))
@@ -385,7 +385,8 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
     A generation's candidates whose snapped schedule was not scored
     before in this run go through one batched forward pass; the others
     reuse their stored objectives, the same bits since a row's prediction
-    does not depend on its batch.
+    does not depend on its batch. A front whose every member scored
+    non-finite (so holds only `PENALTY` scores) raises ModelError.
     """
     config = config or NsgaConfig()
     scored = {}  # snapped schedule bytes -> (comfort, consumption)
@@ -398,7 +399,7 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
                 new.setdefault(key, x)
         if new:
             inputs = np.stack([space.assemble(x, weather) for x in new.values()])
-            preds = predict(model.params, model.config, model.kind, inputs, model.norm)
+            preds = predict(model, inputs=inputs)
             with np.errstate(all="ignore"):
                 for key, p, occupied in zip(new, preds, occupied_hours(inputs)):
                     try:
@@ -409,6 +410,8 @@ def optimize_bms(space: BmsSpace, model: FrozenModel, weather: WeatherSeries,
         return np.array([scored[key] for key in keys])
 
     raw = nsga2_run(config, batch_evaluator, space.dim, seed, log=log)
+    if all(obj.comfort == PENALTY for _, obj in raw.members):
+        raise ModelError(f"every schedule on the front of {len(raw)} scored non-finite")
     members, seen = [], set()
     for x01, obj in raw.members:
         settings = space.values(x01)

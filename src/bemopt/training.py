@@ -580,21 +580,21 @@ def _core_split():
 
 
 def _compute_weights(params) -> dict:
-    """COMPUTE_DTYPE copies of the parameter arrays, by name."""
-    return {name: p.data.astype(COMPUTE_DTYPE) for name, p in params.items()}
+    """COMPUTE_DTYPE copies of the weight arrays, by name."""
+    return {name: w.astype(COMPUTE_DTYPE) for name, w in params.items()}
 
 
-def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
-    """Forward raw physical inputs through a model; physical-unit outputs.
+# inputs is keyword-only because perfbench/tracer.py reads it by name
+def predict(model: mdl.FrozenModel, *, inputs) -> np.ndarray:
+    """Forward raw physical inputs through `model`; physical-unit outputs.
 
     The forward runs in float32 on constants over float32 copies of the
     weights, made once per call, and on float32 normalized inputs; it
-    denormalizes into a float64 result. It runs without a tape, so no op
-    keeps a backward closure or its operands and no parameter's ``.grad``
-    is touched. Each row's result does not depend on the batch it shares a
-    forward with, so each batch's sequences are divided among the cores of
-    the call's one `_core_split`, each core running the whole forward on
-    its share with every op unsplit.
+    denormalizes into a float64 result. It runs without a tape and never
+    writes to `model.params`. Each row's result does not depend on the
+    batch it shares a forward with, so each batch's sequences are divided
+    among the cores of the call's one `_core_split`, each core running the
+    whole forward on its share with every op unsplit.
 
     This is the one finiteness check of inference: a non-finite output
     anywhere raises ModelError once, and numpy's floating-point warnings
@@ -602,8 +602,8 @@ def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
     included, are silenced. So a normalized input beyond float32's range
     ends as that ModelError too.
     """
-    forward = mdl.forward_for(kind)
-    frozen = {name: ad.constant(w) for name, w in _compute_weights(params).items()}
+    forward, cfg, norm = mdl.forward_for(model.kind), model.config, model.norm
+    frozen = {name: ad.constant(w) for name, w in _compute_weights(model.params).items()}
     x = np.asarray(inputs, dtype=np.float64)
     squeeze = x.ndim == 2
     if squeeze:
@@ -619,7 +619,7 @@ def predict(params, cfg, kind, inputs, norm: NormStats) -> np.ndarray:
             xb, ob = xn[lo:lo + PREDICT_BATCH], out[lo:lo + PREDICT_BATCH]
             split(functools.partial(forward_rows, xb, ob), len(xb))
     if not np.isfinite(out).all():
-        raise mdl.ModelError(f"{kind} model: non-finite output")
+        raise mdl.ModelError(f"{model.kind} model: non-finite output")
     return out[0] if squeeze else out
 
 
@@ -670,13 +670,15 @@ def train(
     seed: int = 0,
     log=None,
 ) -> TrainResult:
-    """Minibatch Adam on the training split; keeps the best-validation weights.
+    """Minibatch Adam on the training split; returns the best-validation model.
 
     Step k of the run's K = epochs × batches-per-epoch steps uses the
     learning rate ``cosine_lr(lr, k, K)``, so the last epochs take small
     steps and the run ends converged rather than wherever a fixed rate
-    leaves it. Validation selection uses the reported two-term loss pooled
-    over the whole validation set.
+    leaves it. Every epoch validates through ``predict(model, inputs=...)``
+    on one `FrozenModel` over the float64 weight arrays Adam updates in
+    place, selecting by the reported two-term loss pooled over the whole
+    validation set; the best epoch's weights go back into it at the end.
 
     Each batch is cut into fixed shards of TRAIN_SHARD whole sequences,
     which the cores of the run's one `_core_split` share (each per-epoch
@@ -713,6 +715,7 @@ def train(
     yn = norm.normalize_targets(dataset.targets)
 
     params = mdl.INITS[kind](config, stream(seed, kind + "-init"))
+    model = mdl.FrozenModel(params, config, kind, norm)
     plist = list(params.values())
     state = ad.AdamState(plist, lr=lr)
 
@@ -721,14 +724,12 @@ def train(
 
     val_inputs, val_targets, val_masks = dataset.split_arrays("val")
 
-    def val_metrics(p):
-        pred = predict(p, config, kind, val_inputs, norm)
-        rep = metrics(pred, val_targets, val_masks)
-        pooled = loss(pred, val_targets)
-        return pooled, rep
+    def val_metrics():
+        pred = predict(model, inputs=val_inputs)
+        return loss(pred, val_targets), metrics(pred, val_targets, val_masks)
 
-    best_val, best_report = val_metrics(params)
-    best_snapshot = {k: v.data.copy() for k, v in params.items()}
+    best_val, best_report = val_metrics()
+    best_snapshot = {k: w.copy() for k, w in params.items()}
     best_epoch = 0
     history = [
         {
@@ -782,7 +783,7 @@ def train(
                 batch_objectives.append(float(total.data))
                 batch_reported.append(float(reported.data))
 
-            val_loss, report = val_metrics(params)
+            val_loss, report = val_metrics()
             history.append(
                 {
                     "epoch": epoch,
@@ -797,15 +798,13 @@ def train(
                 best_val = val_loss
                 best_report = report
                 best_epoch = epoch
-                best_snapshot = {k: v.data.copy() for k, v in params.items()}
+                best_snapshot = {k: w.copy() for k, w in params.items()}
             if log is not None:
                 log(history[-1])
 
-    for name, p in params.items():
-        p.data = best_snapshot[name]
-
+    params.update(best_snapshot)
     return TrainResult(
-        model=mdl.FrozenModel(params, config, kind, norm),
+        model=model,
         history=history,
         best_epoch=best_epoch,
         best_val_loss=best_val,

@@ -38,6 +38,12 @@ def t_int(out):
     return out.data[:, T_INT_INDEX]
 
 
+def parameter(data) -> Tensor:
+    """A float64 leaf that collects a gradient (copies its input): the
+    leaves of the float64 gradient checks."""
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+
+
 def item(t: Tensor) -> float:
     """The value of a one-element Tensor as a float."""
     if t.data.size != 1:

@@ -36,7 +36,7 @@ from bemopt.schema import DEFAULT_SCHEMA, T_INT_INDEX, expand_daily, heat_aggreg
 from bemopt.seeding import stream, substream
 from bemopt.training import sample_dataset, sample_episode_config, train, training_loss
 from bemopt.weather import generate_pool
-from tests.conftest import grad_check
+from tests.conftest import grad_check, parameter
 
 TIMINGS: dict = {}
 
@@ -92,7 +92,8 @@ def test_1_full_loss_gradient_matches_finite_differences():
     cfg = mdl.MetamodelConfig(
         d_in=DEFAULT_SCHEMA.d_in, d_emb=8, r=2, v_width=2, h=2, n_layers=1, delta=6
     )
-    p = mdl.init_transformer(cfg, stream(31, "grad-gate"))
+    weights = mdl.init_transformer(cfg, stream(31, "grad-gate"))
+    p = {name: parameter(w) for name, w in weights.items()}
     xn = ds.norm.normalize_inputs(ds.inputs[:1, :24])
     yn = ds.norm.normalize_targets(ds.targets[:1, :24])
     err = grad_check(

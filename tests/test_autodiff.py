@@ -20,7 +20,7 @@ import pytest
 import bemopt
 from bemopt import autodiff as ad
 from bemopt.seeding import stream
-from tests.conftest import grad_check, softmax
+from tests.conftest import grad_check, parameter, softmax
 
 
 class TestForwardValues:
@@ -43,7 +43,7 @@ class TestForwardValues:
         assert y.data[:, 3, 0].max() == 0.0  # below-diagonal positions are banned
 
     def test_relu_backward_sign(self):
-        x = ad.parameter([-1.0, 2.0])
+        x = parameter([-1.0, 2.0])
         y = ad.mean(ad.relu(x))
         y.backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.5])
@@ -63,7 +63,7 @@ class TestForwardValues:
 
 class TestGradCheck:
     def test_sum_of_squares_is_exact(self):
-        x = ad.parameter([1.0, -2.0, 3.0])
+        x = parameter([1.0, -2.0, 3.0])
         err = grad_check(lambda: ad.mean(ad.square(x)), x)
         assert err < 1e-9
         # analytic gradient of mean(x^2) is 2x/n
@@ -72,14 +72,14 @@ class TestGradCheck:
         np.testing.assert_allclose(x.grad, 2.0 * x.data / 3.0, rtol=1e-12)
 
     def test_frozen_parameter_excluded(self):
-        x = ad.parameter([1.0, 2.0])
+        x = parameter([1.0, 2.0])
         c = ad.constant([5.0, 7.0])
         err = grad_check(lambda: ad.mean(ad.mul(x, c)), [x, c])
         assert err < 1e-9
         assert c.grad is None
 
     def test_nonfinite_objective_rejected(self):
-        x = ad.parameter([1.0])
+        x = parameter([1.0])
         with pytest.raises(ValueError, match="finite"):
             grad_check(lambda: ad.mul(x, ad.constant([np.inf])), x)
 
@@ -89,11 +89,11 @@ class TestGradCheck:
         rng = stream(1234, f"gc{trial}")
         n, m, k = (int(v) for v in rng.integers(2, 6, size=3))
         # keep relu inputs away from the kink and sqrt inputs positive
-        a = ad.parameter(rng.normal(size=(n, m)) + np.where(rng.random((n, m)) < 0.5, -0.2, 0.2))
-        b = ad.parameter(rng.normal(size=(n, m)) + np.where(rng.random((n, m)) < 0.5, -0.2, 0.2))
-        w = ad.parameter(rng.normal(size=(m, k)))
-        wt = ad.parameter(rng.normal(size=(k, m)))
-        row = ad.parameter(rng.normal(size=(m,)))
+        a = parameter(rng.normal(size=(n, m)) + np.where(rng.random((n, m)) < 0.5, -0.2, 0.2))
+        b = parameter(rng.normal(size=(n, m)) + np.where(rng.random((n, m)) < 0.5, -0.2, 0.2))
+        w = parameter(rng.normal(size=(m, k)))
+        wt = parameter(rng.normal(size=(k, m)))
+        row = parameter(rng.normal(size=(m,)))
         builders = {
             "matmul": lambda: ad.mean(ad.matmul(a, w)),
             "matmul_t": lambda: ad.mean(ad.matmul(a, wt, transpose_b=True)),
@@ -114,9 +114,9 @@ class TestGradCheck:
 
     def test_batched_matmul_3d(self):
         rng = stream(5, "b3")
-        a = ad.parameter(rng.normal(size=(3, 4, 5)))
-        w = ad.parameter(rng.normal(size=(5, 2)))
-        b3 = ad.parameter(rng.normal(size=(3, 2, 5)))
+        a = parameter(rng.normal(size=(3, 4, 5)))
+        w = parameter(rng.normal(size=(5, 2)))
+        b3 = parameter(rng.normal(size=(3, 2, 5)))
         err = grad_check(lambda: ad.mean(ad.matmul(ad.matmul(a, w),
                                                       ad.matmul(b3, w), transpose_b=True)),
                             [a, w, b3])
@@ -140,9 +140,9 @@ class TestGradCheck:
         cannot reach near the zero modes of the normalization.
         """
         rng = stream(22, "lnc")
-        x = ad.parameter(rng.normal(size=(3, 4)))
-        gamma = ad.parameter(1.0 + 0.1 * rng.normal(size=4))
-        beta = ad.parameter(0.1 * rng.normal(size=4))
+        x = parameter(rng.normal(size=(3, 4)))
+        gamma = parameter(1.0 + 0.1 * rng.normal(size=4))
+        beta = parameter(0.1 * rng.normal(size=4))
         c = rng.normal(size=(3, 4))
 
         ad.mean(ad.mul(ad.layer_norm(x, gamma, beta), ad.constant(c))).backward()
@@ -166,7 +166,7 @@ class TestGradCheck:
     def test_backward_linearity(self):
         """Gradient of a sum of graphs equals the sum of separate gradients."""
         rng = stream(6, "lin")
-        x = ad.parameter(rng.normal(size=(4, 4)))
+        x = parameter(rng.normal(size=(4, 4)))
         c1 = ad.constant(rng.normal(size=(4, 4)))
         c2 = ad.constant(rng.normal(size=(4, 4)))
 
@@ -188,7 +188,7 @@ class TestGradCheck:
         np.testing.assert_allclose(g_sum, g1 + g2, rtol=1e-12)
 
     def test_shared_leaf_accumulates(self):
-        x = ad.parameter([2.0])
+        x = parameter([2.0])
         y = ad.add(ad.square(x), ad.square(x))  # d/dx = 8
         ad.mean(y).backward()
         np.testing.assert_allclose(x.grad, [8.0], rtol=1e-12)
@@ -197,7 +197,7 @@ class TestGradCheck:
         """Interior nodes, the attention node's cached sweep included, keep
         no grad, parents or VJP closures; the leaves keep their grads."""
         rng = stream(7, "consume")
-        q, k, v = (ad.parameter(rng.normal(size=(2, 6, 3))) for _ in range(3))
+        q, k, v = (parameter(rng.normal(size=(2, 6, 3))) for _ in range(3))
         att = ad.windowed_attention(q, k, v, delta=2)
         sq = ad.square(att)
         root = ad.mean(sq)
@@ -212,7 +212,7 @@ class TestGradCheck:
     def test_second_backward_on_a_consumed_root_changes_no_leaf_grad(self):
         # d/dx mean((2x)^2) = 8x/n; summing the first pass's interior grads
         # again used to leave x.grad at 4x that
-        x = ad.parameter([1.0, -2.0, 3.0])
+        x = parameter([1.0, -2.0, 3.0])
         root = ad.mean(ad.square(ad.mul(x, 2.0)))
         root.backward()
         first = x.grad.copy()
@@ -225,14 +225,14 @@ class TestGradCheck:
         the weight gradient g2^T a2 (B*n rows), the one GEMM of its VJP."""
         rng = stream(8, "seeded")
         a = rng.normal(size=(3, 4, 5))
-        w = ad.parameter(rng.normal(size=(2, 5)))
+        w = parameter(rng.normal(size=(2, 5)))
         g = rng.normal(size=(3, 4, 2))
         ad.matmul(ad.constant(a), w, transpose_b=True).backward(g)
         assert np.array_equal(w.grad, g.reshape(12, 2).T @ a.reshape(12, 5))
 
     def test_a_seed_of_another_shape_is_rejected_and_sweeps_nothing(self):
         rng = stream(8, "bad-seed")
-        w = ad.parameter(rng.normal(size=(2, 5)))
+        w = parameter(rng.normal(size=(2, 5)))
         y = ad.matmul(ad.constant(rng.normal(size=(3, 4, 5))), w, transpose_b=True)
         for bad in (np.ones((3, 4)), np.ones((4, 3, 2)), np.ones((3, 4, 2, 1)), 1.0):
             with pytest.raises(ValueError, match=r"seed shape .* does not match the root's \(3, 4, 2\)"):
@@ -247,7 +247,7 @@ class TestGradCheck:
         output seeded with 1/n everywhere, bit for bit."""
         rng = stream(8, "unseeded")
         a = ad.constant(rng.normal(size=(3, 4, 5)))
-        w = ad.parameter(rng.normal(size=(2, 5)))
+        w = parameter(rng.normal(size=(2, 5)))
         with pytest.raises(ValueError, match="needs a scalar root, got shape"):
             ad.matmul(a, w, transpose_b=True).backward()
         assert w.grad is None
@@ -327,7 +327,7 @@ class TestTape:
 
     def test_constant_operand_gets_no_vjp(self):
         # mul(q, scale) keeps the scale for q's gradient, and nothing of q
-        q = ad.parameter(stream(9, "scale").normal(size=(3, 4)))
+        q = parameter(stream(9, "scale").normal(size=(3, 4)))
         scale = ad.constant(0.5)
         y = ad.mul(q, scale)
         assert y._node._parents == (q._node,) and len(y._node._vjps) == 1
@@ -341,7 +341,7 @@ class TestTape:
         B, T, delta = 3, 7, 2
         W = 2 * delta + 1
         rng = stream(11, "slot-major")
-        q, k, v = (ad.parameter(rng.normal(size=(B, T, n))) for n in (4, 4, 2))
+        q, k, v = (parameter(rng.normal(size=(B, T, n))) for n in (4, 4, 2))
         y = ad.windowed_attention(q, k, v, delta)
         arrays = [obj for f in y._node._vjps for obj in _captured(f)
                   if isinstance(obj, np.ndarray)]
@@ -360,8 +360,8 @@ class TestTape:
         its backward, so dropping the Tensor frees the array."""
         rng = stream(10, "free")
         x = ad.constant(rng.normal(size=(2, 5, 3)))
-        W = ad.parameter(rng.normal(size=(3, 4)))
-        b = ad.parameter(rng.normal(size=(4,)))
+        W = parameter(rng.normal(size=(3, 4)))
+        b = parameter(rng.normal(size=(4,)))
         h = ad.matmul(x, W)
         h_data = weakref.ref(h.data)
         root = ad.mean(ad.relu(ad.add(h, b)))
@@ -390,7 +390,7 @@ class TestDtype:
     def test_float64_is_the_default(self):
         assert ad.constant([1, 2]).data.dtype == np.float64
         assert ad.constant(np.arange(3, dtype=np.int32)).data.dtype == np.float64
-        assert ad.parameter(np.ones(2, dtype=np.float32)).data.dtype == np.float64
+        assert parameter(np.ones(2, dtype=np.float32)).data.dtype == np.float64
         x = np.ones(3, dtype=np.float32)
         assert ad.constant(x).data is x
 
@@ -409,17 +409,17 @@ class TestDtype:
         scaled.backward(np.ones((2, 3), dtype=np.float32))
         assert q.grad.dtype == np.float32
         # a float64 operand that requires a gradient is never cast down
-        assert ad.add(ad.parameter(np.ones(3)), q32[0]).data.dtype == np.float64
+        assert ad.add(parameter(np.ones(3)), q32[0]).data.dtype == np.float64
 
     def test_operands_that_require_a_gradient_must_share_a_dtype(self):
         f32 = ad.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        f64 = ad.parameter(np.ones((2, 3)))
+        f64 = parameter(np.ones((2, 3)))
         for name, build in (
                 ("add", lambda: ad.add(f32, f64)),
                 ("mul", lambda: ad.mul(f64, f32)),
                 ("matmul", lambda: ad.matmul(f32, f64, transpose_b=True)),
-                ("layer_norm", lambda: ad.layer_norm(f32, ad.parameter(np.ones(3)),
-                                                     ad.parameter(np.zeros(3))))):
+                ("layer_norm", lambda: ad.layer_norm(f32, parameter(np.ones(3)),
+                                                     parameter(np.zeros(3))))):
             with pytest.raises(ValueError, match=f"{name}: operands that require a gradient "
                                                  f"differ in dtype"):
                 build()
@@ -485,9 +485,9 @@ class TestWindowedAttention:
     def test_gradients_match_dense_reference(self):
         rng = stream(31, "wg")
         weight = ad.constant(rng.normal(size=(1, 12, 3)))
-        q = ad.parameter(rng.normal(size=(1, 12, 4)))
-        k = ad.parameter(rng.normal(size=(1, 12, 4)))
-        v = ad.parameter(rng.normal(size=(1, 12, 3)))
+        q = parameter(rng.normal(size=(1, 12, 4)))
+        k = parameter(rng.normal(size=(1, 12, 4)))
+        v = parameter(rng.normal(size=(1, 12, 3)))
 
         ad.mean(ad.mul(ad.windowed_attention(q, k, v, delta=2), weight)).backward()
         got = [q.grad.copy(), k.grad.copy(), v.grad.copy()]
@@ -499,9 +499,9 @@ class TestWindowedAttention:
 
     def test_grad_check(self):
         rng = stream(32, "wc")
-        q = ad.parameter(rng.normal(size=(1, 7, 3)))
-        k = ad.parameter(rng.normal(size=(1, 7, 3)))
-        v = ad.parameter(rng.normal(size=(1, 7, 2)))
+        q = parameter(rng.normal(size=(1, 7, 3)))
+        k = parameter(rng.normal(size=(1, 7, 3)))
+        v = parameter(rng.normal(size=(1, 7, 2)))
         c = ad.constant(rng.normal(size=(1, 7, 2)))
         err = grad_check(
             lambda: ad.mean(ad.mul(ad.windowed_attention(q, k, v, delta=2), c)),
@@ -599,7 +599,7 @@ class TestWindowedAttention:
 
     def test_split_merge_heads_round_trip(self):
         rng = stream(34, "sh")
-        x = ad.parameter(rng.normal(size=(3, 6, 8)))
+        x = parameter(rng.normal(size=(3, 6, 8)))
         back = ad.merge_heads(ad.split_heads(x, heads=4), heads=4)
         np.testing.assert_array_equal(back.data, x.data)
         c = ad.constant(rng.normal(size=(3, 6, 8)))
@@ -650,63 +650,63 @@ def reference_adam(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 class TestAdam:
     def test_zero_gradient_no_motion(self):
-        p = ad.parameter([1.0, 2.0])
+        p = np.array([1.0, 2.0])
         st = ad.AdamState([p], lr=0.1)
         ad.adam_step([p], [np.zeros(2)], st)
-        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+        np.testing.assert_array_equal(p, [1.0, 2.0])
         assert st.step == 1
 
     def test_first_step_is_minus_lr(self):
         # bias correction makes the first update lr*sign(g) up to eps
-        p = ad.parameter([0.0])
+        p = np.array([0.0])
         st = ad.AdamState([p], lr=0.1)
         ad.adam_step([p], [np.array([1.0])], st)
-        np.testing.assert_allclose(p.data, [-0.1], atol=1e-8)
+        np.testing.assert_allclose(p, [-0.1], atol=1e-8)
 
     def test_trajectory_matches_reference(self):
         rng = stream(77, "adam")
         gs = rng.normal(size=20)
-        p = ad.parameter([0.3])
+        p = np.array([0.3])
         st = ad.AdamState([p], lr=0.05)
         for g in gs:
             ad.adam_step([p], [np.array([g])], st)
         expect = reference_adam(0.3, gs, lr=0.05)
-        np.testing.assert_allclose(p.data, [expect], rtol=1e-12)
+        np.testing.assert_allclose(p, [expect], rtol=1e-12)
 
     def test_nonfinite_gradient_skips_whole_step(self):
-        p = ad.parameter([1.0])
-        q = ad.parameter([2.0])
+        p = np.array([1.0])
+        q = np.array([2.0])
         st = ad.AdamState([p, q], lr=0.1)
         ad.adam_step([p, q], [np.array([np.nan]), np.array([1.0])], st)
-        np.testing.assert_array_equal(p.data, [1.0])
-        np.testing.assert_array_equal(q.data, [2.0])
+        np.testing.assert_array_equal(p, [1.0])
+        np.testing.assert_array_equal(q, [2.0])
         assert st.skipped == 1 and st.step == 0
 
     def test_determinism(self):
         def run():
             rng = stream(9, "det")
-            p = ad.parameter(rng.normal(size=(3, 3)))
-            st = ad.AdamState([p], lr=0.01)
+            p = parameter(rng.normal(size=(3, 3)))
+            st = ad.AdamState([p.data], lr=0.01)
             for _ in range(50):
                 p.grad = None
                 loss = ad.mean(ad.square(p))
                 loss.backward()
-                ad.adam_step([p], [p.grad], st)
+                ad.adam_step([p.data], [p.grad], st)
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_converges_on_quadratic(self):
-        p = ad.parameter([5.0, -3.0])
-        st = ad.AdamState([p], lr=0.1)
+        p = parameter([5.0, -3.0])
+        st = ad.AdamState([p.data], lr=0.1)
         for _ in range(500):
             p.grad = None
             ad.mean(ad.square(p)).backward()
-            ad.adam_step([p], [p.grad], st)
+            ad.adam_step([p.data], [p.grad], st)
         assert np.abs(p.data).max() < 1e-3
 
     def test_shape_mismatch_rejected(self):
-        p = ad.parameter([1.0, 2.0])
+        p = np.array([1.0, 2.0])
         st = ad.AdamState([p], lr=0.1)
         with pytest.raises(ValueError, match="shape"):
             ad.adam_step([p], [np.zeros(3)], st)
@@ -736,11 +736,12 @@ from bemopt.weather import generate_pool
 cfg = mdl.MetamodelConfig(d_in=DEFAULT_SCHEMA.d_in, d_emb=32, r=4, v_width=4, h=4,
                           n_layers=3, delta=12)
 ds = tr.sample_dataset(generate_pool(3, 2), 48, seed=5)
-params = mdl.init_transformer(cfg, stream(1, "transformer-init"))
+model = mdl.FrozenModel(mdl.init_transformer(cfg, stream(1, "transformer-init")), cfg,
+                        "transformer", ds.norm)
 for _ in range(2):
-    tr.predict(params, cfg, "transformer", ds.inputs, ds.norm)
+    tr.predict(model, inputs=ds.inputs)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-tr.predict(params, cfg, "transformer", ds.inputs, ds.norm)
+tr.predict(model, inputs=ds.inputs)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -54,8 +54,7 @@ def scalar_decode(spec, u):
 
 def model_cost(x01, space, model, trace, weather):
     """One candidate's cost on one week, along the path calibrate takes."""
-    pred = predict(model.params, model.config, model.kind, space.assemble(x01, [weather])[0],
-                   model.norm)
+    pred = predict(model, inputs=space.assemble(x01, [weather])[0])
     return cal.cost_from_series(pred[:, T_INT_INDEX], heat_aggregate_of(pred), trace)
 
 
@@ -258,7 +257,7 @@ def test_default_space_dimensions(base_pieces):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace.default(params, bms, occ)
     assert space.dim == len(cal.CalibrationSpace.DEFAULT_FREE) == 8
-    assert space.names == cal.CalibrationSpace.DEFAULT_FREE
+    assert space.names == tuple(f.name for f in cal.CalibrationSpace.DEFAULT_FREE)
 
 
 def test_per_day_expansion(base_pieces):
@@ -266,7 +265,7 @@ def test_per_day_expansion(base_pieces):
     space = cal.CalibrationSpace(
         [cal.FreeVariable("t_heat_conf_day", per_day=True),
          cal.FreeVariable("start_occupation", per_day=True),
-         "capacitance_kJ_perdegreK_perm3"],
+         cal.FreeVariable("capacitance_kJ_perdegreK_perm3")],
         params, bms, occ,
     )
     assert space.dim == 7 + 5 + 1
@@ -287,7 +286,8 @@ def test_space_bounds_from_declaration(base_pieces):
 
 def test_decode_endpoints_and_grid(base_pieces):
     _, params, bms, occ = base_pieces
-    space = cal.CalibrationSpace(["capacitance_kJ_perdegreK_perm3", "t_heat_conf_day"], params, bms, occ)
+    space = cal.CalibrationSpace([cal.FreeVariable("capacitance_kJ_perdegreK_perm3"),
+                                  cal.FreeVariable("t_heat_conf_day")], params, bms, occ)
     spec = DEFAULT_SCHEMA.spec("capacitance_kJ_perdegreK_perm3")
     p0, b0, _ = space.decode(np.array([0.0, 0.0]))
     p1, b1, _ = space.decode(np.array([1.0, 1.0]))
@@ -307,14 +307,18 @@ def test_space_validation(base_pieces):
     with pytest.raises(SchemaError):
         cal.CalibrationSpace([], params, bms, occ)
     with pytest.raises(SchemaError):
-        cal.CalibrationSpace(["no_such_variable"], params, bms, occ)
+        cal.CalibrationSpace([cal.FreeVariable("no_such_variable")], params, bms, occ)
     with pytest.raises(SchemaError, match="static"):
         cal.CalibrationSpace([cal.FreeVariable("nb_occupants", per_day=True)], params, bms, occ)
     with pytest.raises(SchemaError, match="duplicate"):
-        cal.CalibrationSpace(["nb_occupants", "nb_occupants"], params, bms, occ)
+        cal.CalibrationSpace([cal.FreeVariable("nb_occupants")] * 2, params, bms, occ)
     with pytest.raises(SchemaError, match="duplicate"):  # lockstep and per-day copies
-        cal.CalibrationSpace(["t_heat_conf_day", ("t_heat_conf_day", True)], params, bms, occ)
-    space = cal.CalibrationSpace(["nb_occupants"], params, bms, occ)
+        cal.CalibrationSpace([cal.FreeVariable("t_heat_conf_day"),
+                              cal.FreeVariable("t_heat_conf_day", True)], params, bms, occ)
+    for other_form in ("nb_occupants", ("nb_occupants", False)):
+        with pytest.raises(TypeError, match="FreeVariable"):
+            cal.CalibrationSpace([other_form], params, bms, occ)
+    space = cal.CalibrationSpace([cal.FreeVariable("nb_occupants")], params, bms, occ)
     with pytest.raises(ValueError):
         space.decode(np.zeros(2))
 
@@ -322,7 +326,8 @@ def test_space_validation(base_pieces):
 def test_space_to_dict_lists_free_variables_and_base(base_pieces):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace(
-        ["capacitance_kJ_perdegreK_perm3", cal.FreeVariable("t_heat_conf_day", True)],
+        [cal.FreeVariable("capacitance_kJ_perdegreK_perm3"),
+         cal.FreeVariable("t_heat_conf_day", True)],
         params, bms, occ,
     )
     d = json.loads(json.dumps(space.to_dict()))  # as written into calibration.json
@@ -338,7 +343,7 @@ def test_space_to_dict_lists_free_variables_and_base(base_pieces):
 
 def test_assemble_changes_only_freed_columns(base_pieces, pool):
     ds, params, bms, occ = base_pieces
-    space = cal.CalibrationSpace(["nb_occupants"], params, bms, occ)
+    space = cal.CalibrationSpace([cal.FreeVariable("nb_occupants")], params, bms, occ)
     base = space.assemble(np.array([0.0]), pool[:2])
     moved = space.assemble(np.array([1.0]), pool[:2])
     col = DEFAULT_SCHEMA.input_channel_names.index("nb_occupants")
@@ -349,7 +354,8 @@ def test_assemble_changes_only_freed_columns(base_pieces, pool):
 def test_assemble_stacks_one_decoded_candidate_over_the_weeks(base_pieces, pool):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace(
-        ["capacitance_kJ_perdegreK_perm3", ("t_heat_conf_day", True), "start_occupation"],
+        [cal.FreeVariable("capacitance_kJ_perdegreK_perm3"),
+         cal.FreeVariable("t_heat_conf_day", True), cal.FreeVariable("start_occupation")],
         params, bms, occ,
     )
     x = np.linspace(0.1, 0.9, space.dim)
@@ -362,8 +368,9 @@ def test_assemble_stacks_one_decoded_candidate_over_the_weeks(base_pieces, pool)
 def test_decode_is_bitwise_the_scalar_rescale_clip_quantize(base_pieces):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace(
-        ["capacitance_kJ_perdegreK_perm3", "nb_occupants", ("t_heat_conf_day", True),
-         "vol_ventilation_day", ("start_occupation", True), "end_occupation"],
+        [cal.FreeVariable("capacitance_kJ_perdegreK_perm3"), cal.FreeVariable("nb_occupants"),
+         cal.FreeVariable("t_heat_conf_day", True), cal.FreeVariable("vol_ventilation_day"),
+         cal.FreeVariable("start_occupation", True), cal.FreeVariable("end_occupation")],
         params, bms, occ,
     )
     specs = [DEFAULT_SCHEMA.spec(n.split("[")[0]) for n in space.names]
@@ -399,8 +406,7 @@ def test_self_consistent_trace_costs_zero(base_pieces, tiny_model, pool):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace.default(params, bms, occ)
     x = np.full(space.dim, 0.37)
-    pred = predict(tiny_model.params, tiny_model.config, tiny_model.kind,
-                   space.assemble(x, [pool[0]])[0], tiny_model.norm)
+    pred = predict(tiny_model, inputs=space.assemble(x, [pool[0]])[0])
     trace = cal.SensorTrace.from_output(pred)
     assert model_cost(x, space, tiny_model, trace, pool[0]) < 1e-12
 
@@ -409,13 +415,11 @@ def test_constant_predictions_cost_one(base_pieces, tiny_model, pool):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace.default(params, bms, occ)
     frozen = mdl.FrozenModel(
-        {k: (p if k != "out.W" else type(p)(np.zeros_like(p.data), True))
-         for k, p in tiny_model.params.items()},
+        {k: (w if k != "out.W" else np.zeros_like(w)) for k, w in tiny_model.params.items()},
         tiny_model.config, tiny_model.kind, tiny_model.norm,
     )
     x = np.full(space.dim, 0.5)
-    pred = predict(frozen.params, frozen.config, frozen.kind,
-                   space.assemble(x, [pool[0]])[0], frozen.norm)
+    pred = predict(frozen, inputs=space.assemble(x, [pool[0]])[0])
     assert np.ptp(pred[:, T_INT_INDEX]) == 0.0  # constant in time
     wiggle = np.tile([1.0, -1.0], 84)  # exactly zero-mean
     trace = cal.SensorTrace(pred[:, T_INT_INDEX] + wiggle,
@@ -427,8 +431,9 @@ def test_cost_invariant_under_fixed_input_reordering(base_pieces, tiny_model, po
     _, params, bms, occ = base_pieces
     forward_dict = params.to_dict()
     reversed_dict = dict(reversed(list(forward_dict.items())))
-    a = cal.CalibrationSpace(["nb_occupants"], BuildingParams.from_dict(forward_dict), bms, occ)
-    b = cal.CalibrationSpace(["nb_occupants"], BuildingParams.from_dict(reversed_dict), bms, occ)
+    free = [cal.FreeVariable("nb_occupants")]
+    a = cal.CalibrationSpace(free, BuildingParams.from_dict(forward_dict), bms, occ)
+    b = cal.CalibrationSpace(free, BuildingParams.from_dict(reversed_dict), bms, occ)
     trace = cal.SensorTrace(np.full(168, 21.0) + np.sin(np.arange(168)), np.full(168, 90.0))
     x = np.array([0.4])
     assert model_cost(x, a, tiny_model, trace, pool[0]) == model_cost(x, b, tiny_model, trace, pool[0])
@@ -439,8 +444,8 @@ def test_frozen_model_roundtrip(tiny_model, tmp_path):
     tiny_model.save(path)
     back = mdl.FrozenModel.load(path)
     assert back.params.keys() == tiny_model.params.keys()
-    for name, p in tiny_model.params.items():
-        assert np.array_equal(back.params[name].data, p.data)
+    for name, w in tiny_model.params.items():
+        assert np.array_equal(back.params[name], w)
     assert back.kind == tiny_model.kind and back.config == tiny_model.config
     assert back.norm.to_dict() == tiny_model.norm.to_dict()
     tensors, meta = ad.load_tensors(path)
@@ -458,14 +463,14 @@ def test_frozen_model_roundtrip(tiny_model, tmp_path):
 def toy_problem(base_pieces, tiny_model, pool):
     _, params, bms, occ = base_pieces
     space = cal.CalibrationSpace(
-        ["capacitance_kJ_perdegreK_perm3", "nb_occupants", "percent_light_night"],
+        [cal.FreeVariable(name) for name in
+         ("capacitance_kJ_perdegreK_perm3", "nb_occupants", "percent_light_night")],
         params, bms, occ,
     )
     planted = np.array([0.35, 0.7, 0.1])
     traces, weathers = [], []
     for w in pool[:2]:
-        pred = predict(tiny_model.params, tiny_model.config, tiny_model.kind,
-                       space.assemble(planted, [w])[0], tiny_model.norm)
+        pred = predict(tiny_model, inputs=space.assemble(planted, [w])[0])
         traces.append(cal.SensorTrace.from_output(pred))
         weathers.append(w)
     return space, planted, traces, weathers
@@ -493,10 +498,9 @@ def test_calibrate_reduces_cost(toy_problem, tiny_model):
 
 def test_calibrate_keeps_weights_frozen(toy_problem, tiny_model):
     space, _, traces, weathers = toy_problem
-    before = {name: p.data.copy() for name, p in tiny_model.params.items()}
+    before = {name: w.copy() for name, w in tiny_model.params.items()}
     cal.calibrate(space, tiny_model, traces, weathers, budget=5, seed=3)
-    assert all(np.array_equal(tiny_model.params[name].data, data)
-               for name, data in before.items())
+    assert all(np.array_equal(tiny_model.params[name], w) for name, w in before.items())
 
 
 def test_calibrate_holdout_rows(toy_problem, tiny_model, pool):
@@ -530,8 +534,8 @@ def test_a_candidate_whose_cost_overflows_ranks_last(toy_problem, tiny_model, mo
     space, _, traces, weathers = toy_problem
     overflow_rows = [1]  # the second candidate of every generation
 
-    def overflowing_predict(*args, **kwargs):
-        preds = predict(*args, **kwargs)
+    def overflowing_predict(model, *, inputs):
+        preds = predict(model, inputs=inputs)
         for row in overflow_rows:
             if row < len(preds):
                 preds[row, :, T_INT_INDEX] = 1e300
@@ -551,7 +555,7 @@ def reference_calibration_loop(space, model, traces, weathers, budget, seed, sig
         costs = np.zeros(len(xs))
         for trace, weather in zip(traces, weathers):
             batch = np.stack([space.assemble(x, [weather])[0] for x in xs])
-            preds = predict(model.params, model.config, model.kind, batch, model.norm)
+            preds = predict(model, inputs=batch)
             for i, p in enumerate(preds):
                 costs[i] += cal.cost_from_series(p[:, T_INT_INDEX], heat_aggregate_of(p), trace)
         return costs / len(traces)
@@ -583,8 +587,7 @@ def test_calibrate_equals_the_former_ask_tell_loop(toy_problem, tiny_model, pool
     space, _, traces, weathers = toy_problem
     if planted is not None:
         traces = [cal.SensorTrace.from_output(
-            predict(tiny_model.params, tiny_model.config, tiny_model.kind,
-                    space.assemble(np.full(space.dim, planted), [w])[0], tiny_model.norm))
+            predict(tiny_model, inputs=space.assemble(np.full(space.dim, planted), [w])[0]))
             for w in weathers]
     logged = []
     best_x, report = cal.calibrate(space, tiny_model, traces, weathers, budget=budget,
@@ -597,8 +600,7 @@ def test_calibrate_equals_the_former_ask_tell_loop(toy_problem, tiny_model, pool
     assert report.history == ref_history
     assert report.evaluations == ref_evals == 1 + budget * cal.population_size(space.dim)
     for row, trace, weather in zip(report.week_metrics, traces, weathers):  # one week at a time
-        pred = predict(tiny_model.params, tiny_model.config, tiny_model.kind,
-                       space.assemble(ref_x, [weather])[0], tiny_model.norm)
+        pred = predict(tiny_model, inputs=space.assemble(ref_x, [weather])[0])
         assert row["r2_t"] == r2_score(trace.t_int, pred[:, T_INT_INDEX])
         assert row["r2_q"] == r2_score(trace.q_heat, heat_aggregate_of(pred))
     assert logged == [(g, ref_history[g - 1]) for g in range(50, budget + 1, 50)]

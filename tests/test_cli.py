@@ -14,6 +14,7 @@ import pytest
 import bemopt
 import bemopt.autodiff as ad
 import bemopt.cli
+import bemopt.pareto
 import bemopt.training
 from bemopt.calibration import SensorTrace
 from bemopt.cli import main
@@ -829,6 +830,32 @@ def test_faults_exit_with_one_line(pipeline, tmp_path, capsys, make, code):
         if code == 3 and given and Path(given[-1]).is_relative_to(tmp_path):
             assert err[0].count(given[-1]) == 1, err
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_front_of_penalized_schedules_exits_4_with_one_line(
+        pipeline, tmp_path, capsys, monkeypatch):
+    """Every searched schedule's comfort overflows, the baseline's does not:
+    optimize exits 4 with one line and writes nothing, rather than choose a
+    PENALTY member as its operating point and exit 0."""
+    predict = bemopt.pareto.predict
+
+    def overflowing_search(model, *, inputs):
+        preds = predict(model, inputs=inputs)
+        if preds.ndim == 3:  # the search's batches, not the one-week baseline
+            preds[..., T_INT_INDEX] = 1e300
+        return preds
+
+    monkeypatch.setattr(bemopt.pareto, "predict", overflowing_search)
+    argv = _argv(pipeline, tmp_path, "optimize")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bemopt optimize: numerical failure: every "
+                                               "schedule on the front of "), err
+    assert err[0].endswith(" scored non-finite")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command, module, work", [

@@ -11,7 +11,7 @@ from bemopt import model as md
 from bemopt.schema import DEFAULT_SCHEMA, NormStats
 from bemopt.seeding import stream
 from bemopt.training import predict
-from tests.conftest import grad_check
+from tests.conftest import grad_check, parameter
 
 TINY = md.MetamodelConfig(d_in=3, d_out=2, d_emb=4, r=2, v_width=2, h=2,
                           n_layers=2, delta=2)
@@ -95,7 +95,7 @@ class TestPositionalEncoding:
             return add(a, b)
 
         monkeypatch.setattr(ad, "add", spy)
-        p = {n: ad.constant(t.data.astype(dtype)) for n, t in tiny_params().items()}
+        p = {n: ad.constant(w.astype(dtype)) for n, w in tiny_params().items()}
         x = np.random.default_rng(2).normal(size=(2, 5, 3)).astype(dtype)
         first = md.transformer_forward(p, TINY, x).data
         signals = [t.data for t in added if isinstance(t, ad.Tensor)
@@ -116,8 +116,8 @@ class TestPositionalEncoding:
 class TestEmbed:
     def test_zero_weight_gives_bias(self):
         p = tiny_params()
-        p["emb.W"] = ad.parameter(np.zeros_like(p["emb.W"].data))
-        p["emb.b"] = ad.parameter(np.array([1.0, -2.0, 0.5, 3.0]))
+        p["emb.W"] = np.zeros_like(p["emb.W"])
+        p["emb.b"] = np.array([1.0, -2.0, 0.5, 3.0])
         out = md.embed(p, TINY, np.random.default_rng(0).normal(size=(2, 5, 3)))
         np.testing.assert_allclose(out.data, np.broadcast_to([1.0, -2.0, 0.5, 3.0], (2, 5, 4)))
 
@@ -134,7 +134,7 @@ class TestEmbed:
         x = rng.normal(size=(1, 3, 3))
         out = md.embed(p, TINY, x)
         for t in range(3):
-            expect = p["emb.W"].data @ x[0, t] + p["emb.b"].data
+            expect = p["emb.W"] @ x[0, t] + p["emb.b"]
             np.testing.assert_allclose(out.data[0, t], expect, rtol=1e-12)
 
     def test_width_mismatch_rejected(self):
@@ -239,14 +239,14 @@ class TestTransformerForward:
         a = md.init_transformer(cfg, stream(9, "init"))
         b = md.init_transformer(cfg, stream(9, "init"))
         for k in a:
-            np.testing.assert_array_equal(a[k].data, b[k].data)
+            np.testing.assert_array_equal(a[k], b[k])
         x = stream(9, "x").random((1, 8, 3))
         np.testing.assert_array_equal(md.transformer_forward(a, cfg, x).data,
                                       md.transformer_forward(b, cfg, x).data)
 
     def test_full_gradient_check_small(self):
         cfg = TINY
-        p = tiny_params(11)
+        p = {name: parameter(w) for name, w in tiny_params(11).items()}
         rng = stream(11, "x")
         x = rng.random((1, 6, 3))
         tgt = ad.constant(rng.normal(size=(1, 6, 2)))
@@ -273,11 +273,11 @@ def test_predict_raises_once_on_a_nonfinite_weight(kind):
     for name in POISONED_WEIGHTS[kind]:
         for bad in (np.nan, np.inf):
             p = md.INITS[kind](TINY, stream(10, "init"))
-            p[name].data.flat[0] = bad
+            p[name].flat[0] = bad
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(md.ModelError, match=f"{kind} model: non-finite output"):
-                    predict(p, TINY, kind, x, norm)
+                    predict(md.FrozenModel(p, TINY, kind, norm), inputs=x)
 
 
 class TestFfnBaseline:
@@ -299,7 +299,7 @@ class TestFfnBaseline:
 
     def test_gradient_check(self):
         cfg = md.MetamodelConfig(d_in=3, d_out=2, d_emb=4)
-        p = md.init_ffn(cfg, stream(14, "init"))
+        p = {name: parameter(w) for name, w in md.init_ffn(cfg, stream(14, "init")).items()}
         rng = stream(14, "x")
         x = rng.random((1, 5, 3))
         tgt = ad.constant(rng.normal(size=(1, 5, 2)))
@@ -343,6 +343,13 @@ class TestModelIO:
         x = stream(17, "x").random((2, 6, CKPT.d_in))
         np.testing.assert_array_equal(md.ffn_forward(m.params, CKPT, x).data,
                                       md.ffn_forward(back.params, back.config, x).data)
+
+    @pytest.mark.parametrize("kind", sorted(md.INITS))
+    def test_weights_are_float64_arrays_after_init_and_load(self, tmp_path, kind):
+        m = ckpt_model(20, kind)
+        m.save(tmp_path / "model.bin")
+        for params in (m.params, md.FrozenModel.load(tmp_path / "model.bin").params):
+            assert all(type(w) is np.ndarray and w.dtype == np.float64 for w in params.values())
 
     def test_unknown_kind_rejected(self):
         for kind in ("lstm", ["transformer"]):

@@ -361,8 +361,7 @@ def test_evaluate_is_pure_and_matches_hand_path(pieces, pool):
     a = par.evaluate_settings(model, params, space.decode(x), occ, pool[0])
     b = par.evaluate_settings(model, params, space.decode(x), occ, pool[0])
     assert a == b
-    pred = predict(model.params, model.config, model.kind,
-                   space.assemble(x, pool[0]), model.norm)
+    pred = predict(model, inputs=space.assemble(x, pool[0]))
     want = par.objectives_from_series(
         pred[:, T_INT_INDEX], pred[:, list(HEAT_AGGREGATE_INDICES)].sum(axis=1),
         expand_daily(occ) > 0)
@@ -403,7 +402,7 @@ def test_optimize_bms_predicts_each_schedule_once(pieces, pool, monkeypatch):
     def memo_free(X):
         seen.extend(X)
         inputs = np.stack([space.assemble(x, weather) for x in X])
-        preds = predict(model.params, model.config, model.kind, inputs, model.norm)
+        preds = predict(model, inputs=inputs)
         objs = [par.objectives_from_series(p[:, T_INT_INDEX],
                                            p[:, list(HEAT_AGGREGATE_INDICES)].sum(axis=1), o)
                 for p, o in zip(preds, occupied_hours(inputs))]
@@ -417,9 +416,9 @@ def test_optimize_bms_predicts_each_schedule_once(pieces, pool, monkeypatch):
 
     predicted = []
 
-    def recording_predict(*args, **kwargs):
-        predicted.extend(args[3])
-        return predict(*args, **kwargs)
+    def recording_predict(model, *, inputs):
+        predicted.extend(inputs)
+        return predict(model, inputs=inputs)
 
     monkeypatch.setattr(par, "predict", recording_predict)
     got = par.optimize_bms(space, model, weather, cfg, seed=5)
@@ -449,8 +448,8 @@ def test_a_schedule_whose_score_overflows_costs_only_itself(pieces, pool, monkey
     space = par.BmsSpace(params, occ)
     overflowed = []
 
-    def overflowing_predict(*args, **kwargs):
-        preds = predict(*args, **kwargs)
+    def overflowing_predict(model, *, inputs):
+        preds = predict(model, inputs=inputs)
         preds[0, :, T_INT_INDEX] = 1e300
         overflowed.append(preds[0])
         return preds
@@ -460,9 +459,27 @@ def test_a_schedule_whose_score_overflows_costs_only_itself(pieces, pool, monkey
                              seed=5)
     assert len(overflowed) == 3 and len(front) >= 1
     assert all(o.comfort < par.PENALTY for _, o in front.members)
-    monkeypatch.setattr(par, "predict", lambda *args, **kwargs: overflowed[0].copy())
+    monkeypatch.setattr(par, "predict", lambda model, *, inputs: overflowed[0].copy())
     with pytest.raises(mdl.ModelError, match="comfort must be finite"):
         par.evaluate_settings(model, params, space.decode(np.full(space.dim, 0.5)), occ, pool[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_front_whose_every_member_overflows_is_a_model_error(pieces, pool, monkeypatch):
+    """With every schedule's comfort overflowing, the whole front holds
+    PENALTY scores: optimize_bms raises instead of returning it, where
+    select_equivalent_comfort would pick a 'saving' of about -1.9e27."""
+    params, occ, model = pieces
+
+    def overflowing_predict(model, *, inputs):
+        preds = predict(model, inputs=inputs)
+        preds[..., T_INT_INDEX] = 1e300
+        return preds
+
+    monkeypatch.setattr(par, "predict", overflowing_predict)
+    with pytest.raises(mdl.ModelError, match="every schedule on the front of 8 scored non-finite"):
+        par.optimize_bms(par.BmsSpace(params, occ), model, pool[0],
+                         par.NsgaConfig(population=8, generations=2), seed=5)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from bemopt.schema import (
 from bemopt.rcsim import NumericalError, simulate_week
 from bemopt.seeding import stream, substream
 from bemopt.weather import generate_pool
-from tests.conftest import grad_check
+from tests.conftest import grad_check, parameter
 
 TINY = mdl.MetamodelConfig(
     d_in=DEFAULT_SCHEMA.d_in, d_emb=8, r=2, v_width=2, h=2, n_layers=2, delta=3
@@ -53,7 +53,7 @@ def small_dataset(pool):
 def float32_leaves(params) -> dict:
     """Grad-requiring float32 copies of params: the weights each forward of
     `train` and `predict` computes on."""
-    return {k: ad.Tensor(p.data.astype(np.float32), requires_grad=True) for k, p in params.items()}
+    return {k: ad.Tensor(w.astype(np.float32), requires_grad=True) for k, w in params.items()}
 
 
 def float32_inputs(norm, x) -> np.ndarray:
@@ -335,7 +335,7 @@ def test_training_loss_gradient_check():
     rng = stream(15, "loss-grad")
     norm = _toy_norm(rng)
     target_n = rng.normal(size=(2, 5, 8))
-    pred = ad.parameter(target_n + 0.2 * rng.normal(size=(2, 5, 8)))
+    pred = parameter(target_n + 0.2 * rng.normal(size=(2, 5, 8)))
     err = grad_check(lambda: tr.training_loss(pred, target_n, norm)[0], [pred])
     assert err < 1e-6
 
@@ -444,15 +444,16 @@ def test_metrics_scaling_behavior(small_dataset):
 
 def test_predict_batch_size_invariant(small_dataset, monkeypatch):
     ds = small_dataset
-    params = mdl.init_transformer(TINY, stream(2, "pred-init"))
+    model = mdl.FrozenModel(mdl.init_transformer(TINY, stream(2, "pred-init")), TINY,
+                            "transformer", ds.norm)
     n = ds.n_episodes
     monkeypatch.setattr(tr, "PREDICT_BATCH", n)
-    full = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm)
+    full = tr.predict(model, inputs=ds.inputs)
     for batch_size in (1, 2, 3, 32):
         monkeypatch.setattr(tr, "PREDICT_BATCH", batch_size)
-        got = tr.predict(params, TINY, "transformer", ds.inputs, ds.norm)
+        got = tr.predict(model, inputs=ds.inputs)
         assert np.array_equal(got, full), batch_size
-    one = tr.predict(params, TINY, "transformer", ds.inputs[0], ds.norm)
+    one = tr.predict(model, inputs=ds.inputs[0])
     assert one.shape == (168, 8)
     assert np.array_equal(one, full[0])
 
@@ -461,13 +462,51 @@ def test_predict_batch_size_invariant(small_dataset, monkeypatch):
 def test_predict_is_the_taped_forward_without_a_tape(small_dataset, kind):
     ds = small_dataset
     params = mdl.INITS[kind](TINY, stream(4, "tape-free"))
-    got = tr.predict(params, TINY, kind, ds.inputs[:4], ds.norm)
+    got = tr.predict(mdl.FrozenModel(params, TINY, kind, ds.norm), inputs=ds.inputs[:4])
     taped = mdl.FORWARDS[kind](float32_leaves(params), TINY,
                                ad.constant(float32_inputs(ds.norm, ds.inputs[:4])))
     assert taped.requires_grad  # the reference really builds a graph
     assert taped.data.dtype == np.float32 and got.dtype == np.float64
     assert np.array_equal(got, ds.norm.denormalize_targets(taped.data))
-    assert all(p.grad is None for p in params.values())
+
+
+def test_predict_takes_the_model_and_its_inputs_by_keyword(small_dataset):
+    ds = small_dataset
+    model = mdl.FrozenModel(mdl.init_transformer(TINY, stream(2, "pred-init")), TINY,
+                            "transformer", ds.norm)
+    with pytest.raises(TypeError):
+        tr.predict(model, ds.inputs[:2])
+    with pytest.raises(TypeError):
+        tr.predict(model.params, model.config, model.kind, ds.inputs[:2], model.norm)
+
+
+@pytest.mark.parametrize("kind", ["transformer", "ffn"])
+def test_predict_leaves_the_weights_bit_for_bit(small_dataset, kind):
+    model = mdl.FrozenModel(mdl.INITS[kind](TINY, stream(4, "tape-free")), TINY, kind,
+                            small_dataset.norm)
+    before = {name: (w, w.tobytes()) for name, w in model.params.items()}
+    tr.predict(model, inputs=small_dataset.inputs[:4])
+    assert model.params.keys() == before.keys()
+    assert all(model.params[name] is w and w.tobytes() == bits
+               for name, (w, bits) in before.items())
+
+
+def test_train_validates_through_the_model_it_returns(pool, monkeypatch):
+    """train builds one FrozenModel over the float64 weight arrays Adam
+    updates in place: epoch 0 and every epoch after validate through it,
+    and it is the model train returns."""
+    ds = tr.sample_dataset(pool, 8, seed=4, counts=(6, 1, 1))
+    seen, predict = [], tr.predict
+
+    def record(model, *, inputs):
+        seen.append(model)
+        return predict(model, inputs=inputs)
+
+    monkeypatch.setattr(tr, "predict", record)
+    res = tr.train(ds, "transformer", TINY, epochs=2, batch_size=4, seed=21)
+    assert len(seen) == 3 and all(model is res.model for model in seen)
+    assert all(type(w) is np.ndarray and w.dtype == np.float64
+               for w in res.model.params.values())
 
 
 @pytest.fixture(scope="module")
@@ -486,7 +525,7 @@ def overfit_run(pool):
 def test_overfit_memorizes_ten_episodes(overfit_run):
     ds, idx, cfg, res = overfit_run
     assert res.best_val_loss < 0.45 * res.history[0]["val_loss"]
-    pred = tr.predict(res.model.params, cfg, "transformer", ds.inputs[idx], ds.norm)
+    pred = tr.predict(res.model, inputs=ds.inputs[idx])
     rep = tr.metrics(pred, ds.targets[idx], ds.masks[idx])
     assert rep.r2_t.mean > 0.98
     assert rep.r2_q.mean > 0.98
@@ -527,7 +566,7 @@ def test_best_checkpoint_selection(pool):
     assert res.history[res.best_epoch]["val_loss"] == res.best_val_loss
     # the returned parameters reproduce the recorded best validation loss
     vx, vy, _ = ds.split_arrays("val")
-    pred = tr.predict(res.model.params, TINY, "transformer", vx, ds.norm)
+    pred = tr.predict(res.model, inputs=vx)
     assert tr.loss(pred, vy) == pytest.approx(res.best_val_loss, abs=1e-12)
 
 
@@ -597,8 +636,8 @@ def test_out_dir_artifacts_roundtrip(pool, tmp_path):
     assert tuple(back.norm.target_mean) == tuple(ds.norm.target_mean)
     vx = ds.inputs[ds.splits["val"]]
     np.testing.assert_array_equal(
-        tr.predict(back.params, back.config, back.kind, vx, back.norm),
-        tr.predict(res.model.params, TINY, "transformer", vx, ds.norm),
+        tr.predict(back, inputs=vx),
+        tr.predict(res.model, inputs=vx),
     )
 
 
@@ -625,8 +664,8 @@ GOLDEN_HISTORY_SHA256 = "95ef76c0d56542974e3fc934c9f136cc981d7108cc2ebc3fdea446b
 
 def _golden_digests(res):
     h = hashlib.sha256()
-    for p in res.model.params.values():
-        h.update(np.ascontiguousarray(p.data).tobytes())
+    for w in res.model.params.values():
+        h.update(np.ascontiguousarray(w).tobytes())
     history = np.array([[row[c] for c in tr._HISTORY_COLUMNS] for row in res.history],
                        dtype=np.float64)
     return h.hexdigest(), hashlib.sha256(history.tobytes()).hexdigest()
@@ -659,6 +698,7 @@ def test_predict_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypatch
     x = ds.inputs[:48]
     for kind in ("transformer", "ffn"):
         params = mdl.INITS[kind](ACCEPTANCE, stream(7, "cores"))
+        model = mdl.FrozenModel(params, ACCEPTANCE, kind, ds.norm)
         forward, leaves = mdl.FORWARDS[kind], float32_leaves(params)
         alone = np.stack([
             ds.norm.denormalize_targets(
@@ -667,7 +707,7 @@ def test_predict_bits_do_not_depend_on_the_core_count(golden_corpus, monkeypatch
         for cores in (1, 2, 3):
             monkeypatch.setattr(tr, "_cores", lambda: cores)
             for rows in (1, 30, 48):
-                got = tr.predict(params, ACCEPTANCE, kind, x[:rows], ds.norm)
+                got = tr.predict(model, inputs=x[:rows])
                 assert np.array_equal(got, alone[:rows]), (kind, cores, rows)
 
 
@@ -677,21 +717,23 @@ def test_predict_raises_once_on_a_nonfinite_last_row_on_three_cores(golden_corpu
     the caller's errstate, with no warning first."""
     monkeypatch.setattr(tr, "_cores", lambda: 3)
     ds = golden_corpus
-    params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
+    model = mdl.FrozenModel(mdl.init_transformer(ACCEPTANCE, stream(7, "cores")), ACCEPTANCE,
+                            "transformer", ds.norm)
     for bad in (np.nan, np.inf):
         x = ds.inputs[:30].copy()
         x[-1, 100, 0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(mdl.ModelError, match="transformer model: non-finite output"):
-                tr.predict(params, ACCEPTANCE, "transformer", x, ds.norm)
+                tr.predict(model, inputs=x)
 
 
 def test_predict_raises_once_on_an_input_that_overflows_its_normalization(golden_corpus):
     """1e308 in a column whose fitted range is 0.1 wide overflows when it is
     normalized; that ends as predict's ModelError with no warning first."""
     ds = golden_corpus
-    params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
+    model = mdl.FrozenModel(mdl.init_transformer(ACCEPTANCE, stream(7, "cores")), ACCEPTANCE,
+                            "transformer", ds.norm)
     col = DEFAULT_SCHEMA.input_channel_names.index("facade_1_thickness_2")
     assert ds.norm.input_hi[col] - ds.norm.input_lo[col] <= 0.1 + 1e-12
     x = ds.inputs[:3].copy()
@@ -699,7 +741,7 @@ def test_predict_raises_once_on_an_input_that_overflows_its_normalization(golden
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(mdl.ModelError, match="transformer model: non-finite output"):
-            tr.predict(params, ACCEPTANCE, "transformer", x, ds.norm)
+            tr.predict(model, inputs=x)
 
 
 def test_predict_raises_once_on_an_input_beyond_float32s_range(golden_corpus):
@@ -714,11 +756,12 @@ def test_predict_raises_once_on_an_input_beyond_float32s_range(golden_corpus):
     xn = ds.norm.normalize_inputs(x)
     assert np.isfinite(xn).all() and xn[..., col].min() > np.finfo(np.float32).max
     for kind in ("transformer", "ffn"):
-        params = mdl.INITS[kind](ACCEPTANCE, stream(7, "cores"))
+        model = mdl.FrozenModel(mdl.INITS[kind](ACCEPTANCE, stream(7, "cores")), ACCEPTANCE,
+                                kind, ds.norm)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(mdl.ModelError, match=f"{kind} model: non-finite output"):
-                tr.predict(params, ACCEPTANCE, kind, x, ds.norm)
+                tr.predict(model, inputs=x)
 
 
 def _step_gradients_by_a_serial_loop(params, kind, x, y, norm):
@@ -733,7 +776,7 @@ def _step_gradients_by_a_serial_loop(params, kind, x, y, norm):
               for _ in starts]
     roots = [mdl.FORWARDS[kind](own, TINY, ad.constant(x[a:a + tr.TRAIN_SHARD]))
              for own, a in zip(copies, starts)]
-    pred = ad.parameter(np.concatenate([r.data for r in roots]))
+    pred = parameter(np.concatenate([r.data for r in roots]))
     tr.training_loss(pred, y, norm)[0].backward()
     for root, a in zip(roots, starts):
         root.backward(pred.grad[a:a + tr.TRAIN_SHARD].astype(np.float32))
@@ -764,7 +807,7 @@ def test_step_gradients_are_the_shard_gradients_summed_in_shard_order(pool, monk
             steps = []
 
             def record(params, grads, state):
-                steps.append(({k: p.data.copy() for k, p in zip(names, params)},
+                steps.append(({k: w.copy() for k, w in zip(names, params)},
                               [g.copy() for g in grads]))
                 adam_step(params, grads, state)
 
@@ -845,15 +888,15 @@ def test_the_model_runs_in_float32_on_float64_master_weights(small_dataset, monk
     made["model"].clear()
     summed.clear()
     params = list(res.model.params.values())
-    out = tr.predict(res.model.params, TINY, kind, small_dataset.inputs[:3], small_dataset.norm)
+    out = tr.predict(res.model, inputs=small_dataset.inputs[:3])
     assert made["model"] and set(made["model"]) == {float32}
     assert set(summed) == ({float32} if kind == "transformer" else set())
     assert out.dtype == float64
-    assert all(p.data.dtype == float64 for p in params)
+    assert all(w.dtype == float64 for w in params)
     # Adam steps in float64: the weights are not float32 values
-    assert any((p.data != p.data.astype(np.float32)).any() for p in params)
+    assert any((w != w.astype(np.float32)).any() for w in params)
     res.model.save(tmp_path / "model.bin")
-    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes() for p in params)
+    payload = b"".join(np.ascontiguousarray(w, dtype="<f8").tobytes() for w in params)
     assert (tmp_path / "model.bin").read_bytes().endswith(payload)
 
 
@@ -902,7 +945,8 @@ def test_predict_divides_a_batch_among_the_cores_not_copies_it(golden_corpus, mo
     traced peak stays within 10% of one 32-row forward's (both read about
     22.3 MiB); a full batch per core would peak near twice that."""
     ds = golden_corpus
-    params = mdl.init_transformer(ACCEPTANCE, stream(7, "cores"))
+    model = mdl.FrozenModel(mdl.init_transformer(ACCEPTANCE, stream(7, "cores")), ACCEPTANCE,
+                            "transformer", ds.norm)
     peaks = {}
     for cores in (1, 2):
         monkeypatch.setattr(tr, "_cores", lambda: cores)
@@ -910,7 +954,7 @@ def test_predict_divides_a_batch_among_the_cores_not_copies_it(golden_corpus, mo
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            tr.predict(params, ACCEPTANCE, "transformer", ds.inputs[:32], ds.norm)
+            tr.predict(model, inputs=ds.inputs[:32])
             peaks[cores] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -924,7 +968,7 @@ def test_train_and_predict_restore_the_blas_thread_count(small_dataset, blas):
     before = threads()
     res = tr.train(small_dataset, "transformer", TINY, epochs=1, batch_size=8, seed=21)
     assert threads() == before
-    tr.predict(res.model.params, TINY, "transformer", small_dataset.inputs[:3], small_dataset.norm)
+    tr.predict(res.model, inputs=small_dataset.inputs[:3])
     assert threads() == before
 
 
@@ -947,7 +991,7 @@ def test_no_pool_thread_outlives_train_or_predict(small_dataset, monkeypatch):
     assert any(name.startswith("bemopt-rows") for name in threads)
     assert _row_threads() == []
     threads.clear()
-    tr.predict(res.model.params, TINY, "transformer", small_dataset.inputs[:3], small_dataset.norm)
+    tr.predict(res.model, inputs=small_dataset.inputs[:3])
     assert any(name.startswith("bemopt-rows") for name in threads)
     assert _row_threads() == []
 
@@ -1018,7 +1062,7 @@ class TestCoreSplit:
 
 
 def _predict_in_a_child(model, x):
-    return tr.predict(model.params, model.config, model.kind, x, model.norm)
+    return tr.predict(model, inputs=x)
 
 
 def test_a_fork_after_training_gets_a_working_pool(pool, monkeypatch):
@@ -1051,7 +1095,7 @@ def test_training_peak_memory_stays_near_one_graph(golden_corpus):
         base = tracemalloc.get_traced_memory()[0]
         root = mdl.transformer_forward(float32_leaves(params), ACCEPTANCE,
                                        ad.constant(float32_inputs(ds.norm, ds.inputs[sel])))
-        pred = ad.parameter(root.data)
+        pred = parameter(root.data)
         graph = tr.training_loss(pred, ds.norm.normalize_targets(ds.targets[sel]), ds.norm)
         graph_bytes = tracemalloc.get_traced_memory()[0] - base
         del root, pred, graph
@@ -1071,7 +1115,8 @@ def test_one_step_graph_holds_only_what_backward_reads(golden_corpus):
     the Tensors that made them (that held ~109 MiB)."""
     ds = golden_corpus
     sel = ds.splits["train"][:32]
-    params = mdl.init_transformer(ACCEPTANCE, stream(1, "transformer-init"))
+    weights = mdl.init_transformer(ACCEPTANCE, stream(1, "transformer-init"))
+    params = {name: parameter(w) for name, w in weights.items()}
     gc.collect()
     tracemalloc.start()
     try:
