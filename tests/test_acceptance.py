@@ -5,6 +5,7 @@ surrogates) are built once in module fixtures; their wall time is charged
 to the training gate, which owns them.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -274,42 +275,67 @@ def test_7_schedule_search_cuts_consumption_at_equal_comfort(corpus, frozen):
             f"{elapsed:.0f}s < 900s")
 
 
-def test_8_fixed_seed_reruns_are_byte_identical(tmp_path):
-    def run_pipeline(root):
-        root.mkdir()
-        params, bms, occ, _ = sample_episode_config(DEFAULT_SCHEMA, 3, substream(42, "episode", 0))
-        building = root / "building.json"
-        building.write_text(json.dumps(
-            {"params": params.to_dict(), "bms": bms.to_dict(), "occ": occ.to_dict()},
-            indent=2, sort_keys=True))
-        config = root / "tiny.json"
-        config.write_text(json.dumps({"train": {
-            "d_emb": 8, "r": 2, "v_width": 2, "h": 2, "n_layers": 2, "delta": 3,
-            "epochs": 2,
-        }}))
-        for args in (
-            ["sample", "--out", str(root / "ds"), "--weather", str(root / "wx"),
-             "--weather-weeks", "3", "--episodes", "8", "--seed", "1"],
-            ["train", "--dataset", str(root / "ds"), "--out", str(root / "mdl"),
-             "--config", str(config), "--seed", "2"],
-            ["twin", "--building", str(building), "--weather", str(root / "wx"),
-             "--weeks", "0,1", "--out", str(root / "traces"), "--seed", "3"],
-            ["calibrate", "--model", str(root / "mdl" / "model.bin"),
-             "--traces", str(root / "traces"), "--weather", str(root / "wx"),
-             "--base", str(building), "--weeks", "0", "--holdout-weeks", "1",
-             "--budget", "2", "--free", "nb_occupants,capacitance_kJ_perdegreK_perm3",
-             "--out", str(root / "cal"), "--seed", "4"],
-            ["optimize", "--model", str(root / "mdl" / "model.bin"),
-             "--calibrated", str(root / "cal" / "calibration.json"),
-             "--weather", str(root / "wx"), "--week", "2", "--generations", "3",
-             "--pop", "8", "--out", str(root / "opt"), "--seed", "5"],
-            ["report", str(root)],
-        ):
-            assert main(args) == 0, args
+MANIFESTS = ("run.json", "report_run.json")
 
+
+def run_pipeline(root):
+    """The seeded sample -> train -> twin -> calibrate -> optimize -> report
+    run of the tiny model into root, which must not exist yet."""
+    root.mkdir()
+    params, bms, occ, _ = sample_episode_config(DEFAULT_SCHEMA, 3, substream(42, "episode", 0))
+    building = root / "building.json"
+    building.write_text(json.dumps(
+        {"params": params.to_dict(), "bms": bms.to_dict(), "occ": occ.to_dict()},
+        indent=2, sort_keys=True))
+    config = root / "tiny.json"
+    config.write_text(json.dumps({"train": {
+        "d_emb": 8, "r": 2, "v_width": 2, "h": 2, "n_layers": 2, "delta": 3,
+        "epochs": 2,
+    }}))
+    for args in (
+        ["sample", "--out", str(root / "ds"), "--weather", str(root / "wx"),
+         "--weather-weeks", "3", "--episodes", "8", "--seed", "1"],
+        ["train", "--dataset", str(root / "ds"), "--out", str(root / "mdl"),
+         "--config", str(config), "--seed", "2"],
+        ["twin", "--building", str(building), "--weather", str(root / "wx"),
+         "--weeks", "0,1", "--out", str(root / "traces"), "--seed", "3"],
+        ["calibrate", "--model", str(root / "mdl" / "model.bin"),
+         "--traces", str(root / "traces"), "--weather", str(root / "wx"),
+         "--base", str(building), "--weeks", "0", "--holdout-weeks", "1",
+         "--budget", "2", "--free", "nb_occupants,capacitance_kJ_perdegreK_perm3",
+         "--out", str(root / "cal"), "--seed", "4"],
+        ["optimize", "--model", str(root / "mdl" / "model.bin"),
+         "--calibrated", str(root / "cal" / "calibration.json"),
+         "--weather", str(root / "wx"), "--week", "2", "--generations", "3",
+         "--pop", "8", "--out", str(root / "opt"), "--seed", "5"],
+        ["report", str(root)],
+    ):
+        assert main(args) == 0, args
+
+
+def canonical_manifest(raw: bytes, root) -> dict:
+    """A run manifest without its wall-clock duration and with root's
+    absolute path replaced in its input and output keys; digests and every
+    other field stay."""
+    doc = json.loads(raw)
+    doc.pop("duration_s")
+    for key in ("inputs", "outputs"):
+        doc[key] = {p.replace(str(root), "<root>"): d for p, d in doc[key].items()}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
     t0 = time.monotonic()
-    a, b = tmp_path / "one", tmp_path / "two"
-    run_pipeline(a)
+    root = tmp_path_factory.mktemp("pipeline") / "one"
+    run_pipeline(root)
+    TIMINGS["pipeline"] = time.monotonic() - t0
+    return root
+
+
+def test_8_fixed_seed_reruns_are_byte_identical(pipeline_run, tmp_path):
+    t0 = time.monotonic()
+    a, b = pipeline_run, tmp_path / "two"
     run_pipeline(b)
     rel = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
     assert rel == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
@@ -317,23 +343,63 @@ def test_8_fixed_seed_reruns_are_byte_identical(tmp_path):
     n_checked = 0
     for r in rel:
         one, two = (a / r).read_bytes(), (b / r).read_bytes()
-        if r.name in ("run.json", "report_run.json"):
-            # the run manifest stores wall-clock duration and absolute paths;
-            # digests and every other field must agree
-            def canon(doc, root):
-                doc.pop("duration_s")
-                for key in ("inputs", "outputs"):
-                    doc[key] = {p.replace(str(root), "<root>"): d
-                                for p, d in doc[key].items()}
-                return doc
-            if canon(json.loads(one), a) != canon(json.loads(two), b):
+        if r.name in MANIFESTS:
+            if canonical_manifest(one, a) != canonical_manifest(two, b):
                 diffs.append(str(r))
         else:
             n_checked += 1
             if one != two:
                 diffs.append(str(r))
-    elapsed = time.monotonic() - t0
+    elapsed = TIMINGS["pipeline"] + time.monotonic() - t0
     verdict(8, "seeded reruns byte-identical", not diffs,
             f"{n_checked} artifacts byte-equal across two full pipeline runs "
             f"(+{len(rel) - n_checked} manifests equal modulo duration), {elapsed:.0f}s"
             + (f"; DIFFS: {diffs}" if diffs else ""))
+
+
+# sha256 of every file gate 8's seeded pipeline writes, keyed by its path
+# relative to the run's root; the two manifests are hashed as sorted JSON
+# after canonical_manifest
+PIPELINE_SHA256 = {
+    "building.json": "07aa1f4bc6a5a2345675bcbd07cfe6afe83eae80edd0310752647115c819c707",
+    "cal/calibration.json": "367191493201d3470639a8a952cb4bbd88e7129aaf430be1237093777b3e3576",
+    "cal/calibration_history.csv": "8f6368f8eb1a60d9fac6c81b09bc03e04b68ffc350a3e9f75f43d817e2cf6bc3",
+    "cal/run.json": "f48a7806e298ac1b9ec0a63f9d877ce08a7719a6522c091b3ce42227818903bf",
+    "ds/arrays.bin": "749b887e4dab2eb661948bc53ae1a1ea0af6cf857c907e490642d61e433c372a",
+    "ds/manifest.json": "bd715b19892e49fef8dd9d69cd5d87111bd20408d7ce99145ea08668b5191afb",
+    "ds/run.json": "72339b4a30d668c6defa8d0fb06db88a8fa828ce79cca82b5d62be18cc8370b8",
+    "mdl/history.csv": "059d5974bfd1dde49d8be1c7e9e60ddcc43bba9bc77d2b5ab3552ec6ee844b70",
+    "mdl/metrics.json": "ff6949dc70c9f6dc4f630b1c1d739c0244d0ed1a8e92fc4855303ca77bb86115",
+    "mdl/model.bin": "eb54323a8684e02e4a4f9c601ca4a52b6f3adc0cf2f2d00b493b865349e8f812",
+    "mdl/run.json": "ae72b88a4ae47f506ad11c9b6b3fdcb38bf9db21cfaacf68262e49a1af824141",
+    "opt/chosen.json": "ce60c0ea7ccab0b58f72f8b3dfbc16f7307df2e0cd9b3731de3cf3efb9eb0b50",
+    "opt/chosen_timeseries.csv": "a3e4f0fe4d1a47f16ea802e4e8455c71e901204ef7f0a156209f5b584999d06f",
+    "opt/front.csv": "f9c5116140ecbf6dbac7d695aded343398e81cc97214e0701f4ce93fb8844e50",
+    "opt/hypervolume.csv": "485864488ed9538983fdf67b0066aa1e9f40fc74ef9a78c02004d17b84995153",
+    "opt/run.json": "7831532dcfa30b3109d2bfc860098ab596640e77907e940051fb43ca84a928eb",
+    "report.txt": "7d6863f602daceab1fe74587ce6d4e8b0c1c2f67ddf77f78d916989bb4211dd5",
+    "report_run.json": "540a7ff7bfcfb62de5a107d2a476244fa5b9d35cb6b8187a576d00a4297df5cb",
+    "tiny.json": "3805edd753ee2ca4349ecbeca20e2a95e9b1a2ddddaeecc057cecfd3402f3221",
+    "traces/run.json": "8321226adca45e6476e21bd0878ae0ac4dde816b34688b1ebe7fcb9cd15bab8c",
+    "traces/trace_w0000.csv": "80e08506b42c1fc1b591f36dc19f2ee92ef0df532b5e025eeac93a7e91fd6545",
+    "traces/trace_w0001.csv": "ce3b8604befa45da5434a780dbde1ed88b0df222529381adb9b402e4853cd63f",
+    "wx/week_0000.csv": "e68416325183af440ad9aaba5a521680c3ef1d68e5781125810a4e3af4313c61",
+    "wx/week_0001.csv": "7fc0ce33ed0a7e265c7b82d5dc53a4139aba0a0a5f8c323e6f3081d327b759b7",
+    "wx/week_0002.csv": "9a072ff8e5bf468efd9901a1168c56b83f0cea1357d14a05151d745534c1c892",
+}
+
+
+def test_every_pipeline_artifact_is_bit_identical_to_the_golden_run(pipeline_run):
+    """Gate 8 compares two runs of the same tree; these pins compare the
+    tree with the last recorded run, so a one-character change to any
+    writer, or one float operation anywhere in the pipeline, fails here.
+    Like the module digests, the pins hold for this machine's numpy and
+    OpenBLAS; a change that means to move an artifact re-pins it."""
+    got = {}
+    for p in sorted(pipeline_run.rglob("*")):
+        if p.is_file():
+            raw = p.read_bytes()
+            if p.name in MANIFESTS:
+                raw = json.dumps(canonical_manifest(raw, pipeline_run), sort_keys=True).encode()
+            got[p.relative_to(pipeline_run).as_posix()] = hashlib.sha256(raw).hexdigest()
+    assert got == PIPELINE_SHA256
