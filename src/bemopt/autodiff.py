@@ -438,6 +438,9 @@ def _slot_sum(x: np.ndarray) -> np.ndarray:
     return res
 
 
+_BLOCK_ROWS = 24  # query rows per attention block; T = 168 is seven day-blocks
+
+
 def windowed_attention(q, k, v, delta: int):
     """Scaled-window attention: position t attends to t-delta .. t+delta.
 
@@ -445,8 +448,15 @@ def windowed_attention(q, k, v, delta: int):
     raw dot products (scale q beforehand if needed); the softmax runs over
     the 2*delta+1 window slots and is truncated (renormalized) at the
     sequence boundaries.  Equivalent to dense attention under a band mask
-    but costs O(T * delta) instead of O(T^2), and positions outside the
-    band are unreachable by construction.
+    but costs O(T * delta) instead of O(T^2): a finite key or value outside
+    a query's band gets weight exactly 0, so it cannot reach that query's
+    row.  A NaN or inf key or value can (0 * NaN is NaN), but only in its
+    own sequence, and at most one block of query rows beyond its band.
+
+    The products run as banded block GEMMs (the "sliding chunks" form of
+    Longformer, arXiv:2004.05150): T is cut into blocks of _BLOCK_ROWS
+    query rows, and each block meets its L + 2*delta keys in one batched
+    product.  The softmax reads the band out of the block scores slot-major.
     """
     q, k, v = _one_dtype("windowed_attention", _coerce(q), _coerce(k), _coerce(v))
     qd, kd, vd = q.data, k.data, v.data
@@ -461,60 +471,82 @@ def windowed_attention(q, k, v, delta: int):
     B, T, r = qd.shape
     c = vd.shape[2]
     W = 2 * delta + 1
+    L = _BLOCK_ROWS
+    nb = -(-T // L)  # blocks; the query rows past T are zero and dropped
+    K = L + 2 * delta  # keys per block
 
-    def fwd_window(x):
-        """[b, T+2*delta, w] zero-padded -> strided view [b, T, W, w]
-        where view[i, t, s] = x_padded[i, t+s] = x[i, t+s-delta]."""
-        s0, s1, s2 = x.strides
-        return np.lib.stride_tricks.as_strided(
-            x, (x.shape[0], T, W, x.shape[2]), (s0, s1, s1, s2), writeable=False)
-
-    def rev_window(x):
-        """view[i, t, s] = x_padded[i, t+s, W-1-s]: for target position t,
-        slot s gathers the (query row, slot) pairs that referenced t."""
-        s0, s1, s2 = x.strides
-        return np.lib.stride_tricks.as_strided(
-            x[:, :, W - 1:], (x.shape[0], T, W, 1), (s0, s1, s1 - s2, s2), writeable=False)
-
-    def zero_padded(b, w):
-        """Zero [b, T+2*delta, w] buffer and its [b, T, w] interior view."""
-        buf = np.zeros((b, T + 2 * delta, w), dtype=qd.dtype)
-        return buf, buf[:, delta:delta + T]
+    def query_blocks(x):
+        """[B, T, w] -> [B, nb, L, w], zero rows past T."""
+        if nb * L == T:
+            return x.reshape(B, nb, L, x.shape[2])
+        buf = np.zeros((B, nb * L, x.shape[2]), dtype=qd.dtype)
+        buf[:, :T] = x
+        return buf.reshape(B, nb, L, x.shape[2])
 
     def pad(x):
-        buf, inner = zero_padded(x.shape[0], x.shape[2])
-        inner[...] = x
+        """[B, T, w] -> zero-padded [B, nb*L + 2*delta, w], x at rows delta..delta+T."""
+        buf = np.zeros((B, nb * L + 2 * delta, x.shape[2]), dtype=qd.dtype)
+        buf[:, delta:delta + T] = x
         return buf
 
-    # slots whose absolute position falls outside the sequence are banned;
-    # the mask is [W, 1, T], in the softmax's slot-major layout
-    pos = np.arange(W)[:, None, None] + np.arange(T)[None, None, :] - delta
-    boundary = np.where((pos >= 0) & (pos < T), 0.0, -1e30).astype(qd.dtype)
+    def key_blocks(x):
+        """Padded [B, nb*L + 2*delta, w] -> strided view [B, nb, K, w] where
+        view[i, j, m] = x[i, j*L + m]: block j's keys, one run of rows."""
+        s0, s1, s2 = x.strides
+        return np.lib.stride_tricks.as_strided(
+            x, (B, nb, K, x.shape[2]), (s0, L * s1, s1, s2), writeable=False)
 
-    # k, v and the per-slot factors pi (ds in the backward) live in
-    # zero-padded buffers: the backward reads them back through the windows
-    # (scatter-free gathers) without a padded copy
+    def band(x):
+        """Block [B, nb, L, K] -> strided view [W, B, nb, L] where
+        view[s, i, j, l] = x[i, j, l, l + s]: slot s of query row j*L + l."""
+        s0, s1, s2, s3 = x.strides
+        return np.lib.stride_tricks.as_strided(x, (W, B, nb, L), (s3, s0, s1, s2 + s3))
+
+    def overlap_add(x):
+        """Per-block key gradients [B, nb, K, w] -> [B, T, w]: block j's row m
+        lands on padded row j*L + m, one run of L rows of every block at a time."""
+        w = x.shape[3]
+        runs = -(-K // L)
+        acc = np.zeros((B, (nb + runs - 1) * L, w), dtype=qd.dtype)
+        for m in range(runs):
+            part = x[:, :, m * L:(m + 1) * L]
+            acc[:, m * L:(m + nb) * L].reshape(B, nb, L, w)[:, :, :part.shape[2]] += part
+        return acc[:, delta:delta + T]
+
+    # slots whose absolute position falls outside the sequence (the block
+    # pad included) are banned; the mask is [W, 1, nb, L], slot-major
+    pos = np.arange(W)[:, None] + np.arange(nb * L)[None, :] - delta
+    boundary = np.where((pos >= 0) & (pos < T), 0.0, -1e30).astype(qd.dtype)
+    boundary = boundary.reshape(W, 1, nb, L)
+
     k_pad, v_pad = pad(kd), pad(vd)
-    pi_pad, pi = zero_padded(B, W)
-    # the softmax runs slot-major, [W, B, T], so its max and sum over the
-    # slots are lane-wise ops over whole [B, T] planes; _slot_sum keeps
-    # numpy's summation order, so pi has the bits of a last-axis softmax
-    e = np.add((fwd_window(k_pad) @ qd[:, :, :, None])[..., 0].transpose(2, 0, 1), boundary,
-               order="C")
-    e -= e.max(axis=0)
-    np.exp(e, out=e)
-    np.divide(e, _slot_sum(e), out=e)
-    pi[...] = e.transpose(1, 2, 0)  # a transposing copy beats a strided divide
-    del e  # freed before the output product allocates; the tape keeps pi
-    out = (pi[:, :, None, :] @ fwd_window(v_pad))[:, :, 0, :]
+    scores = query_blocks(qd) @ key_blocks(k_pad).swapaxes(2, 3)
+    # the softmax runs slot-major, [W, B, nb, L], so its max and sum over
+    # the slots are lane-wise ops over whole planes; _slot_sum keeps
+    # numpy's summation order of a last-axis sum.  The mask add reads the
+    # band out of the block scores and makes the contiguous copy.
+    pi = np.add(band(scores), boundary, order="C")
+    pi -= pi.max(axis=0)
+    np.exp(pi, out=pi)
+    np.divide(pi, _slot_sum(pi), out=pi)
+    # the weights go back into the score buffer, zero off the band, for
+    # the output product; the tape keeps only the band-shaped pi
+    scores.fill(0)
+    band(scores)[...] = pi
+    out = (scores @ key_blocks(v_pad)).reshape(B, nb * L, c)[:, :T]
+    del scores
 
     def grad_all(g):
-        dpi = (fwd_window(v_pad) @ g[:, :, :, None])[..., 0]
-        ds_pad, ds = zero_padded(B, W)
-        np.multiply(pi, dpi - np.sum(pi * dpi, axis=-1, keepdims=True), out=ds)
-        dq = (ds[:, :, None, :] @ fwd_window(k_pad))[:, :, 0, :]
-        dk = (rev_window(ds_pad).swapaxes(2, 3) @ fwd_window(pad(qd)))[:, :, 0, :]
-        dv = (rev_window(pi_pad).swapaxes(2, 3) @ fwd_window(pad(g)))[:, :, 0, :]
+        p = np.zeros((B, nb, L, K), dtype=qd.dtype)
+        band(p)[...] = pi
+        gb = query_blocks(g)
+        ds = gb @ key_blocks(v_pad).swapaxes(2, 3)
+        # p is exactly 0 off the band, so the row sum may run over the block
+        ds -= np.einsum("...m,...m->...", p, ds)[..., None]
+        ds *= p
+        dq = (ds @ key_blocks(k_pad)).reshape(B, nb * L, r)[:, :T]
+        dk = overlap_add(ds.swapaxes(2, 3) @ query_blocks(qd))
+        dv = overlap_add(p.swapaxes(2, 3) @ gb)
         return dq, dk, dv
 
     # the three vjps share one sweep; backward hands all three the same

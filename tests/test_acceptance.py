@@ -359,26 +359,28 @@ def test_8_fixed_seed_reruns_are_byte_identical(pipeline_run, tmp_path):
 
 # sha256 of every file gate 8's seeded pipeline writes, keyed by its path
 # relative to the run's root; the two manifests are hashed as sorted JSON
-# after canonical_manifest
+# after canonical_manifest.  Recorded with attention as banded block GEMMs:
+# every file the model's arithmetic reaches (mdl/, cal/, opt/ and the
+# report) moved then, and the corpus, weather, traces and inputs did not
 PIPELINE_SHA256 = {
     "building.json": "07aa1f4bc6a5a2345675bcbd07cfe6afe83eae80edd0310752647115c819c707",
-    "cal/calibration.json": "367191493201d3470639a8a952cb4bbd88e7129aaf430be1237093777b3e3576",
-    "cal/calibration_history.csv": "8f6368f8eb1a60d9fac6c81b09bc03e04b68ffc350a3e9f75f43d817e2cf6bc3",
-    "cal/run.json": "f48a7806e298ac1b9ec0a63f9d877ce08a7719a6522c091b3ce42227818903bf",
+    "cal/calibration.json": "328d6ac7484d4a8cc52b790d81cfa5682cc240b8c6b016929884b6bf84a1da5f",
+    "cal/calibration_history.csv": "5d1c7f30923a4e1c4b760000995b48b26fe882c8e1883e9f7cafd53bdc8fdd34",
+    "cal/run.json": "756f7132c87f4bc95d229d78eb279792586e696708cecf93ca47820b56b07276",
     "ds/arrays.bin": "749b887e4dab2eb661948bc53ae1a1ea0af6cf857c907e490642d61e433c372a",
     "ds/manifest.json": "bd715b19892e49fef8dd9d69cd5d87111bd20408d7ce99145ea08668b5191afb",
     "ds/run.json": "72339b4a30d668c6defa8d0fb06db88a8fa828ce79cca82b5d62be18cc8370b8",
-    "mdl/history.csv": "059d5974bfd1dde49d8be1c7e9e60ddcc43bba9bc77d2b5ab3552ec6ee844b70",
-    "mdl/metrics.json": "ff6949dc70c9f6dc4f630b1c1d739c0244d0ed1a8e92fc4855303ca77bb86115",
-    "mdl/model.bin": "eb54323a8684e02e4a4f9c601ca4a52b6f3adc0cf2f2d00b493b865349e8f812",
-    "mdl/run.json": "ae72b88a4ae47f506ad11c9b6b3fdcb38bf9db21cfaacf68262e49a1af824141",
-    "opt/chosen.json": "ce60c0ea7ccab0b58f72f8b3dfbc16f7307df2e0cd9b3731de3cf3efb9eb0b50",
-    "opt/chosen_timeseries.csv": "a3e4f0fe4d1a47f16ea802e4e8455c71e901204ef7f0a156209f5b584999d06f",
-    "opt/front.csv": "f9c5116140ecbf6dbac7d695aded343398e81cc97214e0701f4ce93fb8844e50",
-    "opt/hypervolume.csv": "485864488ed9538983fdf67b0066aa1e9f40fc74ef9a78c02004d17b84995153",
-    "opt/run.json": "7831532dcfa30b3109d2bfc860098ab596640e77907e940051fb43ca84a928eb",
-    "report.txt": "7d6863f602daceab1fe74587ce6d4e8b0c1c2f67ddf77f78d916989bb4211dd5",
-    "report_run.json": "540a7ff7bfcfb62de5a107d2a476244fa5b9d35cb6b8187a576d00a4297df5cb",
+    "mdl/history.csv": "e188b3ea1b96e8676c704ebf67427ede6b74d8a9dec67423900b4638c8f38aa6",
+    "mdl/metrics.json": "fd443407497225af78c19752adc5698883204d579561ce38825ff2994c0c97cd",
+    "mdl/model.bin": "7ffdbf09f1cd058d13d589d2da63ce1c28de14076f9b80dae0cab6e583f00dee",
+    "mdl/run.json": "52b21cab7468fc37e4f6f02651e945d267319779a03d5c51d0d1c36ab9a44be7",
+    "opt/chosen.json": "447fac9c9d09c4b4617b1388e164c6eca52e6bfbc925873b9c934be8e238802b",
+    "opt/chosen_timeseries.csv": "389ff9d069ad4668773cd93d14ad8c8982c259861eb8d792fea347f01a4941bb",
+    "opt/front.csv": "3828f5994c288edb2450e836a95a54d1862a0f86da30235e997dc69629d25003",
+    "opt/hypervolume.csv": "1ecd5c65d7628dc8c500b898e5c5d65f489ef6e78f46af03bca2674a048d70a2",
+    "opt/run.json": "c0dc380baa9d3d0d4bc7cbae83a9d906fe240bf5258dbb8e60200f89e83dd7d4",
+    "report.txt": "ceff05146718ddf10e89159707842b6e4cc6babbba558112713301fbd7cbfe72",
+    "report_run.json": "c41ec670299c208d602e4a8625bce47eaf434f62f77aa2f7036bf95888d9381d",
     "tiny.json": "3805edd753ee2ca4349ecbeca20e2a95e9b1a2ddddaeecc057cecfd3402f3221",
     "traces/run.json": "8321226adca45e6476e21bd0878ae0ac4dde816b34688b1ebe7fcb9cd15bab8c",
     "traces/trace_w0000.csv": "80e08506b42c1fc1b591f36dc19f2ee92ef0df532b5e025eeac93a7e91fd6545",

@@ -335,12 +335,14 @@ class TestTape:
         assert any(a is scale.data for a in arrays)
         assert not any(a is q.data for a in arrays)
 
-    def test_attention_tape_keeps_no_slot_major_array(self):
-        """The softmax's [W, B, T] working array is freed in the forward:
-        no array the VJPs keep is it or a view of it."""
-        B, T, delta = 3, 7, 2
-        W = 2 * delta + 1
-        rng = stream(11, "slot-major")
+    def test_attention_tape_keeps_no_block_sized_array(self):
+        """The block scores and weights, [B, nb, L, L + 2*delta], are freed
+        in the forward, and the backward rebuilds the weights from the band:
+        no array the VJPs keep is block-sized or a view of one."""
+        B, T, delta = 3, 50, 2
+        L = ad._BLOCK_ROWS
+        nb = -(-T // L)
+        rng = stream(11, "block-sized")
         q, k, v = (parameter(rng.normal(size=(B, T, n))) for n in (4, 4, 2))
         y = ad.windowed_attention(q, k, v, delta)
         arrays = [obj for f in y._node._vjps for obj in _captured(f)
@@ -353,7 +355,8 @@ class TestTape:
                 a = a.base
 
         shapes = {b.shape for a in arrays for b in chain(a) if isinstance(b, np.ndarray)}
-        assert (W, B, T) not in shapes, shapes
+        assert (2 * delta + 1, B, nb, L) in shapes  # the band-shaped weights
+        assert (B, nb, L, L + 2 * delta) not in shapes, shapes
 
     def test_unread_forward_result_is_freed_before_backward(self):
         """relu(add(matmul(x, W), b)) reads nothing of the matmul output in
@@ -472,6 +475,9 @@ def dense_window_reference(q, k, v, delta):
     return ad.matmul(pi, v)
 
 
+_ATOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
 class TestWindowedAttention:
     def test_matches_dense_masked_reference(self):
         rng = stream(30, "wa")
@@ -496,6 +502,74 @@ class TestWindowedAttention:
         ad.mean(ad.mul(dense_window_reference(q, k, v, delta=2), weight)).backward()
         for g, ref in zip(got, [q.grad, k.grad, v.grad]):
             np.testing.assert_allclose(g, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("delta", [1, 3, 12, 30])
+    @pytest.mark.parametrize("T", [1, 23, 24, 25, 50, 168])
+    def test_forward_matches_dense_reference_across_blocks(self, T, delta, dtype):
+        """One block and many, with and without a partial last block, and
+        windows narrower and wider than a block; the float64 reference runs
+        on the same (rounded) inputs."""
+        rng = stream(40, f"wa-{T}-{delta}")
+        q, k = (rng.normal(size=(2, T, 4)).astype(dtype) for _ in range(2))
+        v = rng.normal(size=(2, T, 3)).astype(dtype)
+        got = ad.windowed_attention(q, k, v, delta).data
+        assert got.dtype == dtype
+        want = dense_window_reference(*(ad.constant(a.astype(np.float64)) for a in (q, k, v)),
+                                      delta).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=_ATOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("delta", [1, 3, 12, 30])
+    @pytest.mark.parametrize("T", [1, 23, 24, 25, 50, 168])
+    def test_gradients_match_dense_reference_across_blocks(self, T, delta, dtype):
+        """dq, dk and dv for a random upstream gradient, against the dense
+        reference's in float64; dk and dv are the blocks' overlap-adds."""
+        rng = stream(41, f"wg-{T}-{delta}")
+        arrays = [rng.normal(size=(2, T, n)).astype(dtype) for n in (4, 4, 3)]
+        g = rng.normal(size=(2, T, 3))
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        ad.windowed_attention(*leaves, delta).backward(g.astype(dtype))
+        refs = [parameter(a) for a in arrays]
+        dense_window_reference(*refs, delta).backward(g)
+        for name, got, ref in zip("qkv", leaves, refs):
+            assert got.grad.dtype == dtype and got.grad.shape == ref.grad.shape
+            np.testing.assert_allclose(got.grad, ref.grad, rtol=0, atol=_ATOL[dtype],
+                                       err_msg=f"d{name}")
+
+    def test_a_far_bump_leaks_exactly_nothing_across_blocks(self):
+        """Over several blocks, a finite bump at t +- (delta + 1) of a query
+        on a block's first or last row changes neither that row's output
+        nor, for its one-hot upstream gradient, the gradient anywhere: the
+        bumped key or value gets exactly 0 of it."""
+        B, T, delta = 2, 60, 3
+        L = ad._BLOCK_ROWS
+        rng = stream(42, "far-bump")
+        q, k, v = (rng.normal(size=(B, T, 4)) for _ in range(3))
+        rows = sorted({t for j in range(-(-T // L)) for t in (j * L, min(j * L + L, T) - 1)})
+        assert len(rows) >= 6
+
+        def run(k, v, t):
+            leaves = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
+            out = ad.windowed_attention(*leaves, delta)
+            g = np.zeros(out.shape)
+            g[:, t] = 1.0
+            out.backward(g)
+            return out.data[:, t], [x.grad for x in leaves]
+
+        for t in rows:
+            base, base_grads = run(k, v, t)
+            for s in (t - delta - 1, t + delta + 1):
+                if not 0 <= s < T:
+                    continue
+                for which in ("key", "value"):
+                    kb, vb = k.copy(), v.copy()
+                    (kb if which == "key" else vb)[:, s] += 3.0
+                    out, grads = run(kb, vb, t)
+                    assert out.tobytes() == base.tobytes(), (t, s, which)
+                    assert not grads[1][:, s].any() and not grads[2][:, s].any(), (t, s, which)
+                    for got, want in zip(grads, base_grads):
+                        assert got.tobytes() == want.tobytes(), (t, s, which)
 
     def test_grad_check(self):
         rng = stream(32, "wc")
@@ -562,8 +636,10 @@ class TestWindowedAttention:
         """predict's one finiteness check relies on a NaN query reaching
         its output row, and on no other row; a slot outside the sequence
         gets weight exactly 0, and the visible slots' weights sum to 1."""
-        B, T, delta = 2, 15, 4
+        B, T, delta = 2, 40, 4
         W = 2 * delta + 1
+        L = ad._BLOCK_ROWS
+        nb = -(-T // L)
         rng = stream(36, "nan")
         q = (30.0 * rng.normal(size=(B, T, 3))).astype(dtype)
         q[1, 6, 0] = np.nan
@@ -580,16 +656,40 @@ class TestWindowedAttention:
         assert np.isfinite(out[~spoiled]).all()
         np.testing.assert_allclose(out[~spoiled].sum(axis=-1), 1.0,
                                    atol=1e-6 if dtype == np.float32 else 1e-12)
-        # the per-slot weights the backward keeps, [B, T + 2*delta, W] padded
-        pi_pad, = [a for a in _captured(y._node._vjps[0])
-                   if isinstance(a, np.ndarray) and a.shape == (B, T + 2 * delta, W)]
-        pi = pi_pad[:, delta:delta + T]
+        # the per-slot weights the backward keeps, slot-major [W, B, nb, L]
+        band, = [a for a in _captured(y._node._vjps[0])
+                 if isinstance(a, np.ndarray) and a.shape == (W, B, nb, L)]
+        pi = band.reshape(W, B, nb * L)[:, :, :T].transpose(1, 2, 0)  # [B, T, W]
         pos = np.arange(T)[:, None] + np.arange(W)[None, :] - delta
         banned = (pos < 0) | (pos >= T)
         assert banned.any()
         for b, t in zip(*np.nonzero(~spoiled)):
             assert np.all(pi[b, t, banned[t]] == 0.0)
             assert np.array_equal(pi[b, t, ~banned[t]], out[b, t, pos[t, ~banned[t]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("operand", ["key", "value"])
+    def test_a_nonfinite_key_or_value_stays_in_its_sequence(self, operand, dtype):
+        """A NaN key or value meets the other rows of its blocks through
+        0 * NaN in the block products: it may spoil rows up to one block
+        beyond its band, but no other sequence, and rows farther off in its
+        own sequence stay bit-equal to the run without it."""
+        B, T, delta, t = 3, 120, 12, 50
+        L = ad._BLOCK_ROWS
+        rng = stream(39, "nonfinite-kv")
+        q, k, v = (rng.normal(size=(B, T, 4)).astype(dtype) for _ in range(3))
+        clean = ad.windowed_attention(q, k, v, delta).data
+        spoilt = {"key": k, "value": v}[operand].copy()
+        spoilt[1, t, 2] = np.nan
+        args = (q, spoilt, v) if operand == "key" else (q, k, spoilt)
+        out = ad.windowed_attention(*args, delta).data
+        assert np.isnan(out[1, t - delta:t + delta + 1]).any(axis=-1).all()
+        far = np.abs(np.arange(T) - t) > delta + L - 1
+        assert far.any()
+        same = np.ones((B, T), dtype=bool)
+        same[1] = far
+        assert np.isfinite(out[same]).all()
+        assert out[same].tobytes() == clean[same].tobytes()
 
     def test_shape_errors(self):
         q = ad.constant(np.ones((1, 5, 2)))

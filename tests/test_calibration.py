@@ -611,8 +611,9 @@ def test_calibrate_equals_the_former_ask_tell_loop(toy_problem, tiny_model, pool
 # sha256 of a seeded calibrate run on the untrained tiny model: the best
 # point's float64 bytes, then its report as sorted JSON (values, costs,
 # history, week and held-out metrics); with frozen init weights only the
-# search code can move it
-CALIBRATE_SHA256 = "5f6be0b844d51bbde5842655893d4a3db5999c5780670b653d9f1dbea4a430ea"
+# search code and the model's arithmetic (attention as banded block GEMMs
+# since it was recorded) can move it
+CALIBRATE_SHA256 = "a945e83a7fa65eae152e0c61b1fb4eec77f5c85477623335f24d8a9d0b464412"
 
 
 def test_calibrate_is_bit_identical_to_the_golden_run(toy_problem, tiny_model):

@@ -526,8 +526,9 @@ def test_select_edge_cases():
 # sha256 of a seeded optimize_bms run on the untrained tiny model: each front
 # member's settings and objectives, then the hypervolume and objective-minima
 # histories, as float64 bytes; with frozen init weights only the search code
-# can move it
-OPTIMIZE_SHA256 = "c7b09e07e1112165f46e3dd150bcda817059aa26a83b98263839d71a9c4bf7d0"
+# and the model's arithmetic (attention as banded block GEMMs since it was
+# recorded) can move it
+OPTIMIZE_SHA256 = "92a84ef8b64befa608b8356a55c3b4fcff2d1c8aa245f9a22a44bc5e4c79c34f"
 
 
 def test_optimize_bms_is_bit_identical_to_the_golden_run(pieces, pool):

@@ -657,9 +657,10 @@ def _train_golden(ds):
 # sha256 of the final parameters (insertion order, float64 bytes) and of the
 # history values (one float64 row per epoch, _HISTORY_COLUMNS order), recorded
 # with the cosine learning-rate decay on a corpus labeled one segment per hour,
-# the model run in float32 on float64 master weights
-GOLDEN_PARAMS_SHA256 = "06023104615746f82f3ac6a0eb6cd5db6ba033390bdcd376a900f92df513e982"
-GOLDEN_HISTORY_SHA256 = "95ef76c0d56542974e3fc934c9f136cc981d7108cc2ebc3fdea446b0e45aa096"
+# the model run in float32 on float64 master weights and attention's
+# products run as banded block GEMMs
+GOLDEN_PARAMS_SHA256 = "88bed96dcd898e01710470a8aea3aec4a6755ec71f6f7134f14c94591f42d715"
+GOLDEN_HISTORY_SHA256 = "59cc44d3e55978799ed39e92d10acd36facb7789fd2c18d69e15d064597dc262"
 
 
 def _golden_digests(res):
