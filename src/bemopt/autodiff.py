@@ -451,7 +451,7 @@ def windowed_attention(q, k, v, delta: int):
     but costs O(T * delta) instead of O(T^2): a finite key or value outside
     a query's band gets weight exactly 0, so it cannot reach that query's
     row.  A NaN or inf key or value can (0 * NaN is NaN), but only in its
-    own sequence, and at most one block of query rows beyond its band.
+    own sequence and within _BLOCK_ROWS - 1 rows of its band.
 
     The products run as banded block GEMMs (the "sliding chunks" form of
     Longformer, arXiv:2004.05150): T is cut into blocks of _BLOCK_ROWS
